@@ -15,7 +15,6 @@ from .atlas import (
     cocycle,
     exactness_test,
     gauge_shift,
-    local_potential,
     potential_gradient_report,
     quadrant_atlas,
 )
@@ -47,7 +46,7 @@ from .dynamics import (
     polar_diagnostics,
     simulate,
 )
-from .exprlang import eval_expr, parse_expr, print_expr
+from .exprlang import parse_expr
 from .fields import (
     FieldOneForm,
     ParametricPath,
@@ -60,6 +59,7 @@ from .fields import (
     from_components,
     is_closed,
     segment_work,
+    unwrapped_angle,
     vortex,
     winding_number,
     work,

@@ -33,6 +33,11 @@ _SAMPLE_RADIUS = 8.0
 _SAMPLE_BUDGET = 8192
 DEFAULT_OVERLAP_SAMPLES = 32
 COCYCLE_SPREAD_TOL = 1e-7
+# Simpson panel rule for basepoint segments: at least POTENTIAL_FLOOR panels
+# and POTENTIAL_BASE per unit length; dynamics' bulk post-pass uses the same
+# pair so logged V matches PotentialSet.value.
+POTENTIAL_FLOOR = 96
+POTENTIAL_BASE = 384.0
 
 
 def _halton(i, base):
@@ -45,15 +50,9 @@ def _halton(i, base):
 
 
 class Chart:
-    """A closed convex region cut out by half-planes, minus singular points.
+    """A closed convex region cut out by half-planes, minus singular points."""
 
-    extra_predicate, when given, further restricts membership; it is the
-    escape hatch for non-convex experiments and is what makes the
-    star-shape check nontrivial.
-    """
-
-    def __init__(self, cid, halfplanes, basepoint, label="",
-                 singular_points=(), extra_predicate=None):
+    def __init__(self, cid, halfplanes, basepoint, label="", singular_points=()):
         self.id = int(cid)
         cons = []
         for a, b, c in halfplanes:
@@ -67,7 +66,6 @@ class Chart:
         self.singular_points = tuple(
             (float(a), float(b)) for a, b in singular_points
         )
-        self.extra_predicate = extra_predicate
         for a, b, c in self.constraints:
             norm = math.hypot(a, b)
             slack = (a * self.basepoint[0] + b * self.basepoint[1] - c) / norm
@@ -78,8 +76,6 @@ class Chart:
         for s in self.singular_points:
             if math.hypot(self.basepoint[0] - s[0], self.basepoint[1] - s[1]) < _SINGULAR_MARGIN:
                 raise ValidationError(f"chart {self.id}: basepoint too close to {s}")
-        if extra_predicate is not None and not extra_predicate(*self.basepoint):
-            raise ValidationError(f"chart {self.id}: basepoint fails extra predicate")
 
     def contains(self, p, tol=_CONSTRAINT_TOL):
         x, y = p
@@ -89,14 +85,11 @@ class Chart:
         for sx, sy in self.singular_points:
             if x == sx and y == sy:
                 return False
-        if self.extra_predicate is not None and not self.extra_predicate(x, y):
-            return False
         return True
 
     def first_exit(self, p0, p1, tol=_CONSTRAINT_TOL):
         """Smallest s in (0, 1] where the segment p0 -> p1 leaves the chart,
-        or None if p1 is still inside.  Linear constraints are crossed
-        exactly; an extra predicate falls back to bisection."""
+        or None if p1 is still inside; linear constraints are crossed exactly."""
         if self.contains(p1, tol):
             return None
         best = None
@@ -107,16 +100,6 @@ class Chart:
                 s = g0 / (g0 - g1)
                 if 0.0 <= s <= 1.0 and (best is None or s < best):
                     best = s
-        if best is None and self.extra_predicate is not None:
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                q = (p0[0] + mid * (p1[0] - p0[0]), p0[1] + mid * (p1[1] - p0[1]))
-                if self.contains(q, tol):
-                    lo = mid
-                else:
-                    hi = mid
-            best = lo
         return best
 
     def __repr__(self):
@@ -184,7 +167,6 @@ def _region_samples(charts, k, budget=_SAMPLE_BUDGET):
     """
     cons = []
     singulars = set()
-    extras = [ch.extra_predicate for ch in charts if ch.extra_predicate is not None]
     for ch in charts:
         cons.extend(ch.constraints)
         singulars.update(ch.singular_points)
@@ -222,7 +204,7 @@ def _region_samples(charts, k, budget=_SAMPLE_BUDGET):
         for sx, sy in singulars:
             if math.hypot(x - sx, y - sy) < _SINGULAR_MARGIN:
                 return False
-        return all(e(x, y) for e in extras)
+        return True
 
     if len(lines) >= 2:
         (a1, b1, c1), (a2, b2, c2) = lines[0], lines[1]
@@ -300,14 +282,14 @@ def quadrant_atlas(singular_points=((0.0, 0.0),)):
 class StarShapeReport:
     passed: bool
     checked: int
-    violation: tuple | None   # (sample point, offending segment point)
+    violation: tuple | None   # (sample point, singular point its segment hits)
 
 
-def check_star_shaped(chart, samples=1000, box_radius=4.0, segment_samples=64):
+def check_star_shaped(chart, samples=1000, box_radius=4.0):
     """Sampled check that every basepoint -> q segment stays in the chart.
 
     Convexity makes the half-plane part automatic, so the real content is
-    singular-point avoidance and any extra predicate.
+    singular-point avoidance.
     """
     if samples < 1:
         raise ValidationError("need at least one sample")
@@ -330,12 +312,6 @@ def check_star_shaped(chart, samples=1000, box_radius=4.0, segment_samples=64):
         for s in chart.singular_points:
             if _segment_distance(bp, (x, y), s) < R_MIN_EVAL:
                 return StarShapeReport(False, checked, ((x, y), s))
-        if chart.extra_predicate is not None:
-            for m in range(1, segment_samples):
-                t = m / segment_samples
-                q = (bp[0] + t * (x - bp[0]), bp[1] + t * (y - bp[1]))
-                if not chart.contains(q):
-                    return StarShapeReport(False, checked, ((x, y), q))
     return StarShapeReport(True, checked, None)
 
 
@@ -349,11 +325,10 @@ class PotentialEvaluator:
     cache safe for concurrent readers with serialized writers.
     """
 
-    def __init__(self, field, chart, gauge=0.0, quad="simpson"):
+    def __init__(self, field, chart, gauge=0.0):
         self.field = field
         self.chart = chart
         self.gauge = float(gauge)
-        self.quad = quad
         self._cache = {}
 
     def raw(self, q):
@@ -366,28 +341,15 @@ class PotentialEvaluator:
             raise ChartMembershipError(
                 f"point {key} is outside chart {self.chart.id}"
             )
-        if self.chart.extra_predicate is not None:
-            bp = self.chart.basepoint
-            for m in range(1, 64):
-                t = m / 64
-                p = (bp[0] + t * (key[0] - bp[0]), bp[1] + t * (key[1] - bp[1]))
-                if not self.chart.contains(p):
-                    raise ValidationError(
-                        f"segment to {key} leaves chart {self.chart.id}; "
-                        "chart is not star-shaped about its basepoint"
-                    )
         val = -segment_work(
-            self.field, self.chart.basepoint, key, self.quad, floor=96, base=384.0
+            self.field, self.chart.basepoint, key,
+            floor=POTENTIAL_FLOOR, base=POTENTIAL_BASE,
         )
         self._cache[key] = val
         return val
 
     def __call__(self, q):
         return self.gauge + self.raw(q)
-
-
-def local_potential(field, chart, gauge=0.0, quad="simpson"):
-    return PotentialEvaluator(field, chart, gauge, quad)
 
 
 class PotentialSet:
@@ -404,7 +366,7 @@ class PotentialSet:
         self.gauges = dict(gauges)
 
     @classmethod
-    def from_field(cls, field, atlas, gauges=None, quad="simpson"):
+    def from_field(cls, field, atlas, gauges=None):
         ids = atlas.ids
         if gauges is None:
             gauges = {cid: 0.0 for cid in ids}
@@ -412,10 +374,7 @@ class PotentialSet:
             gauges = dict(zip(ids, gauges))
         if set(gauges) != set(ids):
             raise ValidationError("gauges must cover exactly the chart ids")
-        evals = {
-            cid: PotentialEvaluator(field, atlas.charts[cid], 0.0, quad)
-            for cid in ids
-        }
+        evals = {cid: PotentialEvaluator(field, atlas.charts[cid]) for cid in ids}
         return cls(field, atlas, evals, {cid: float(gauges[cid]) for cid in ids})
 
     def value(self, cid, q):
@@ -623,7 +582,7 @@ def potential_gradient_report(ps, h=1e-5, samples=100, margin=0.05,
                 math.hypot(x - sx, y - sy) >= margin
                 for sx, sy in ch.singular_points
             )
-            if not ok or (ch.extra_predicate and not ch.extra_predicate(x, y)):
+            if not ok:
                 continue
             got += 1
             checked += 1

@@ -21,7 +21,6 @@ import argparse
 import concurrent.futures
 import datetime
 import json
-import math
 import os
 import sys
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .atlas import Atlas, Chart, PotentialSet, cocycle, exactness_test, quadrant_atlas
 from .bundle import holonomy, is_trivial, transitions
-from .cover import LogGerm, continue_log
+from .cover import LogGerm, continue_log, lift_path
 from .dynamics import SimConfig, simulate
 from .errors import LocmechError, NumericError, ValidationError
 from .exprlang import ExprError
@@ -249,24 +248,21 @@ def _atlas_from(ns, config, field):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _now_line():
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return f"generated_at {stamp}"
+def _generated_at():
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _emit_json(obj, deterministic):
     if not deterministic:
         obj = dict(obj)
-        obj["generated_at"] = datetime.datetime.now(
-            datetime.timezone.utc
-        ).isoformat()
+        obj["generated_at"] = _generated_at()
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _write_traj_csv(tr, out, deterministic):
     lines = []
     if not deterministic:
-        lines.append(f"# {_now_line()}")
+        lines.append(f"# generated_at {_generated_at()}")
     lines.append(",".join(CSV_COLUMNS))
     n_sing = tr.theta.shape[1]
     for k in range(tr.n_states):
@@ -637,25 +633,15 @@ def _read_traj_csv(path):
 
 
 def _cmd_lift(ns, config):
-    from .fields import principal_angle_diff
-
     t, x, y = _read_traj_csv(ns.traj)
-    r = np.hypot(x, y)
-    if float(np.min(r)) <= 0.0:
-        raise NumericError("trajectory touches the origin; no lift")
-    u = np.log(r)
-    raw = np.arctan2(y, x)
-    v = np.empty_like(raw)
-    v[0] = raw[0]
-    for k in range(1, len(raw)):
-        v[k] = v[k - 1] + principal_angle_diff(float(raw[k]), float(raw[k - 1]))
-    principal = np.arctan2(np.sin(v), np.cos(v))
-    sheets = np.rint((v - principal) / (2 * math.pi)).astype(np.int64)
+    lift = lift_path(np.column_stack([x, y]))
+    u, v = lift.u, lift.v
+    sheets = lift.sheets()
 
     if ns.out:
         lines = []
         if not ns.deterministic:
-            lines.append(f"# {_now_line()}")
+            lines.append(f"# generated_at {_generated_at()}")
         lines.append("t,u,v,sheet")
         for k in range(len(t)):
             lines.append(
@@ -691,7 +677,7 @@ def _cmd_verify(ns, config):
     numbers = set(ns.only) if ns.only else None
     report = verify_mod.run_all(numbers=numbers)
     if not ns.deterministic:
-        print(f"# {_now_line()}")
+        print(f"# generated_at {_generated_at()}")
     print(report.render())
     return 0 if report.passed else 1
 
@@ -754,7 +740,7 @@ def _build_parser():
     p.add_argument("--path", required=True)
     p.add_argument(
         "--quad", default="simpson",
-        choices=("simpson", "trapezoid", "gauss"),
+        help="simpson (default), trapezoid, or gauss(k) with k in 1..64",
     )
 
     p = sub.add_parser(

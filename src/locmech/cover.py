@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, SingularityError, ValidationError
-from .fields import TAU, angle_change, principal_angle_diff
+from .fields import TAU, angle_change, unwrapped_angle
 
 _SHEET_RESIDUAL_TOL = 1e-6
 _ANCHOR_MATCH_TOL = 1e-9
@@ -87,49 +87,23 @@ def lift_trajectory(tr):
     if float(np.min(r)) <= 0.0:
         raise SingularityError("trajectory touches the origin; no lift")
     u = np.log(r)
-    col = None
-    for s_idx, s in enumerate(tr.field.singular_points):
-        if s == (0.0, 0.0):
-            col = s_idx
-            break
-    if col is not None:
-        v = tr.theta[:, col].copy()
+    if (0.0, 0.0) in tr.field.singular_points:
+        v = tr.theta[:, tr.field.singular_points.index((0.0, 0.0))].copy()
     else:
-        raw = np.arctan2(tr.qy, tr.qx)
-        steps = [
-            principal_angle_diff(float(b), float(a))
-            for a, b in zip(raw[:-1], raw[1:])
-        ]
-        v = np.concatenate([[raw[0]], raw[0] + np.cumsum(steps)])
+        v = unwrapped_angle(tr.positions())
     return LiftTrajectory(tr.t.copy(), u, v)
 
 
 def lift_path(path):
     """Lift a plain path (no dynamics): arrays u, v and sheet indices
-    along its sample points."""
-    pts = path.sample()
+    along its samples.  path is anything fields.unwrapped_angle takes,
+    including an (n, 2) array of points."""
+    pts = path.sample() if hasattr(path, "sample") else np.asarray(path, dtype=float)
     r = np.hypot(pts[:, 0], pts[:, 1])
     if float(np.min(r)) <= 0.0:
         raise SingularityError("path touches the origin; no lift")
-    u = np.log(r)
-    raw = np.arctan2(pts[:, 1], pts[:, 0])
-    v = np.empty(len(pts))
-    v[0] = raw[0]
-    # reuse the refining accumulator per sampled step for safety on
-    # coarse polylines
-    if hasattr(path, "edges"):
-        total = raw[0]
-        out = [total]
-        from .fields import _chord_sweep
-        for a, b in path.edges():
-            total += _chord_sweep(a, b, (0.0, 0.0), 48)
-            out.append(total)
-        v = np.array(out)
-    else:
-        for k in range(1, len(pts)):
-            v[k] = v[k - 1] + principal_angle_diff(float(raw[k]), float(raw[k - 1]))
-    lift = LiftTrajectory(np.arange(len(pts), dtype=float), u, v)
-    return lift
+    v = unwrapped_angle(path)
+    return LiftTrajectory(np.arange(len(pts), dtype=float), np.log(r), v)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import cocycle as build_cocycle
+from .atlas import POTENTIAL_BASE, POTENTIAL_FLOOR, cocycle as build_cocycle
 from .errors import (
     DomainEvalError,
     NonFiniteError,
@@ -29,11 +29,13 @@ from .fields import (
     _segment_divisions,
     circle_path,
     principal_angle_diff,
+    unwrapped_angle,
     work,
 )
 
 SIM_R_MIN = 1e-3
 STEP_ANGLE_GUARD = 3.0   # radians per step; < pi so unwrapping stays unambiguous
+MAX_STEPS = 1_000_000    # ~100 MB of logged columns and about half a minute of stepping
 INTEGRATORS = ("leapfrog", "rk4")
 
 
@@ -119,8 +121,15 @@ class Trajectory:
 
 
 def _validate_config(cfg, ps):
+    scalars = (cfg.m, cfg.h, cfg.T, cfg.r_min, *cfg.q0, *cfg.p0)
+    if not all(math.isfinite(v) for v in scalars):
+        raise ValidationError("m, h, T, r_min, q0 and p0 must be finite")
     if cfg.m <= 0 or cfg.h <= 0 or cfg.T <= 0:
         raise ValidationError("m, h and T must be positive")
+    if cfg.T / cfg.h > MAX_STEPS:
+        raise ValidationError(
+            f"T/h = {cfg.T / cfg.h:.3g} steps exceeds the limit of {MAX_STEPS}"
+        )
     if cfg.integrator not in INTEGRATORS:
         raise ValidationError(f"integrator must be one of {INTEGRATORS}")
     if cfg.r_min <= 0:
@@ -330,7 +339,7 @@ def _batch_potentials(ps, chart_ids, xs, ys, node_budget=1_500_000):
         segs = [
             _segment_divisions(
                 bp, (float(xs[k]), float(ys[k])),
-                field.singular_points, floor=96, base=384.0,
+                field.singular_points, floor=POTENTIAL_FLOOR, base=POTENTIAL_BASE,
             )
             for k in idx
         ]
@@ -500,20 +509,10 @@ def polar_diagnostics(tr, about=None):
     r = np.hypot(dx, dy)
     if float(np.min(r)) <= 0.0:
         raise SingularityError("trajectory touches the reference point")
-    col = None
-    for s_idx, s in enumerate(tr.field.singular_points):
-        if s == (ax, ay):
-            col = s_idx
-            break
-    if col is not None:
-        theta = tr.theta[:, col].copy()
+    if (ax, ay) in tr.field.singular_points:
+        theta = tr.theta[:, tr.field.singular_points.index((ax, ay))].copy()
     else:
-        raw = np.arctan2(dy, dx)
-        steps = np.array([
-            principal_angle_diff(float(b), float(a))
-            for a, b in zip(raw[:-1], raw[1:])
-        ])
-        theta = np.concatenate([[raw[0]], raw[0] + np.cumsum(steps)])
+        theta = unwrapped_angle(tr.positions(), (ax, ay))
     p_theta = dx * tr.py - dy * tr.px
     p_r = (dx * tr.px + dy * tr.py) / r
     return PolarSeries(tr.t.copy(), r, theta, p_r, p_theta)

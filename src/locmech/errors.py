@@ -26,10 +26,6 @@ class RefinementLimitError(NumericError):
     """Recursive subdivision hit its depth limit without resolving a step."""
 
 
-class StepGuardError(NumericError):
-    """A simulation step changed the accumulated angle too much; reduce h."""
-
-
 class DomainEvalError(NumericError):
     """Expression evaluation left the real domain (div by zero, log <= 0, ...)."""
 

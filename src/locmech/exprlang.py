@@ -463,12 +463,3 @@ def parse_expr(source, variables=("x", "y")):
         raise ValidationError("expression source must be a string")
     return ScalarExpr(_Parser(source, tuple(variables)).parse(), variables)
 
-
-def eval_expr(e, x, y):
-    """Evaluate a two-variable expression at (x, y)."""
-    return e.evaluate(x, y)
-
-
-def print_expr(e):
-    """Render back to source; parse(print(e)) evaluates identically to e."""
-    return e.to_source()

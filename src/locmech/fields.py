@@ -198,12 +198,14 @@ class ParametricPath:
 
 def circle_path(cx, cy, r, turns=1.0, n=DEFAULT_SEGMENTS):
     """Circle of radius r about (cx, cy); turns < 0 runs clockwise."""
+    cx, cy, r, w = (float(v) for v in (cx, cy, r, turns))
+    if not all(math.isfinite(v) for v in (cx, cy, r, w)):
+        raise ValidationError("circle center, radius and turns must be finite")
     if r <= 0:
         raise ValidationError("circle radius must be positive")
-    w = float(turns)
     return ParametricPath(
-        f"{float(cx)!r}+{float(r)!r}*cos({w!r}*t)",
-        f"{float(cy)!r}+{float(r)!r}*sin({w!r}*t)",
+        f"{cx!r}+{r!r}*cos({w!r}*t)",
+        f"{cy!r}+{r!r}*sin({w!r}*t)",
         0.0,
         TAU,
         n,
@@ -344,36 +346,45 @@ def _angle_about(p, about):
     return math.atan2(dy, dx)
 
 
-def angle_change(path, about=(0.0, 0.0), max_depth=_MAX_REFINE_DEPTH):
-    """Continuous angle swept about a point along the path.
+def unwrapped_angle(path, about=(0.0, 0.0)):
+    """Continuous angle about a point at each sample of a path.
 
-    Each accepted step has a principal-value change of at most pi/2;
-    larger steps are split at the midpoint (in t for parametric paths,
-    on the chord for polylines) until they comply or the depth limit
-    trips.
+    path is a ParametricPath (sampled at its n + 1 parameter values), a
+    PolylinePath, or an (n, 2) array of points joined by chords, such as
+    a logged trajectory (n >= 1).  Principal-value steps between
+    consecutive samples come from one vectorized pass; a step over pi/2
+    is split at its midpoint (in t for parametric paths, on the chord
+    otherwise) until every piece complies or the depth limit trips.
+    Entry 0 is the principal angle of the first sample.
     """
-    if isinstance(path, PolylinePath):
-        total = 0.0
-        for a, b in path.edges():
-            total += _chord_sweep(a, b, about, max_depth)
-        return total
+    if isinstance(path, ParametricPath):
+        params = np.linspace(path.t0, path.t1, path.n + 1)
+        pts = np.column_stack(path.point_array(params))
+        point_at = path.point
+    else:
+        vertices = path.vertices if isinstance(path, PolylinePath) else path
+        # a chord is parametrized by its own endpoints, so the parameter
+        # midpoint is the chord midpoint
+        pts = params = np.asarray(vertices, dtype=float).reshape(-1, 2)
+        point_at = tuple
+    dx = pts[:, 0] - about[0]
+    dy = pts[:, 1] - about[1]
+    if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
+        raise NonFiniteError("non-finite path sample or reference point")
+    if np.any((dx == 0.0) & (dy == 0.0)):
+        raise SingularityError("path touches the reference point")
+    raw = np.arctan2(dy, dx)
+    steps = np.diff(raw)
+    steps -= TAU * np.rint(steps / TAU)
+    for k in np.flatnonzero(np.abs(steps) > _THETA_MAX):
+        steps[k] = _refined_step(
+            point_at, about, params[k], raw[k], params[k + 1], raw[k + 1],
+            _MAX_REFINE_DEPTH,
+        )
+    return np.cumsum(np.concatenate([raw[:1], steps]))
 
-    ts = np.linspace(path.t0, path.t1, path.n + 1)
-    xs, ys = path.point_array(ts)
-    total = 0.0
-    prev_t = float(ts[0])
-    prev_p = (float(xs[0]), float(ys[0]))
-    prev_a = _angle_about(prev_p, about)
-    for k in range(1, len(ts)):
-        cur_t = float(ts[k])
-        cur_p = (float(xs[k]), float(ys[k]))
-        cur_a = _angle_about(cur_p, about)
-        total += _param_sweep(path, about, prev_t, prev_a, cur_t, cur_a, max_depth)
-        prev_t, prev_p, prev_a = cur_t, cur_p, cur_a
-    return total
 
-
-def _param_sweep(path, about, t0, a0, t1, a1, depth):
+def _refined_step(point_at, about, s0, a0, s1, a1, depth):
     d = principal_angle_diff(a1, a0)
     if abs(d) <= _THETA_MAX:
         return d
@@ -382,33 +393,17 @@ def _param_sweep(path, about, t0, a0, t1, a1, depth):
             "angle step refinement hit its depth limit; the path is too coarse "
             "or passes through the reference point"
         )
-    tm = 0.5 * (t0 + t1)
-    am = _angle_about(path.point(tm), about)
-    return _param_sweep(path, about, t0, a0, tm, am, depth - 1) + _param_sweep(
-        path, about, tm, am, t1, a1, depth - 1
+    sm = 0.5 * (s0 + s1)
+    am = _angle_about(point_at(sm), about)
+    return _refined_step(point_at, about, s0, a0, sm, am, depth - 1) + _refined_step(
+        point_at, about, sm, am, s1, a1, depth - 1
     )
 
 
-def _chord_sweep(a, b, about, depth):
-    aa = _angle_about(a, about)
-    ab = _angle_about(b, about)
-    return _chord_sweep_rec(a, aa, b, ab, about, depth)
-
-
-def _chord_sweep_rec(p0, a0, p1, a1, about, depth):
-    d = principal_angle_diff(a1, a0)
-    if abs(d) <= _THETA_MAX:
-        return d
-    if depth <= 0:
-        raise RefinementLimitError(
-            "angle step refinement hit its depth limit; the path is too coarse "
-            "or passes through the reference point"
-        )
-    pm = (0.5 * (p0[0] + p1[0]), 0.5 * (p0[1] + p1[1]))
-    am = _angle_about(pm, about)
-    return _chord_sweep_rec(p0, a0, pm, am, about, depth - 1) + _chord_sweep_rec(
-        pm, am, p1, a1, about, depth - 1
-    )
+def angle_change(path, about=(0.0, 0.0)):
+    """Continuous angle swept about a point along the path."""
+    track = unwrapped_angle(path, about)
+    return float(track[-1] - track[0])
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,12 @@ import pytest
 from locmech.atlas import (
     Atlas,
     Chart,
+    PotentialEvaluator,
     PotentialSet,
     check_star_shaped,
     cocycle,
     exactness_test,
     gauge_shift,
-    local_potential,
     potential_gradient_report,
     quadrant_atlas,
 )
@@ -95,7 +95,7 @@ def test_chart_validation():
 def test_vortex_potential_matches_polar_angle_in_first_quadrant():
     # With basepoint (1, 1) the potential is -(theta - pi/4) up to gauge.
     field = vortex()
-    pot = local_potential(field, quadrant_atlas().charts[1])
+    pot = PotentialEvaluator(field, quadrant_atlas().charts[1])
     for theta in (0.1, 0.5, 1.0, 1.4):
         q = (2.0 * math.cos(theta), 2.0 * math.sin(theta))
         assert pot(q) == pytest.approx(-(theta - math.pi / 4), abs=1e-9)
@@ -103,7 +103,7 @@ def test_vortex_potential_matches_polar_angle_in_first_quadrant():
 
 
 def test_potential_rejects_points_outside_the_chart():
-    pot = local_potential(vortex(), quadrant_atlas().charts[1])
+    pot = PotentialEvaluator(vortex(), quadrant_atlas().charts[1])
     with pytest.raises(ChartMembershipError):
         pot((-1.0, 1.0))
 

@@ -6,7 +6,11 @@ import os
 
 import pytest
 
+from locmech.atlas import quadrant_atlas
 from locmech.cli import CSV_COLUMNS, run
+from locmech.cover import lift_trajectory
+from locmech.dynamics import SimConfig, simulate
+from locmech.fields import from_components
 
 TAU = math.tau
 
@@ -30,6 +34,26 @@ def test_work_reports_loop_circulation(capsys):
     assert code == 0
     assert doc["work"] == pytest.approx(TAU, abs=1e-7)
     assert "generated_at" not in doc
+
+
+def test_work_quadrature_specs(capsys):
+    code, doc = out_json(
+        capsys, "work", "--field", "vortex", "--path", "circle:0,0,1",
+        "--quad", "gauss(8)", "--deterministic",
+    )
+    assert code == 0
+    assert doc["work"] == pytest.approx(TAU, abs=1e-7)
+    code, _, err = invoke(capsys, "work", "--field", "vortex",
+                          "--path", "circle:0,0,1", "--quad", "gauss")
+    assert code == 1
+    assert "quadrature" in err
+
+
+@pytest.mark.parametrize("spec", ["circle:0,0,nan", "circle:inf,0,1", "circle:0,0,1,nan"])
+def test_non_finite_circle_specs_exit_1(capsys, spec):
+    code, _, err = invoke(capsys, "work", "--field", "vortex", "--path", spec)
+    assert code == 1
+    assert "finite" in err
 
 
 def test_winding_command(capsys):
@@ -197,6 +221,21 @@ def test_validation_error_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--h", "nan"), ("--T", "inf"), ("--h", "1e-300"), ("--m", "inf"),
+    ("--p0", "nan,1"),
+])
+def test_simulate_refuses_bad_numbers_with_exit_1(capsys, flag, value):
+    args = {"--q0": "1,0", "--p0": "0,1", "--T": "1", flag: value}
+    argv = ["simulate", "--field", "vortex", "--deterministic"]
+    for key, val in args.items():
+        argv += [key, val]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invalid input:")
+
+
 def test_config_merging_and_flag_override(tmp_path, capsys):
     cfg_path = os.path.join(tmp_path, "scenario.json")
     out = os.path.join(tmp_path, "cfg.csv")
@@ -260,6 +299,43 @@ def test_lift_round_trip(tmp_path, capsys):
     assert len(rows) == 1 + 101
     # u = log r = 0 at the start point (1, 0).
     assert rows[1].split(",")[1] == "0.0"
+
+
+SPRING_VORTEX = ("-y/(x^2+y^2) - 4*x", "x/(x^2+y^2) - 4*y")
+
+
+def test_lift_of_a_run_winding_twice_matches_the_cover(tmp_path, capsys):
+    out = os.path.join(tmp_path, "spring.csv")
+    code, _, _ = invoke(
+        capsys, "simulate", "--field", ";".join(SPRING_VORTEX),
+        "--singular", "0,0", "--q0", "1,0", "--p0=1.25,-2.9", "--h", "1e-2",
+        "--T", "11", "--out", out, "--deterministic",
+    )
+    assert code == 0
+    code, doc = out_json(capsys, "lift", "--traj", out, "--deterministic")
+    assert code == 0
+    assert doc["sheet_initial"] == 0
+    assert doc["sheet_final"] == 2
+    field = from_components(*SPRING_VORTEX, singular_points=((0.0, 0.0),))
+    tr = simulate(SimConfig(field=field, atlas=quadrant_atlas(), q0=(1.0, 0.0),
+                            p0=(1.25, -2.9), h=1e-2, T=11.0))
+    assert doc["v_final"] == pytest.approx(lift_trajectory(tr).v[-1], abs=1e-12)
+
+
+def test_lift_of_a_one_row_trajectory(tmp_path, capsys):
+    # The run aborts at step 1, so its CSV holds only the initial state.
+    out = os.path.join(tmp_path, "one.csv")
+    code, doc = out_json(
+        capsys, "simulate", "--field", "vortex", "--q0", "0.0015,0",
+        "--p0=-1,0", "--h", "1e-3", "--T", "1", "--out", out, "--deterministic",
+    )
+    assert code == 2
+    assert doc["states"] == 1
+    code, doc = out_json(capsys, "lift", "--traj", out, "--deterministic")
+    assert code == 0
+    assert doc["states"] == 1
+    assert doc["sheet_initial"] == doc["sheet_final"] == 0
+    assert doc["v_final"] == 0.0
 
 
 def test_log_continue_command(capsys):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from locmech import dynamics
 from locmech.atlas import PotentialSet, cocycle, gauge_shift, quadrant_atlas
+from locmech.cover import lift_trajectory
 from locmech.dynamics import (
     SimConfig,
     energy_ledger,
@@ -117,6 +119,16 @@ def test_transition_jumps_match_the_cocycle():
     assert hops == len(tr.transitions)
 
 
+def test_logged_potentials_match_point_queries():
+    # The bulk post-pass and PotentialSet.value are two routes to one rule.
+    ps = PotentialSet.from_field(vortex(), quadrant_atlas())
+    tr = simulate(vortex_cfg(T=4.0), ps)
+    assert len(set(tr.chart.tolist())) > 1
+    for k in range(tr.n_states):
+        q = (float(tr.qx[k]), float(tr.qy[k]))
+        assert abs(tr.V[k] - ps.value(int(tr.chart[k]), q)) <= 1e-12
+
+
 def test_radial_equation_of_motion():
     # Purely azimuthal force: m r'' = p_theta^2 / (m r^3).
     tr = simulate(vortex_cfg())
@@ -135,6 +147,23 @@ def test_polar_diagnostics_consistency():
     # The accumulated angle moves continuously: no step swallows a jump.
     assert float(np.max(np.abs(np.diff(polar.theta)))) < math.pi / 2
     assert float(np.min(polar.r)) > 0.5
+
+
+def test_polar_and_lift_follow_the_angle_without_a_theta_column():
+    # The exact field has no punctures, so no logged angle column exists
+    # and both views unwrap the positions themselves.
+    field = from_components("2*x", "2*y")
+    tr = simulate(SimConfig(field=field, atlas=quadrant_atlas(), q0=(1.0, 0.2),
+                            p0=(-2.0, 0.0), h=1e-3, T=1.0))
+    assert tr.completed and tr.theta.shape == (tr.n_states, 0)
+    polar = polar_diagnostics(tr, about=(0.5, 0.0))
+    lift = lift_trajectory(tr)
+    for theta, (ax, ay) in ((polar.theta, (0.5, 0.0)), (lift.v, (0.0, 0.0))):
+        r = np.hypot(tr.qx - ax, tr.qy - ay)
+        assert np.allclose(r * np.cos(theta), tr.qx - ax, rtol=0, atol=1e-12)
+        assert np.allclose(r * np.sin(theta), tr.qy - ay, rtol=0, atol=1e-12)
+        assert float(np.max(np.abs(np.diff(theta)))) < 0.1
+        assert theta[-1] - theta[0] > math.pi / 2
 
 
 def test_rk4_cross_check():
@@ -172,6 +201,25 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         simulate(SimConfig(field=vortex(), atlas=at, q0=(1, 0), p0=(0, 1),
                            h=1e-3, T=1e-9))
+
+
+@pytest.mark.parametrize("override", [
+    {"h": math.nan}, {"T": math.inf}, {"m": math.inf}, {"r_min": math.nan},
+    {"q0": (math.nan, 0.0)}, {"p0": (math.nan, 1.0)},
+])
+def test_non_finite_configs_are_refused(override):
+    with pytest.raises(ValidationError, match="finite"):
+        simulate(vortex_cfg(**override))
+
+
+def test_step_count_is_capped_before_anything_is_allocated(monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the step count was checked")
+
+    monkeypatch.setattr(dynamics.np, "empty", no_alloc)
+    for h, T in ((1e-300, 1.0), (1e-3, 10.0 * dynamics.MAX_STEPS)):
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            simulate(vortex_cfg(h=h, T=T))
 
 
 def test_closed_loop_ledger_on_a_spring_vortex_orbit():

@@ -14,9 +14,7 @@ from locmech.exprlang import (
     Pow,
     UnknownIdentifierError,
     Var,
-    eval_expr,
     parse_expr,
-    print_expr,
 )
 
 
@@ -108,10 +106,10 @@ def test_alternate_variable_tuples():
     assert g.evaluate(2.0, 3.0, 4.0) == 24.0
 
 
-def test_eval_expr_and_print_expr_helpers():
+def test_evaluate_and_to_source():
     e = parse_expr("x+2*y")
-    assert eval_expr(e, 1.0, 2.0) == 5.0
-    assert parse_expr(print_expr(e)).root == e.root
+    assert e.evaluate(1.0, 2.0) == 5.0
+    assert parse_expr(e.to_source()).root == e.root
 
 
 def test_printer_emits_minimal_parens():
@@ -124,7 +122,7 @@ def test_printer_emits_minimal_parens():
         "x/(y*y)": "x/(y*y)",
     }
     for source, expected in cases.items():
-        assert print_expr(parse_expr(source)) == expected
+        assert parse_expr(source).to_source() == expected
 
 
 def _random_source(rng, depth):
@@ -158,7 +156,7 @@ def test_print_parse_round_trip_random():
     for _ in range(1000):
         source = _random_source(rng, int(rng.integers(1, 5)))
         tree = parse_expr(source)
-        again = parse_expr(print_expr(tree))
+        again = parse_expr(tree.to_source())
         assert again.root == tree.root
 
 

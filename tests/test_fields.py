@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from locmech.errors import SingularityError, ValidationError
+from locmech.errors import NonFiniteError, SingularityError, ValidationError
 from locmech.fields import (
     ParametricPath,
     PolylinePath,
@@ -16,6 +16,7 @@ from locmech.fields import (
     from_components,
     is_closed,
     segment_work,
+    unwrapped_angle,
     vortex,
     winding_number,
     work,
@@ -98,6 +99,46 @@ def test_angle_change_on_half_turn():
     arc = ParametricPath("cos(t)", "sin(t)", 0.0, math.pi, 500)
     assert angle_change(arc) == pytest.approx(math.pi, abs=1e-9)
     assert angle_change(half) == pytest.approx(TAU, abs=1e-9)
+
+
+def test_parametric_steps_over_a_quarter_turn_are_split_in_t():
+    # Two samples per turn: each bare principal step is +-pi, ambiguous.
+    assert angle_change(circle_path(0.0, 0.0, 1.0, n=2)) == pytest.approx(TAU, abs=1e-12)
+    assert angle_change(circle_path(0.0, 0.0, 1.0, -2.0, n=3)) == pytest.approx(-2 * TAU, abs=1e-12)
+
+
+def test_polyline_edges_over_a_quarter_turn_are_split_on_the_chord():
+    edge = PolylinePath([(1.0, -2.0), (1.0, 2.0)])
+    assert angle_change(edge) == pytest.approx(2.0 * math.atan(2.0), abs=1e-15)
+    # A chord through the reference point is split onto it and refused
+    # instead of being swept as +-pi.
+    with pytest.raises(SingularityError):
+        angle_change(PolylinePath([(-1.0, 0.0), (1.0, 0.0)]))
+    with pytest.raises(SingularityError):
+        angle_change(PolylinePath([(3.0, 1.0), (1.0, 1.0)]), about=(2.0, 1.0))
+
+
+def test_unwrapped_angle_tracks_every_sample():
+    pts = np.array([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0), (0, 1)], dtype=float)
+    track = unwrapped_angle(pts)
+    assert track == pytest.approx([k * math.pi / 2 for k in range(6)], abs=1e-15)
+    assert np.array_equal(unwrapped_angle(PolylinePath(pts)), track)
+    shifted = unwrapped_angle(pts + 5.0, about=(5.0, 5.0))
+    assert shifted == pytest.approx(track, abs=1e-14)
+    with pytest.raises(NonFiniteError):
+        winding_number(SQUARE, about=(math.nan, 0.0))
+    with pytest.raises(NonFiniteError):
+        unwrapped_angle(np.array([(1.0, 0.0), (math.nan, 1.0)]))
+    # A single sample is its own principal angle.
+    assert unwrapped_angle(pts[1:2]).tolist() == [math.pi / 2]
+    circle = circle_path(0.0, 0.0, 1.0, turns=-1.0, n=8)
+    assert unwrapped_angle(circle) == pytest.approx(-np.arange(9) * TAU / 8, abs=1e-15)
+
+
+def test_circle_path_refuses_non_finite_input():
+    for args in ((math.nan, 0, 1), (0, math.inf, 1), (0, 0, math.nan), (0, 0, 1, -math.inf)):
+        with pytest.raises(ValidationError):
+            circle_path(*args)
 
 
 def test_winding_requires_closed_path():
