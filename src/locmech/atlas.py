@@ -24,7 +24,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .fields import R_MIN_EVAL, _segment_distance, segment_work
+from .fields import R_MIN_EVAL, closest_approach, segment_work
 
 _CONSTRAINT_TOL = 1e-9
 _EQUALITY_TOL = 1e-12
@@ -33,11 +33,6 @@ _SAMPLE_RADIUS = 8.0
 _SAMPLE_BUDGET = 8192
 DEFAULT_OVERLAP_SAMPLES = 32
 COCYCLE_SPREAD_TOL = 1e-7
-# Simpson panel rule for basepoint segments: at least POTENTIAL_FLOOR panels
-# and POTENTIAL_BASE per unit length; dynamics' bulk post-pass uses the same
-# pair so logged V matches PotentialSet.value.
-POTENTIAL_FLOOR = 96
-POTENTIAL_BASE = 384.0
 
 
 def _halton(i, base):
@@ -79,6 +74,8 @@ class Chart:
 
     def contains(self, p, tol=_CONSTRAINT_TOL):
         x, y = p
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False
         for a, b, c in self.constraints:
             if a * x + b * y - c < -tol * math.hypot(a, b):
                 return False
@@ -310,7 +307,7 @@ def check_star_shaped(chart, samples=1000, box_radius=4.0):
             continue
         checked += 1
         for s in chart.singular_points:
-            if _segment_distance(bp, (x, y), s) < R_MIN_EVAL:
+            if closest_approach(bp, (x, y), s)[1] < R_MIN_EVAL:
                 return StarShapeReport(False, checked, ((x, y), s))
     return StarShapeReport(True, checked, None)
 
@@ -341,10 +338,7 @@ class PotentialEvaluator:
             raise ChartMembershipError(
                 f"point {key} is outside chart {self.chart.id}"
             )
-        val = -segment_work(
-            self.field, self.chart.basepoint, key,
-            floor=POTENTIAL_FLOOR, base=POTENTIAL_BASE,
-        )
+        val = -segment_work(self.field, self.chart.basepoint, key)
         self._cache[key] = val
         return val
 
@@ -435,6 +429,8 @@ def cocycle(ps, atlas=None, samples=DEFAULT_OVERLAP_SAMPLES,
     is not closed across that overlap and the difference is meaningless.
     Triangle identities are verified on every inhabited triple overlap.
     """
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     at = atlas or ps.atlas
     ids = at.ids
     entries, spreads = {}, {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import POTENTIAL_BASE, POTENTIAL_FLOOR, cocycle as build_cocycle
+from .atlas import cocycle as build_cocycle
 from .errors import (
     DomainEvalError,
     NonFiniteError,
@@ -26,9 +26,9 @@ from .errors import (
 from .fields import (
     TAU,
     PolylinePath,
-    _segment_divisions,
     circle_path,
     principal_angle_diff,
+    segment_integrals,
     unwrapped_angle,
     work,
 )
@@ -266,7 +266,12 @@ def simulate(cfg, potentials=None):
     n = filled
     t = h * np.arange(n)
     Tkin = (px[:n] ** 2 + py[:n] ** 2) / (2.0 * m)
-    V = _batch_potentials(ps, chart[:n], qx[:n], qy[:n])
+    V = np.empty(n)   # from each chart's basepoint, independent of work_acc
+    for cid in np.unique(chart[:n]).tolist():
+        sel = np.flatnonzero(chart[:n] == cid)
+        V[sel] = ps.gauges[cid] - segment_integrals(
+            field, ps.atlas.charts[cid].basepoint, np.column_stack([qx[sel], qy[sel]])
+        )
     arrays = {
         "t": t, "qx": qx[:n], "qy": qy[:n], "px": px[:n], "py": py[:n],
         "chart": chart[:n], "theta": theta[:n], "V": V, "Tkin": Tkin,
@@ -318,66 +323,6 @@ def _log_transition(atlas, ps, old_chart, new_chart, q_old, q_new, t, h):
     if atlas.charts[new_chart].contains(q_x, 1e-6) and ch_old.contains(q_x, 1e-6):
         delta_e = ps.value(new_chart, q_x) - ps.value(old_chart, q_x)
     return Transition(t - (1.0 - s) * h, old_chart, new_chart, q_x, delta_e)
-
-
-def _batch_potentials(ps, chart_ids, xs, ys, node_budget=1_500_000):
-    """Vectorized basepoint-segment integrals for many states at once.
-
-    Node placement matches PotentialEvaluator's rule; sums are grouped
-    per state with reduceat so blocking never changes the result. Blocks
-    are bounded by total node count rather than state count: states near
-    a singular point get proximity-refined and can individually need
-    millions of nodes, so fixed-size blocks would exhaust memory.
-    """
-    n = len(xs)
-    out = np.empty(n)
-    field = ps.field
-    for cid in sorted(set(int(c) for c in chart_ids)):
-        bp = ps.atlas.charts[cid].basepoint
-        gauge = ps.gauges[cid]
-        idx = np.flatnonzero(chart_ids == cid)
-        segs = [
-            _segment_divisions(
-                bp, (float(xs[k]), float(ys[k])),
-                field.singular_points, floor=POTENTIAL_FLOOR, base=POTENTIAL_BASE,
-            )
-            for k in idx
-        ]
-        lo = 0
-        while lo < len(idx):
-            hi = lo + 1
-            total = 2 * segs[lo] + 1
-            while hi < len(idx) and total + 2 * segs[hi] + 1 <= node_budget:
-                total += 2 * segs[hi] + 1
-                hi += 1
-            block = idx[lo:hi]
-            s_parts, w_parts, counts = [], [], []
-            for nseg in segs[lo:hi]:
-                if nseg == 0:
-                    s_parts.append(np.zeros(1))
-                    w_parts.append(np.zeros(1))
-                    counts.append(1)
-                    continue
-                m = 2 * nseg + 1
-                s_parts.append(np.arange(m) / (m - 1))
-                w = np.full(m, 2.0)
-                w[1::2] = 4.0
-                w[0] = w[-1] = 1.0
-                w_parts.append(w / (6.0 * nseg))
-                counts.append(m)
-            lo = hi
-            counts = np.array(counts)
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            ss = np.concatenate(s_parts)
-            ws = np.concatenate(w_parts)
-            dxs = np.repeat(xs[block] - bp[0], counts)
-            dys = np.repeat(ys[block] - bp[1], counts)
-            pxs = bp[0] + ss * dxs
-            pys = bp[1] + ss * dys
-            vx, vy = field.eval_array(pxs, pys)
-            contrib = ws * (vx * dxs + vy * dys)
-            out[block] = gauge - np.add.reduceat(contrib, starts)
-    return out
 
 
 # ---------------------------------------------------------------------------

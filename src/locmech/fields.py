@@ -2,8 +2,11 @@
 
 The central objects are FieldOneForm (components fx, fy as expression
 trees plus a list of singular points) and two path flavors, polyline and
-parametric.  Work integrals pull the form back to the parameter interval
-and apply composite trapezoid, Simpson, or Gauss-Legendre rules.
+parametric.  Parametric work pulls the form back to the parameter
+interval under a composite trapezoid, Simpson or Gauss-Legendre rule.
+Every straight segment (polyline edges, chart potentials, the logged V
+of a run) goes through one kernel, segment_integrals: 16-node
+Gauss-Legendre panels graded geometrically toward each singular point.
 
 Winding numbers are deliberately not computed as a work integral: they
 come from continuous angle accumulation with principal-value steps kept
@@ -13,6 +16,7 @@ independent so one can check the other.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +35,12 @@ DEFAULT_SEGMENTS = 2000
 PATH_CLOSE_TOL = 1e-12
 _THETA_MAX = math.pi / 2
 _MAX_REFINE_DEPTH = 48
+MAX_SEGMENT_LENGTH = 1e5
+_PANELS_PER_UNIT = 8
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_S = 0.5 * (_GL_X + 1.0)     # the Gauss-Legendre nodes moved to [0, 1]
+_BLOCK_PANELS = 1024            # panels per field evaluation (16 384 nodes)
+_BLOCK_STATES = 1024            # segments whose cuts are built at once
 
 
 # ---------------------------------------------------------------------------
@@ -261,63 +271,108 @@ def _nodes_weights(rule, order, a, b, n):
     return xs, ws
 
 
-def _segment_distance(a, b, p):
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
+def closest_approach(a, b, p):
+    """Where the segment a -> b passes nearest to p: the parameter s in
+    [0, 1] of that point, and its distance from p."""
+    dx, dy, rx, ry = b[0] - a[0], b[1] - a[1], p[0] - a[0], p[1] - a[1]
     L2 = dx * dx + dy * dy
-    if L2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    s = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / L2))
-    return math.hypot(px - (ax + s * dx), py - (ay + s * dy))
+    s = min(1.0, max(0.0, (rx * dx + ry * dy) / L2)) if L2 > 0.0 else 0.0
+    return s, math.hypot(rx - s * dx, ry - s * dy)
 
 
-def _segment_divisions(a, b, singular_points, floor=16, base=256.0, r_min=R_MIN_EVAL):
-    """Subdivision count for a straight segment, denser when the segment
-    runs close to a singular point (the integrand steepens like 1/d)."""
+def _panel_cuts(a, b, singular_points, r_min):
+    """Sorted panel breakpoints in [0, 1] for the segment a -> b.
+
+    A uniform grid of about _PANELS_PER_UNIT panels per unit length, plus
+    cuts at s* +- (d / 2L) * 2^j for each singular point, where s* is the
+    segment's closest approach to it and d the distance there, down to
+    the grid spacing.  Near s* the integrand steepens like 1/d; the
+    geometric cuts keep every panel narrower than about its distance to
+    the singular point, so one fixed rule converges fast on all of them
+    while the panel count grows only like log(L/d) (Schwab, Computing 53,
+    1994).
+    """
     L = math.hypot(b[0] - a[0], b[1] - a[1])
+    if not math.isfinite(L):
+        raise NonFiniteError(f"non-finite segment {tuple(a)} -> {tuple(b)}")
     if L == 0.0:
-        return 0
-    n = max(floor, math.ceil(base * L))
-    for s in singular_points:
-        d = _segment_distance(a, b, s)
-        if d < r_min:
+        return [0.0]
+    if L > MAX_SEGMENT_LENGTH:
+        raise ValidationError(f"segment longer than {MAX_SEGMENT_LENGTH:g}")
+    n = math.ceil(_PANELS_PER_UNIT * L)
+    cuts = [k / n for k in range(n + 1)]
+    for p in singular_points:
+        s, d = closest_approach(a, b, p)
+        h = d / (2.0 * L)
+        if d < r_min or h == 0.0:
             raise SingularityError(
-                f"segment passes within r_min={r_min} of singular point {s}"
+                f"segment passes within r_min={r_min} of singular point {p}"
             )
-        n = max(n, math.ceil(128.0 * (L / d) ** 1.25))
-    return min(n, 2_000_000)
+        while h * n < 1.0:
+            if s - h > 0.0:
+                cuts.append(s - h)
+            if s + h < 1.0:
+                cuts.append(s + h)
+            h *= 2.0
+    cuts.sort()
+    return cuts
 
 
-def segment_work(field, a, b, quad="simpson", floor=16, base=256.0, r_min=R_MIN_EVAL):
-    """Line integral of the field along the straight segment a -> b."""
-    rule, order = _parse_rule(quad)
-    n = _segment_divisions(a, b, field.singular_points, floor, base, r_min)
-    if n == 0:
-        return 0.0
-    if rule == "gauss":
-        n = max(2, math.ceil(n / 16))
-    ss, ws = _nodes_weights(rule, order, 0.0, 1.0, n)
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    xs = a[0] + ss * dx
-    ys = a[1] + ss * dy
-    vx, vy = field.eval_array(xs, ys, r_min)
-    return float(np.dot(ws, vx * dx + vy * dy))
+def _panel_sums(field, a, lo, width, dx, dy, r_min):
+    """Integrals of the field over the panels [lo, lo + width] of the
+    segments a -> a + (dx, dy), by 16-node Gauss-Legendre, _BLOCK_PANELS
+    panels at a time; dx and dy are scalars or hold one entry per panel."""
+    x0, y0, ex, ey = a[0] + lo * dx, a[1] + lo * dy, width * dx, width * dy
+    sums = np.empty(len(lo))
+    for i in range(0, len(lo), _BLOCK_PANELS):
+        j = slice(i, i + _BLOCK_PANELS)
+        # flat node arrays: eval_array takes a list of points
+        vx, vy = field.eval_array(np.ravel(x0[j, None] + ex[j, None] * _GL_S),
+                                  np.ravel(y0[j, None] + ey[j, None] * _GL_S), r_min)
+        vx, vy = vx.reshape(-1, _GL_S.size), vy.reshape(-1, _GL_S.size)
+        sums[j] = 0.5 * ((vx @ _GL_W) * ex[j] + (vy @ _GL_W) * ey[j])
+    return sums
+
+
+def segment_integrals(field, a, bs, r_min=R_MIN_EVAL):
+    """Line integrals of the field along the straight segments a -> b, one
+    for each row b of the (n, 2) array bs, on the panels of _panel_cuts;
+    _BLOCK_STATES segments at a time, so memory stays bounded."""
+    bs = np.asarray(bs, dtype=float).reshape(-1, 2)
+    dx, dy = bs[:, 0] - a[0], bs[:, 1] - a[1]
+    out = np.empty(len(bs))
+    for i in range(0, len(bs), _BLOCK_STATES):
+        chunk = bs[i:i + _BLOCK_STATES].tolist()
+        cuts = [_panel_cuts(a, b, field.singular_points, r_min) for b in chunk]
+        counts = np.fromiter(map(len, cuts), np.int64, len(cuts))
+        flat = np.fromiter(chain.from_iterable(cuts), float, counts.sum())
+        owner = np.repeat(np.arange(i, i + len(cuts)), counts)
+        inner = owner[1:] == owner[:-1]   # both cuts on one segment: a panel
+        owner = owner[1:][inner]
+        sums = _panel_sums(field, a, flat[:-1][inner], (flat[1:] - flat[:-1])[inner],
+                           dx[owner], dy[owner], r_min)
+        out[i:i + len(cuts)] = np.bincount(owner - i, sums, minlength=len(cuts))
+    return out
+
+
+def segment_work(field, a, b, r_min=R_MIN_EVAL):
+    """Line integral of the field along the straight segment a -> b: the
+    one-segment case of segment_integrals, without its batch bookkeeping."""
+    cuts = np.array(_panel_cuts(a, b, field.singular_points, r_min))
+    return float(_panel_sums(field, a, cuts[:-1], cuts[1:] - cuts[:-1],
+                             b[0] - a[0], b[1] - a[1], r_min).sum())
 
 
 def work(field, path, quad="simpson", r_min=R_MIN_EVAL):
     """Work integral of the field along the path.
 
-    Parametric paths are pulled back to t with tangents from central
-    differences; polylines integrate edge by edge with exact tangents.
+    Parametric paths are pulled back to t by the composite rule quad, with
+    tangents from central differences.  Polylines integrate edge by edge
+    with segment_work and exact tangents; quad does not apply to them.
     """
     rule, order = _parse_rule(quad)
     if isinstance(path, PolylinePath):
-        total = 0.0
-        for a, b in path.edges():
-            total += segment_work(field, a, b, quad, r_min=r_min)
-        return total
+        return sum(segment_work(field, a, b, r_min) for a, b in path.edges())
     ts, ws = _nodes_weights(rule, order, path.t0, path.t1, path.n)
     delta = 2e-6 * abs(path.t1 - path.t0)
     xs, ys = path.point_array(ts)

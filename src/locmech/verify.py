@@ -247,7 +247,7 @@ def _check_cocycle(bench):
         recovered = max(abs(cc0.value(i, j)) for (i, j) in cc0.pairs())
     passed = (
         sym_ok
-        and spread < 1e-7
+        and spread < 1e-12
         and sum_ok
         and non_exact
         and res.exact
@@ -284,7 +284,7 @@ def _check_holonomy(bench):
         )
     elapsed = time.perf_counter() - t0
     passed = (
-        rel < 1e-9
+        rel < 1e-12
         and not vortex_rep.trivial
         and ctrl_rep.trivial
         and gauge_err < 1e-7

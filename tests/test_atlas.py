@@ -125,7 +125,7 @@ def test_vortex_cocycle_constants():
     assert cc.value(3, 4) == pytest.approx(-HALF_PI, abs=1e-9)
     assert cc.value(1, 4) == pytest.approx(HALF_PI, abs=1e-9)
     assert cc.value(2, 1) == -cc.value(1, 2)
-    assert max(cc.spreads.values()) < 1e-7
+    assert max(cc.spreads.values()) < 1e-12
     assert cc.cycle_sum((1, 2, 3, 4, 1)) == pytest.approx(-TAU, abs=1e-9)
     with pytest.raises(ValidationError):
         cc.value(1, 3)

@@ -125,6 +125,30 @@ def test_potentials_evaluation(capsys):
     assert entry["value"] == pytest.approx(math.pi / 4, abs=1e-9)
 
 
+def test_non_finite_polyline_vertex_exits_2(capsys):
+    code, out, err = invoke(capsys, "work", "--field", "vortex",
+                            "--path", "poly:1,0;nan,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numeric failure: non-finite")
+
+
+def test_potential_at_a_non_finite_point_exits_1(capsys):
+    code, out, err = invoke(capsys, "potentials", "--field", "vortex",
+                            "--eval", "nan,0@1")
+    assert code == 1
+    assert out == ""
+    assert "outside chart 1" in err
+
+
+def test_cocycle_refuses_zero_samples(capsys):
+    code, out, err = invoke(capsys, "cocycle", "--field", "vortex",
+                            "--samples", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invalid input: samples")
+
+
 def test_bundle_holonomy(capsys):
     code, doc = out_json(
         capsys, "bundle", "--field", "vortex",

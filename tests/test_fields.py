@@ -15,6 +15,7 @@ from locmech.fields import (
     concatenate,
     from_components,
     is_closed,
+    segment_integrals,
     segment_work,
     unwrapped_angle,
     vortex,
@@ -87,6 +88,44 @@ def test_segment_work_of_exact_field_is_potential_difference():
     # Potential x^2 + y^2, so the chord integral is the endpoint difference.
     got = segment_work(field, (0.5, -1.0), (2.0, 3.0))
     assert got == pytest.approx((4.0 + 9.0) - (0.25 + 1.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6])
+def test_segment_work_passing_close_to_the_puncture(d):
+    # The chord sweeps atan2(d, 1) - atan2(d, -1) about the origin; its
+    # integrand peaks like 1/d at x = 0.
+    got = segment_work(vortex(), (-1.0, d), (1.0, d))
+    assert got == pytest.approx(math.atan2(d, 1.0) - math.atan2(d, -1.0), abs=1e-9)
+
+
+def test_segment_work_of_an_oscillating_gradient():
+    # grad of sin(3x) cos(2y) along a chord of length 5, far from any
+    # singular point, so only the uniform panel grid is at work
+    field = from_components("3*cos(3*x)*cos(2*y)", "-2*sin(3*x)*sin(2*y)")
+    got = segment_work(field, (1.0, 1.0), (4.0, -3.0))
+    exact = math.sin(12.0) * math.cos(-6.0) - math.sin(3.0) * math.cos(2.0)
+    assert got == pytest.approx(exact, abs=1e-12)
+
+
+def test_segment_integrals_batch_matches_single_segments():
+    field, a = vortex(), (1.0, 1.0)
+    bs = [(2.0, 0.5), (0.3, 1e-5), (1.0, 1.0), (-0.5, 6.0)]
+    got = segment_integrals(field, a, bs)
+    assert got == pytest.approx([segment_work(field, a, b) for b in bs], abs=1e-14)
+    exact = [math.atan2(y, x) - math.pi / 4 for x, y in bs]
+    assert got == pytest.approx(exact, abs=1e-13)
+    assert segment_integrals(field, a, np.empty((0, 2))).shape == (0,)
+
+
+def test_segment_kernel_refusals():
+    with pytest.raises(NonFiniteError):
+        segment_work(vortex(), (1.0, 0.0), (math.nan, 1.0))
+    with pytest.raises(NonFiniteError):
+        segment_integrals(vortex(), (1.0, 1.0), [(2.0, 0.0), (math.inf, 0.0)])
+    with pytest.raises(SingularityError):
+        segment_work(vortex(), (-1.0, 0.0), (1.0, 0.0))
+    with pytest.raises(ValidationError):
+        segment_work(zero_field(), (0.0, 0.0), (1e6, 0.0))
 
 
 def test_exact_field_has_zero_loop_work():
