@@ -33,6 +33,7 @@ from .dynamics import SimConfig, simulate
 from .errors import LocmechError, NumericError, ValidationError
 from .exprlang import ExprError
 from .fields import (
+    MAX_CLOSEDNESS_GRID,
     ParametricPath,
     PolylinePath,
     circle_path,
@@ -58,7 +59,11 @@ _CHART_KEYS = {"id", "halfplanes", "basepoint", "label"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through the exit-code map."""
+    """argparse that reports usage problems through the exit-code map.
+    No abbreviations: a removed option (check-closed --h) is not --help."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValidationError(message)
@@ -374,7 +379,7 @@ def _cmd_check_closed(ns, config):
     region = tuple(_float(v, "--region") for v in ns.region.split(","))
     if len(region) != 4:
         raise ValidationError("--region takes x0,y0,x1,y1")
-    rep = is_closed(field, region, grid=ns.grid, h=ns.h, tol=ns.tol)
+    rep = is_closed(field, region, grid=ns.grid, tol=ns.tol)
     _emit_json({
         "closed": rep.passed,
         "max_residual": rep.max_residual,
@@ -390,7 +395,9 @@ def _cmd_work(ns, config):
     field, _ = _field_from(ns, config)
     path = _parse_path(ns.path)
     value = work(field, path, quad=ns.quad)
-    _emit_json({"work": value, "quad": ns.quad}, ns.deterministic)
+    # the rule applies to parametric paths only; polylines use the kernel
+    quad = None if isinstance(path, PolylinePath) else ns.quad
+    _emit_json({"work": value, "quad": quad}, ns.deterministic)
     return 0
 
 
@@ -726,11 +733,11 @@ def _build_parser():
 
     p = sub.add_parser(
         "check-closed", parents=[common, field_args],
-        help="finite-difference closedness probe over a rectangle",
+        help="closedness probe over a rectangle, by exact derivatives",
     )
     p.add_argument("--region", default="0.5,0.5,2,2", help="x0,y0,x1,y1")
-    p.add_argument("--grid", type=int, default=20)
-    p.add_argument("--h", type=float, default=1e-5)
+    p.add_argument("--grid", type=int, default=20,
+                   help=f"nodes per side, 2..{MAX_CLOSEDNESS_GRID}")
     p.add_argument("--tol", type=float, default=1e-4)
 
     p = sub.add_parser(

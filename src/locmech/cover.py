@@ -61,9 +61,6 @@ class LiftTrajectory:
     def n_states(self):
         return len(self.t)
 
-    def state(self, k):
-        return LiftState(float(self.u[k]), float(self.v[k]))
-
     def sheets(self):
         principal = np.arctan2(np.sin(self.v), np.cos(self.v))
         raw = (self.v - principal) / TAU

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .fields import (
     TAU,
-    PolylinePath,
     circle_path,
     principal_angle_diff,
     segment_integrals,
@@ -61,22 +60,8 @@ class Transition:
     delta_e: float | None
 
 
-@dataclass(frozen=True)
-class SimState:
-    t: float
-    q: tuple
-    p: tuple
-    chart: int
-    theta_acc: tuple
-    V: float
-    Tkin: float
-    E_local: float
-    p_theta: float
-    work_acc: float
-
-
 class Trajectory:
-    """Column-oriented log of a run; state(k) builds a row view."""
+    """Column-oriented log of a run: one array per logged quantity."""
 
     def __init__(self, cfg, arrays, transitions, status, abort_reason=None):
         self.config = cfg
@@ -99,25 +84,8 @@ class Trajectory:
     def completed(self):
         return self.status == "completed"
 
-    def state(self, k):
-        return SimState(
-            float(self.t[k]),
-            (float(self.qx[k]), float(self.qy[k])),
-            (float(self.px[k]), float(self.py[k])),
-            int(self.chart[k]),
-            tuple(float(v) for v in self.theta[k]),
-            float(self.V[k]),
-            float(self.Tkin[k]),
-            float(self.E_local[k]),
-            float(self.p_theta[k]),
-            float(self.work_acc[k]),
-        )
-
     def positions(self):
         return np.column_stack([self.qx, self.qy])
-
-    def traced_path(self):
-        return PolylinePath(self.positions())
 
 
 def _validate_config(cfg, ps):

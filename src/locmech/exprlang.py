@@ -12,16 +12,22 @@ Grammar (recursive descent, one token lookahead):
 Binding, tightest first: ^, unary minus, * /, + -.  "^" is right
 associative and its exponent must be an integer literal (possibly negated
 or itself an integer power), so "2^3^2" is 2^(3^2) = 512 and "x^-2" is
-1/x^2.  No implicit multiplication.  Functions: sin cos exp log atan2
-sqrt abs.  Constant: pi.  Variables default to (x, y); other variable
-tuples such as ("t",) or ("x", "y", "z") can be requested at parse time.
+1/x^2.  A tower folds at parse time only while it stays an integer of
+magnitude at most MAX_EXPONENT: "x^9^9", "x^2^-1" and "x^0^-1" are
+syntax errors.  No implicit multiplication.  Functions: sin cos exp log
+atan2 sqrt abs.  Constant: pi.  Variables default to (x, y); other
+variable tuples such as ("t",) or ("x", "y", "z") can be requested at
+parse time.
 
 Trees are immutable.  Evaluation is IEEE-754 double arithmetic; division
 by zero, log of a non-positive value and similar escapes raise
-DomainEvalError instead of returning inf or nan.
+DomainEvalError instead of returning inf or nan.  ScalarExpr.diff builds
+the exact partial derivative as another tree, with light constant
+folding (Griewank & Walther, Evaluating Derivatives, SIAM 2008).
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -40,6 +46,8 @@ FUNCTIONS = {
 }
 
 CONSTANTS = {"pi": math.pi}
+
+MAX_EXPONENT = 1024
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
@@ -125,28 +133,33 @@ def _prec(node):
         return 3
     if isinstance(node, Pow):
         return 4
+    if isinstance(node, Num) and math.copysign(1.0, node.value) < 0.0:
+        return 3    # a folded negative number prints like a unary minus
     return _ATOM_PREC
 
 
-def _to_source(node, ctx=0):
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({','.join(_to_source(a, 1) for a in node.args)})"
+def _to_source(node, ctx=0, funcs=None):
+    """Source text with minimal parentheses.  Given funcs, a table from
+    function names to Python callees, the text is Python instead: the two
+    grammars agree on precedence and associativity, and "^" becomes "**"."""
     p = _prec(node)
-    if isinstance(node, Neg):
-        body = "-" + _to_source(node.operand, 3)
+    if isinstance(node, Call):
+        name = funcs[node.func] if funcs else node.func
+        return f"{name}({','.join(_to_source(a, 1, funcs) for a in node.args)})"
+    if isinstance(node, Num):
+        body = repr(node.value)
+    elif isinstance(node, (Const, Var)):
+        body = node.name
+    elif isinstance(node, Neg):
+        body = "-" + _to_source(node.operand, 3, funcs)
     elif isinstance(node, Pow):
-        body = f"{_to_source(node.base, _ATOM_PREC)}^{node.exponent}"
+        power = "**" if funcs else "^"
+        body = f"{_to_source(node.base, _ATOM_PREC, funcs)}{power}{node.exponent}"
     else:
         body = (
-            _to_source(node.left, p)
+            _to_source(node.left, p, funcs)
             + node.op
-            + _to_source(node.right, p + 1)
+            + _to_source(node.right, p + 1, funcs)
         )
     return f"({body})" if p < ctx else body
 
@@ -234,18 +247,27 @@ class _Parser:
 
     def exponent(self):
         # Integer literals only, with optional negation and right-nested
-        # integer powers, so 2^3^2 collapses to 2^9 at parse time.
+        # integer powers, so 2^3^2 collapses to 2^9 at parse time.  Every
+        # level must stay an integer in [-MAX_EXPONENT, MAX_EXPONENT]; a
+        # base of at least 2 over an exponent outside [0, 11] would leave
+        # that range, so it is refused before the power is taken.
         if self.peek()[0] == "-":
             self.advance()
             return -self.exponent()
         kind, text, pos = self.peek()
+        expected = [f"an integer exponent of magnitude at most {MAX_EXPONENT}"]
         if kind != "num" or not text.isdigit():
-            self.fail(["an integer exponent"])
+            self.fail(expected)
         self.advance()
         value = int(text)
         if self.peek()[0] == "^":
             self.advance()
-            value = value ** self.exponent()
+            e = self.exponent()
+            if (value == 0 and e < 0) or (value > 1 and not 0 <= e <= 11):
+                raise ExprSyntaxError(self.source, pos, expected)
+            value **= e
+        if value > MAX_EXPONENT:
+            raise ExprSyntaxError(self.source, pos, expected)
         return value
 
     def atom(self):
@@ -283,38 +305,8 @@ class _Parser:
         self.fail(["a number", "an identifier", "'('", "'-'"])
 
 
-_MATH_FUNCS = {
-    "sin": "math.sin", "cos": "math.cos", "exp": "math.exp",
-    "log": "math.log", "atan2": "math.atan2", "sqrt": "math.sqrt",
-    "abs": "abs",
-}
-_NP_FUNCS = {
-    "sin": "np.sin", "cos": "np.cos", "exp": "np.exp",
-    "log": "np.log", "atan2": "np.arctan2", "sqrt": "np.sqrt",
-    "abs": "np.abs",
-}
-
-
-def _codegen(node, funcs):
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Const):
-        return repr(CONSTANTS[node.name])
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_codegen(node.operand, funcs)})"
-    if isinstance(node, BinOp):
-        return (
-            f"({_codegen(node.left, funcs)}{node.op}"
-            f"{_codegen(node.right, funcs)})"
-        )
-    if isinstance(node, Pow):
-        return f"({_codegen(node.base, funcs)}**{node.exponent})"
-    if isinstance(node, Call):
-        args = ",".join(_codegen(a, funcs) for a in node.args)
-        return f"{funcs[node.func]}({args})"
-    raise TypeError(f"unexpected node {node!r}")
+_MATH_FUNCS = {f: "abs" if f == "abs" else f"math.{f}" for f in FUNCTIONS}
+_NP_FUNCS = {f: "np.arctan2" if f == "atan2" else f"np.{f}" for f in FUNCTIONS}
 
 
 class ScalarExpr:
@@ -326,13 +318,14 @@ class ScalarExpr:
     inf/nan screening to the caller.
     """
 
-    __slots__ = ("root", "variables", "_scalar_fn", "_array_fn")
+    __slots__ = ("root", "variables", "_scalar_fn", "_array_fn", "_diffs")
 
     def __init__(self, root, variables=("x", "y")):
         self.root = root
         self.variables = tuple(variables)
         self._scalar_fn = None
         self._array_fn = None
+        self._diffs = {}
 
     def __eq__(self, other):
         return (
@@ -381,8 +374,17 @@ class ScalarExpr:
         return self._array_fn
 
     def _compile(self, funcs, env):
-        src = f"lambda {','.join(self.variables)}: {_codegen(self.root, funcs)}"
-        return eval(src, {"__builtins__": {}, **env})
+        src = f"lambda {','.join(self.variables)}: {_to_source(self.root, 0, funcs)}"
+        return eval(src, {"__builtins__": {}, **CONSTANTS, **env})
+
+    def diff(self, var):
+        """Exact partial derivative in var, over the same variables;
+        memoized per variable, like the compiled closures."""
+        if var not in self._diffs:
+            if var not in self.variables:
+                raise ValidationError(f"{var!r} is not one of {self.variables}")
+            self._diffs[var] = ScalarExpr(_diff(self.root, var), self.variables)
+        return self._diffs[var]
 
     def substitute(self, name, replacement):
         """Replace a variable with another tree (used to reverse parametric
@@ -400,6 +402,80 @@ class ScalarExpr:
                 return Call(node.func, tuple(walk(a) for a in node.args))
             return node
         return ScalarExpr(walk(self.root), self.variables)
+
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+_ARITH = dict(zip("+-*/", (operator.add, operator.sub, operator.mul, operator.truediv)))
+
+
+def fold(op, a, b):
+    """BinOp(op, a, b) with light constant folding: u+0, 0+u, u-0, 0-u,
+    0*u, u*0, 0/u, 1*u, u*1, u/1, and number op number when finite."""
+    x = a.value if type(a) is Num else None
+    y = b.value if type(b) is Num else None
+    if y == 0.0 and op in "+-":
+        return a
+    if x == 0.0:
+        return b if op == "+" else neg(b) if op == "-" else _ZERO
+    if y == 0.0 and op == "*":
+        return _ZERO
+    if y == 1.0 and op in "*/":
+        return a
+    if x == 1.0 and op == "*":
+        return b
+    if x is not None and y is not None and y != 0.0:
+        v = _ARITH[op](x, y)
+        if math.isfinite(v):
+            return Num(v)
+    return BinOp(op, a, b)
+
+
+def neg(a):
+    if type(a) is Num:
+        return Num(-a.value)
+    return a.operand if type(a) is Neg else Neg(a)
+
+
+def _power(base, n):
+    return _ONE if n == 0 else base if n == 1 else Pow(base, n)
+
+
+# f'(u) for the one-argument functions, as trees in u and f(u)
+_CHAIN = {
+    "sin": lambda u, fu: Call("cos", (u,)),
+    "cos": lambda u, fu: Neg(Call("sin", (u,))),
+    "exp": lambda u, fu: fu,
+    "log": lambda u, fu: fold("/", _ONE, u),
+    "sqrt": lambda u, fu: fold("/", Num(0.5), fu),
+    "abs": lambda u, fu: fold("/", u, fu),    # sign(u), undefined at u = 0
+}
+
+
+def _diff(node, var):
+    t = type(node)
+    if t is Var:
+        return _ONE if node.name == var else _ZERO
+    if t is Num or t is Const:
+        return _ZERO
+    if t is Neg:
+        return neg(_diff(node.operand, var))
+    if t is Pow:    # n u^(n-1) u', n an integer (see _Parser.exponent)
+        n, u = node.exponent, node.base
+        return fold("*", fold("*", Num(float(n)), _power(u, n - 1)), _diff(u, var))
+    if t is Call and node.func != "atan2":
+        u = node.args[0]
+        return fold("*", _CHAIN[node.func](u, node), _diff(u, var))
+    op, (u, v) = (node.func, node.args) if t is Call else (node.op, (node.left, node.right))
+    du, dv = _diff(u, var), _diff(v, var)
+    if op in ("+", "-"):
+        return fold(op, du, dv)
+    if op == "*":
+        return fold("+", fold("*", du, v), fold("*", u, dv))
+    if op == "/" and dv == _ZERO:
+        return fold("/", du, v)
+    # u/v and atan2(u, v) share the numerator u'v - uv'
+    den = _power(v, 2) if op == "/" else fold("+", _power(u, 2), _power(v, 2))
+    return fold("/", fold("-", fold("*", du, v), fold("*", u, dv)), den)
 
 
 def _eval_node(node, env):

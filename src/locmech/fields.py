@@ -3,7 +3,8 @@
 The central objects are FieldOneForm (components fx, fy as expression
 trees plus a list of singular points) and two path flavors, polyline and
 parametric.  Parametric work pulls the form back to the parameter
-interval under a composite trapezoid, Simpson or Gauss-Legendre rule.
+interval under a composite trapezoid, Simpson or Gauss-Legendre rule,
+with tangents from the exact derivatives of the path's expressions.
 Every straight segment (polyline edges, chart potentials, the logged V
 of a run) goes through one kernel, segment_integrals: 16-node
 Gauss-Legendre panels graded geometrically toward each singular point.
@@ -12,6 +13,10 @@ Winding numbers are deliberately not computed as a work integral: they
 come from continuous angle accumulation with principal-value steps kept
 below pi/2 by recursive subdivision.  That keeps the two routes
 independent so one can check the other.
+
+Closedness is probed with the exact partials dfx/dy and dfy/dx, so a
+closed field reads at rounding level; no derivative here is a finite
+difference.
 """
 
 import math
@@ -32,6 +37,8 @@ from .exprlang import ScalarExpr, parse_expr
 TAU = math.tau
 R_MIN_EVAL = 1e-9
 DEFAULT_SEGMENTS = 2000
+MAX_PATH_SEGMENTS = 100_000    # parameter segments of a ParametricPath
+MAX_CLOSEDNESS_GRID = 1000     # nodes per side of the closedness grid
 PATH_CLOSE_TOL = 1e-12
 _THETA_MAX = math.pi / 2
 _MAX_REFINE_DEPTH = 48
@@ -157,8 +164,8 @@ class ParametricPath:
             raise ValidationError("parametric components must be expressions in t")
         if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
             raise ValidationError("need a nondegenerate finite parameter interval")
-        if n < 1:
-            raise ValidationError("need at least one parameter segment")
+        if not 1 <= n <= MAX_PATH_SEGMENTS:
+            raise ValidationError(f"need 1 to {MAX_PATH_SEGMENTS} parameter segments, got {n}")
         self.x_expr = x_expr
         self.y_expr = y_expr
         self.t0 = float(t0)
@@ -367,19 +374,16 @@ def work(field, path, quad="simpson", r_min=R_MIN_EVAL):
     """Work integral of the field along the path.
 
     Parametric paths are pulled back to t by the composite rule quad, with
-    tangents from central differences.  Polylines integrate edge by edge
-    with segment_work and exact tangents; quad does not apply to them.
+    tangents from the exact t-derivatives of the path's expressions.
+    Polylines integrate edge by edge with segment_work; quad does not
+    apply to them.
     """
     rule, order = _parse_rule(quad)
     if isinstance(path, PolylinePath):
         return sum(segment_work(field, a, b, r_min) for a, b in path.edges())
     ts, ws = _nodes_weights(rule, order, path.t0, path.t1, path.n)
-    delta = 2e-6 * abs(path.t1 - path.t0)
     xs, ys = path.point_array(ts)
-    xp, yp = path.point_array(ts + delta)
-    xm, ym = path.point_array(ts - delta)
-    dxdt = (xp - xm) / (2.0 * delta)
-    dydt = (yp - ym) / (2.0 * delta)
+    dxdt, dydt = path.x_expr.diff("t").array_fn(ts), path.y_expr.diff("t").array_fn(ts)
     vx, vy = field.eval_array(xs, ys, r_min)
     if not (np.all(np.isfinite(dxdt)) and np.all(np.isfinite(dydt))):
         raise NonFiniteError("non-finite path tangent")
@@ -485,48 +489,44 @@ class ClosednessReport:
     passed: bool
     max_residual: float
     tol: float
-    h: float
     grid: int
     region: tuple
     worst_point: tuple
 
 
-def is_closed(field, region, grid=20, h=1e-5, tol=1e-4):
-    """Finite-difference check of d(fx dx + fy dy) = 0 over a grid.
+def is_closed(field, region, grid=20, tol=1e-4):
+    """Check d(fx dx + fy dy) = 0 on a grid x grid lattice over region.
 
-    region is (x0, y0, x1, y1); it must keep a margin of at least 10*h
-    from every singular point.
+    The residual |dfx/dy - dfy/dx| comes from the exact partials
+    (ScalarExpr.diff), so a closed field reads at rounding level.  region
+    is (x0, y0, x1, y1); no grid node may lie within R_MIN_EVAL of a
+    singular point, and grid is at most MAX_CLOSEDNESS_GRID.
     """
     x0, y0, x1, y1 = (float(v) for v in region)
     if not (x1 > x0 and y1 > y0):
         raise ValidationError("region must satisfy x1 > x0 and y1 > y0")
-    if grid < 2:
-        raise ValidationError("grid must be at least 2")
-    xs = np.linspace(x0, x1, grid)
-    ys = np.linspace(y0, y1, grid)
-    X, Y = np.meshgrid(xs, ys)
+    if not 2 <= grid <= MAX_CLOSEDNESS_GRID:
+        raise ValidationError(f"grid must be in [2, {MAX_CLOSEDNESS_GRID}], got {grid}")
+    X, Y = np.meshgrid(np.linspace(x0, x1, grid), np.linspace(y0, y1, grid))
     for sx, sy in field.singular_points:
-        d = np.sqrt((X - sx) ** 2 + (Y - sy) ** 2)
-        if float(np.min(d)) < 10.0 * h:
+        if float(np.min(np.hypot(X - sx, Y - sy))) < R_MIN_EVAL:
             raise SingularityError(
-                f"closedness grid within 10*h of singular point ({sx}, {sy})"
+                f"closedness grid within r_min={R_MIN_EVAL} of singular point ({sx}, {sy})"
             )
-    dfx_dy = (field.fx.array_fn(X, Y + h) - field.fx.array_fn(X, Y - h)) / (2.0 * h)
-    dfy_dx = (field.fy.array_fn(X + h, Y) - field.fy.array_fn(X - h, Y)) / (2.0 * h)
-    resid = np.abs(dfx_dy - dfy_dx)
+    resid = np.abs(field.fx.diff("y").array_fn(X, Y) - field.fy.diff("x").array_fn(X, Y))
     if not np.all(np.isfinite(resid)):
         raise NonFiniteError("non-finite derivative in closedness check")
     k = int(np.argmax(resid))
     worst = (float(X.ravel()[k]), float(Y.ravel()[k]))
     mr = float(np.max(resid))
-    return ClosednessReport(mr < tol, mr, tol, h, grid, (x0, y0, x1, y1), worst)
+    return ClosednessReport(mr < tol, mr, tol, grid, (x0, y0, x1, y1), worst)
 
 
 def classify(field, atlas=None, region=(0.5, 0.5, 2.0, 2.0), tol=1e-4):
     """Label a field exact, closed-not-exact, or not-closed.
 
-    Closedness comes from the finite-difference test on the probe
-    region; the exact/closed-not-exact split is decided by the chart
+    Closedness comes from the exact-derivative residual of is_closed on
+    the probe region; the exact/closed-not-exact split is decided by the chart
     machinery (potentials, cocycle, spanning-tree periods).
     """
     from . import atlas as atlas_mod

@@ -1,10 +1,11 @@
 """Exterior calculus on Euclidean 3-space over the coordinate basis.
 
-Forms are stored as coefficient functions against the fixed ordered
-bases 1; dx, dy, dz; dx^dy, dx^dz, dy^dz; dx^dy^dz.  The musical maps
-and the Hodge star are pure coefficient moves (the star follows the
-eight-row table below, exact up to sign flips); only the exterior
-derivative touches analysis, by central finite differences.
+Forms are stored as coefficient expressions (ScalarExpr trees over
+x, y, z) against the fixed ordered bases 1; dx, dy, dz; dx^dy, dx^dz,
+dy^dz; dx^dy^dz.  The musical maps and the Hodge star are pure
+coefficient moves (the star follows the eight-row table below, exact up
+to sign flips), wedge builds products and sums of the trees, and the
+exterior derivative differentiates them exactly with ScalarExpr.diff.
 
 Vector operators are deliberately not written as their textbook
 formulas: grad = (d f)#, curl = (star d flat)#, div = star d star flat,
@@ -17,12 +18,8 @@ re-asserted.
     star dz         = dx^dy           star dx^dy^dz = 1
 """
 
-from dataclasses import dataclass
-
 from .errors import ValidationError
-from .exprlang import ScalarExpr, parse_expr
-
-DEFAULT_FD_STEP = 1e-4
+from .exprlang import Num, ScalarExpr, fold, neg, parse_expr
 
 _AXES = ("x", "y", "z")
 LABELS = {
@@ -31,13 +28,17 @@ LABELS = {
     2: ("dx^dy", "dx^dz", "dy^dz"),
     3: ("dx^dy^dz",),
 }
-_LABEL_TO_INDICES = {"1": ()}
-for _deg in (1, 2, 3):
-    for _lab in LABELS[_deg]:
-        _LABEL_TO_INDICES[_lab] = tuple(
-            _AXES.index(part[1]) for part in _lab.split("^")
-        )
-_INDICES_TO_LABEL = {v: k for k, v in _LABEL_TO_INDICES.items()}
+_INDICES = {lab: tuple(_AXES.index(c) for c in lab if c in _AXES)
+            for labels in LABELS.values() for lab in labels}
+_LABEL_OF = {v: k for k, v in _INDICES.items()}
+# (a, b) -> (label, "+" or "-"): dx_a ^ dx_b = +-(label), for every pair
+# of basis labels with no index in common
+_WEDGE = {
+    (la, lb): (_LABEL_OF[tuple(sorted(ia + ib))],
+               "-" if sum(i > j for i in ia for j in ib) % 2 else "+")
+    for la, ia in _INDICES.items() for lb, ib in _INDICES.items()
+    if not set(ia) & set(ib)
+}
 
 HODGE_TABLE = {
     "1": ("dx^dy^dz", 1.0),
@@ -51,37 +52,36 @@ HODGE_TABLE = {
 }
 
 
-def _zero(x, y, z):
-    return 0.0
+_ZERO = ScalarExpr(Num(0.0), _AXES)
 
 
 def _as_component(c):
     if isinstance(c, ScalarExpr):
-        if set(c.variables) - {"x", "y", "z"}:
+        if c.variables == _AXES:
+            return c
+        if set(c.variables) - set(_AXES):
             raise ValidationError("form components use variables x, y, z")
-        if c.variables != ("x", "y", "z"):
-            c = parse_expr(c.to_source(), ("x", "y", "z"))
-        return c.scalar_fn
+        return ScalarExpr(c.root, _AXES)
     if isinstance(c, str):
-        return parse_expr(c, ("x", "y", "z")).scalar_fn
+        return parse_expr(c, _AXES)
     if isinstance(c, (int, float)):
-        value = float(c)
-        if value == 0.0:
-            return _zero
-        return lambda x, y, z: value
-    if callable(c):
-        return c
+        return ScalarExpr(Num(float(c)), _AXES)
     raise ValidationError(f"cannot use {c!r} as a form component")
 
 
-def _negate(fn):
-    if fn is _zero:
-        return fn
-    return lambda x, y, z: -fn(x, y, z)
+def _form(degree, terms):
+    """A FormField from a dict of label -> expression tree."""
+    return FormField(degree, {lab: ScalarExpr(node, _AXES) for lab, node in terms.items()})
+
+
+def _add_term(terms, wedge_entry, node):
+    """terms[label] +-= node, for a (label, sign) entry of _WEDGE."""
+    label, op = wedge_entry
+    terms[label] = fold(op, terms.get(label, _ZERO.root), node)
 
 
 class FormField:
-    """A differential form of fixed degree with coefficient functions."""
+    """A differential form of fixed degree with coefficient expressions."""
 
     def __init__(self, degree, components):
         if degree not in LABELS:
@@ -101,11 +101,10 @@ class FormField:
             raise ValidationError(
                 f"label {label!r} is not in the degree-{self.degree} basis"
             )
-        return self.components.get(label, _zero)
+        return self.components.get(label, _ZERO)
 
     def evaluate(self, p):
-        x, y, z = p
-        return {lab: self.component(lab)(x, y, z) for lab in LABELS[self.degree]}
+        return {lab: self.component(lab).evaluate(*p) for lab in LABELS[self.degree]}
 
     def __repr__(self):
         return f"FormField(degree={self.degree}, {sorted(self.components)})"
@@ -118,8 +117,7 @@ class VectorField3:
         self.vz = _as_component(vz)
 
     def evaluate(self, p):
-        x, y, z = p
-        return (self.vx(x, y, z), self.vy(x, y, z), self.vz(x, y, z))
+        return (self.vx.evaluate(*p), self.vy.evaluate(*p), self.vz.evaluate(*p))
 
     def __repr__(self):
         return "VectorField3(...)"
@@ -148,10 +146,10 @@ def hodge(a):
     """The star of the fixed table; an involution on every degree here."""
     out_degree = 3 - a.degree
     comps = {}
-    for label, fn in a.components.items():
+    for label, expr in a.components.items():
         target, sign = HODGE_TABLE[label]
-        comps[target] = fn if sign > 0 else _negate(fn)
-    return FormField(out_degree, comps)
+        comps[target] = expr.root if sign > 0 else neg(expr.root)
+    return _form(out_degree, comps)
 
 
 def wedge(a, b):
@@ -161,91 +159,43 @@ def wedge(a, b):
         raise ValidationError("wedge degree exceeds the dimension")
     terms = {}
     for la, fa in a.components.items():
-        ia = _LABEL_TO_INDICES[la]
         for lb, fb in b.components.items():
-            ib = _LABEL_TO_INDICES[lb]
-            merged = ia + ib
-            if len(set(merged)) != len(merged):
-                continue
-            sign = _sort_parity(merged)
-            label = _INDICES_TO_LABEL[tuple(sorted(merged))]
-            terms.setdefault(label, []).append((sign, fa, fb))
-    comps = {}
-    for label, parts in terms.items():
-        def comp(x, y, z, _parts=tuple(parts)):
-            total = 0.0
-            for s, fa, fb in _parts:
-                total += s * fa(x, y, z) * fb(x, y, z)
-            return total
-        comps[label] = comp
-    return FormField(degree, comps)
+            if (la, lb) in _WEDGE:
+                _add_term(terms, _WEDGE[la, lb], fold("*", fa.root, fb.root))
+    return _form(degree, terms)
 
 
-def _sort_parity(indices):
-    sign = 1.0
-    items = list(indices)
-    for i in range(len(items)):
-        for j in range(len(items) - 1 - i):
-            if items[j] > items[j + 1]:
-                items[j], items[j + 1] = items[j + 1], items[j]
-                sign = -sign
-    return sign
-
-
-def _partial(fn, axis, h):
-    def d(x, y, z):
-        p = [x, y, z]
-        p[axis] += h
-        hi = fn(*p)
-        p[axis] -= 2.0 * h
-        lo = fn(*p)
-        return (hi - lo) / (2.0 * h)
-    return d
-
-
-def ext_d(a, h=DEFAULT_FD_STEP):
-    """Exterior derivative by central differences with step h."""
+def ext_d(a):
+    """Exterior derivative, exact: every coefficient is differentiated by
+    ScalarExpr.diff."""
     if a.degree == 3:
         raise ValidationError("top-degree forms have no exterior derivative here")
     terms = {}
-    for label, fn in a.components.items():
-        idx = _LABEL_TO_INDICES[label]
-        for axis in range(3):
-            if axis in idx:
-                continue
-            merged = (axis,) + idx
-            sign = _sort_parity(merged)
-            target = _INDICES_TO_LABEL[tuple(sorted(merged))]
-            terms.setdefault(target, []).append((sign, _partial(fn, axis, h)))
-    comps = {}
-    for label, parts in terms.items():
-        def comp(x, y, z, _parts=tuple(parts)):
-            total = 0.0
-            for s, dfn in _parts:
-                total += s * dfn(x, y, z)
-            return total
-        comps[label] = comp
-    return FormField(a.degree + 1, comps)
+    for label, expr in a.components.items():
+        for axis, d_axis in zip(_AXES, LABELS[1]):
+            if (d_axis, label) in _WEDGE:
+                _add_term(terms, _WEDGE[d_axis, label], expr.diff(axis).root)
+    return _form(a.degree + 1, terms)
 
 
-def grad(f, h=DEFAULT_FD_STEP):
-    """(df)# for a scalar (given as a 0-form, expression, or callable)."""
+def grad(f):
+    """(df)# for a scalar, given as a 0-form, an expression in x, y, z or
+    its source."""
     if not isinstance(f, FormField):
         f = FormField(0, {"1": f})
     if f.degree != 0:
         raise ValidationError("grad applies to scalars")
-    return sharp(ext_d(f, h))
+    return sharp(ext_d(f))
 
 
-def curl(v, h=DEFAULT_FD_STEP):
+def curl(v):
     """[star d (v flat)]#."""
-    return sharp(hodge(ext_d(flat(v), h)))
+    return sharp(hodge(ext_d(flat(v))))
 
 
-def div(v, h=DEFAULT_FD_STEP):
-    """star d star (v flat), returned as a plain scalar function."""
-    out = hodge(ext_d(hodge(flat(v)), h))
-    return out.component("1")
+def div(v):
+    """star d star (v flat), returned as a scalar expression."""
+    return hodge(ext_d(hodge(flat(v)))).component("1")
 
 
 def star_table():

@@ -200,7 +200,7 @@ def _check_work_winding(bench):
                 windings_ok = False
             cases += 1
     elapsed = time.perf_counter() - t0
-    passed = worst < 1e-7 and windings_ok and elapsed < 1.0
+    passed = worst < 1e-12 and windings_ok and elapsed < 1.0
     detail = f"{cases} loops, max |work - 2*pi*n| = {worst:.3e}"
     if not windings_ok:
         detail += "; winding mismatch"
@@ -215,7 +215,7 @@ def _check_closedness(bench):
     ctrl = is_closed(from_components("0", "x", name="x-dy"), region)
     passed = (
         rep.passed
-        and rep.max_residual < 1e-5
+        and rep.max_residual < 1e-12
         and not ctrl.passed
         and abs(ctrl.max_residual - 1.0) < 0.1
     )
@@ -447,17 +447,16 @@ def _check_forms(bench):
         rt = np.array(sharp(flat(fu)).evaluate(pt))
         worst = max(worst, float(np.max(np.abs(rt - u))))
 
-    h = 1e-4
     second_worst = 0.0
-    cg = curl(grad("sin(x)*cos(y)*exp(0.3*z)", h), h)
-    dc = div(curl(VectorField3("sin(y*z)", "x*z", "exp(0.2*x)*y"), h), h)
+    cg = curl(grad("sin(x)*cos(y)*exp(0.3*z)"))
+    dc = div(curl(VectorField3("sin(y*z)", "x*z", "exp(0.2*x)*y")))
     for _ in range(20):
         pt = tuple(rng.uniform(-1.0, 1.0, size=3))
         second_worst = max(
             second_worst, float(np.max(np.abs(np.array(cg.evaluate(pt)))))
         )
         second_worst = max(second_worst, abs(dc(*pt)))
-    passed = table_ok and worst < 1e-12 and second_worst <= 10 * h
+    passed = table_ok and worst < 1e-12 and second_worst < 1e-12
     detail = (
         f"star table exact, vector identities worst {worst:.3e}, "
         f"curl grad / div curl worst {second_worst:.3e}"

@@ -237,6 +237,41 @@ def test_expression_error_exits_3(capsys):
     assert "expression" in err
 
 
+@pytest.mark.parametrize("field", ["x^9^9^9;y", "x^10^400;y", "x^0^-1;y", "x^2^-1;y"])
+@pytest.mark.parametrize("command", [["work", "--path", "circle:2,2,1"], ["check-closed"]])
+def test_exponent_towers_exit_3(capsys, command, field):
+    code, _, err = invoke(capsys, *command, "--field", field)
+    assert code == 3
+    assert "integer exponent" in err
+
+
+def test_oversized_sample_counts_exit_1(capsys):
+    for argv in (
+        ["work", "--field", "vortex", "--path", "param:cos(t),sin(t),0,1,1000000000"],
+        ["winding", "--path", "param:cos(t),sin(t),0,1,1000000000"],
+        ["check-closed", "--field", "vortex", "--grid", "100000"],
+    ):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 1
+        assert "invalid input" in err
+
+
+def test_work_reports_no_rule_for_polylines(capsys):
+    code, doc = out_json(capsys, "work", "--field", "vortex",
+                         "--path", "poly:-1,1e-6;1,1e-6", "--deterministic")
+    assert code == 0 and doc["quad"] is None
+    assert doc["work"] == pytest.approx(-math.pi, abs=1e-5)
+    code, doc = out_json(capsys, "work", "--field", "vortex",
+                         "--path", "circle:0,0,1", "--deterministic")
+    assert code == 0 and doc["quad"] == "simpson"
+
+
+def test_check_closed_takes_no_step_option(capsys):
+    code, _, err = invoke(capsys, "check-closed", "--field", "vortex", "--h", "1e-5")
+    assert code == 1
+    assert "unrecognized arguments: --h" in err
+
+
 def test_validation_error_exits_1(capsys):
     code, _, err = invoke(capsys, "simulate", "--field", "vortex")
     assert code == 1

@@ -4,14 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from locmech.errors import DomainEvalError
+from locmech.errors import DomainEvalError, ValidationError
 from locmech.exprlang import (
+    MAX_EXPONENT,
     BinOp,
     Call,
+    Const,
     ExprSyntaxError,
+    Neg,
     Num,
     Pow,
+    ScalarExpr,
     UnknownIdentifierError,
     Var,
     parse_expr,
@@ -35,6 +41,28 @@ def test_power_is_right_associative_and_collapsed():
     tree = parse_expr("2^3^2")
     assert tree.root == Pow(base=Num(2.0), exponent=9)
     assert tree.evaluate(0.0, 0.0) == 512.0
+
+
+@pytest.mark.parametrize("source", [
+    "x^9^9^9",      # would fold to a 10^369693100-digit integer
+    "x^10^400",     # a 401-digit exponent
+    "x^0^-1",       # 0^-1 is no integer
+    "x^2^-1",       # 2^-1 = 0.5 is no integer
+    "x^2^11",       # 2048
+    f"x^{MAX_EXPONENT + 1}",
+    f"x^-{MAX_EXPONENT + 1}",
+])
+def test_exponent_towers_leaving_the_integer_bound_are_refused(source):
+    with pytest.raises(ExprSyntaxError):
+        parse_expr(source)
+
+
+def test_exponent_towers_within_the_bound_fold():
+    assert parse_expr("x^2^10").root == Pow(Var("x"), MAX_EXPONENT)
+    assert parse_expr(f"x^-{MAX_EXPONENT}").root == Pow(Var("x"), -MAX_EXPONENT)
+    assert parse_expr("x^1^-5").root == Pow(Var("x"), 1)
+    assert parse_expr("x^0^0").root == Pow(Var("x"), 1)
+    assert parse_expr("x^-2^2").root == Pow(Var("x"), -4)
 
 
 def test_unary_minus_binds_looser_than_power():
@@ -199,3 +227,134 @@ def test_tree_nodes_compare_structurally():
     b = parse_expr("x + sin( y )")
     assert a.root == b.root
     assert a.root == BinOp("+", Var("x"), Call("sin", (Var("y"),)))
+
+
+def test_folded_negative_numbers_print_in_parentheses():
+    e = ScalarExpr(Pow(Num(-2.0), 2))
+    assert e.to_source() == "(-2.0)^2"
+    assert e.evaluate(0.0, 0.0) == e.scalar_fn(0.0, 0.0) == 4.0
+    assert parse_expr(e.to_source()).evaluate(0.0, 0.0) == 4.0
+
+
+# ---------------------------------------------------------------------------
+# derivatives
+
+def test_diff_rules_against_closed_forms():
+    x, y = 0.7, -1.3
+    cases = {
+        "sin(x*y)": y * math.cos(x * y),
+        "cos(x)": -math.sin(x),
+        "exp(2*x)": 2 * math.exp(2 * x),
+        "log(x)": 1 / x,
+        "sqrt(x)": 0.5 / math.sqrt(x),
+        "abs(y*x)": abs(y),
+        "atan2(y,x)": -y / (x * x + y * y),
+        "x^-3": -3 * x ** -4,
+        "x/y": 1 / y,
+        "y/x": -y / x ** 2,
+        "-x+pi": -1.0,
+        "x^0": 0.0,
+    }
+    for source, want in cases.items():
+        got = parse_expr(source).diff("x").evaluate(x, y)
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-300), source
+
+
+def test_diff_folds_constants_and_is_memoized():
+    e = parse_expr("x*y+3*y")
+    assert e.diff("x").root == Var("y")
+    assert e.diff("y").root == BinOp("+", Var("x"), Num(3.0))
+    assert parse_expr("2+pi*y").diff("x").root == Num(0.0)
+    assert parse_expr("x^2").diff("x").root == BinOp("*", Num(2.0), Var("x"))
+    assert parse_expr("-x").diff("x").root == Num(-1.0)
+    assert e.diff("x") is e.diff("x")
+    assert e.diff("x").variables == ("x", "y")
+    with pytest.raises(ValidationError):
+        e.diff("t")
+
+
+def test_the_vortex_is_exactly_closed_at_a_point():
+    fx = parse_expr("-y/(x^2+y^2)")
+    fy = parse_expr("x/(x^2+y^2)")
+    for x, y in ((1.0, 2.0), (0.5, -0.25), (-3.0, 1e-3)):
+        dfx_dy, dfy_dx = fx.diff("y").evaluate(x, y), fy.diff("x").evaluate(x, y)
+        assert abs(dfx_dy - dfy_dx) <= 4e-16 * abs(dfx_dy)
+
+
+# ---------------------------------------------------------------------------
+# properties on random trees
+
+_LEAVES = st.one_of(
+    st.floats(0.1, 9.0).map(lambda v: Num(round(v, 3))),
+    st.sampled_from([Var("x"), Var("y"), Const("pi")]),
+    st.sampled_from([Var("x"), Var("y")]),
+)
+
+
+@st.composite
+def _tree(draw, functions, depth=4):
+    """A random tree of up to depth levels, over every node type."""
+    kind = draw(st.integers(0, 5)) if depth else 0
+    if kind == 0:
+        return draw(_LEAVES)
+
+    def kid():
+        return draw(_tree(functions, depth - 1))
+
+    if kind == 1:
+        return Neg(kid())
+    if kind == 2:
+        return BinOp(draw(st.sampled_from("+-*/")), kid(), kid())
+    if kind == 3:
+        return Pow(kid(), draw(st.integers(-3, 4)))
+    if kind == 4:
+        return Call(draw(st.sampled_from(functions)), (kid(),))
+    return Call("atan2", (kid(), kid()))
+
+
+TREES = _tree(["sin", "cos", "exp", "log", "sqrt", "abs"])
+# abs has a kink where a central difference cannot stand in for the
+# derivative; its rule is checked against a closed form above
+SMOOTH_TREES = _tree(["sin", "cos", "exp", "log", "sqrt"])
+COORD = st.floats(-2.0, 2.0)
+
+
+@given(TREES)
+def test_print_parse_round_trip_on_random_trees(root):
+    assert parse_expr(ScalarExpr(root).to_source()).root == root
+
+
+@given(TREES, COORD, COORD)
+def test_backends_agree_on_random_trees(root, x, y):
+    e = ScalarExpr(root)
+    try:
+        walked = e.evaluate(x, y)
+    except DomainEvalError:
+        return
+    assert e.scalar_fn(x, y) == walked
+    # numpy's transcendental kernels differ from libm by a few ulp
+    vectorized = e.array_fn(np.array([x, x]), np.array([y, y]))
+    assert vectorized.shape == (2,)
+    assert vectorized[0] == pytest.approx(walked, rel=1e-9, abs=1e-12)
+
+
+# positive coordinates keep more samples inside the domains of log and
+# sqrt, where the difference quotient can be compared
+@settings(max_examples=200)
+@given(SMOOTH_TREES, st.floats(0.25, 2.0), st.floats(0.25, 2.0))
+def test_diff_matches_a_central_difference(root, x, y):
+    e = ScalarExpr(root)
+    for var, (ex, ey) in (("x", (1.0, 0.0)), ("y", (0.0, 1.0))):
+        try:
+            exact = e.diff(var).evaluate(x, y)
+            fd = [(e.evaluate(x + h * ex, y + h * ey) - e.evaluate(x - h * ex, y - h * ey))
+                  / (2.0 * h) for h in (1e-3, 5e-4, 2.5e-4)]
+        except DomainEvalError:
+            continue
+        # Halving h cuts a smooth function's h^2 error about four times;
+        # across a pole, a branch cut or a domain edge the differences
+        # grow instead, and there they are no reference.
+        noise = 1e-7 * (1.0 + abs(fd[2]))
+        if abs(fd[1] - fd[2]) > 0.5 * abs(fd[0] - fd[1]) + noise:
+            continue
+        assert abs(exact - fd[2]) <= abs(fd[1] - fd[2]) + noise

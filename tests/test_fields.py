@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from locmech import fields
 from locmech.errors import NonFiniteError, SingularityError, ValidationError
 from locmech.fields import (
+    MAX_CLOSEDNESS_GRID,
+    MAX_PATH_SEGMENTS,
+    R_MIN_EVAL,
     ParametricPath,
     PolylinePath,
     angle_change,
@@ -188,7 +192,7 @@ def test_winding_requires_closed_path():
 def test_closedness_report_for_vortex_and_control():
     report = is_closed(vortex(), (0.5, 0.5, 2.0, 2.0))
     assert report.passed
-    assert report.max_residual < 1e-4
+    assert report.max_residual < 1e-12
 
     # fx=0, fy=x has d(f) = dx^dy, so the residual is 1 everywhere.
     bad = is_closed(from_components("0", "x"), (0.5, 0.5, 2.0, 2.0))
@@ -200,6 +204,36 @@ def test_closedness_grid_refuses_singular_points():
     # An odd grid count puts a node exactly on the origin.
     with pytest.raises(SingularityError):
         is_closed(vortex(), (-1.0, -1.0, 1.0, 1.0), grid=21)
+    # a node farther than R_MIN_EVAL is probed; the partials there are
+    # about 1/r^2 = 1e12 and cancel to within a few ulp of that
+    near = is_closed(vortex(), (1e3 * R_MIN_EVAL, 0.0, 1.0, 1.0), grid=2)
+    assert near.worst_point[0] == 1e3 * R_MIN_EVAL
+    assert near.max_residual < 4 * np.finfo(float).eps * 1e12
+
+
+def test_parametric_work_uses_exact_tangents():
+    for n in (-2, 2):
+        loop = circle_path(0.0, 0.0, 1.0, turns=n)
+        assert abs(work(vortex(), loop) - TAU * n) < 1e-12
+    # a constant tangent (the derivative folds to a number) broadcasts
+    line = ParametricPath("t", "1", -1.0, 1.0, n=4)
+    assert work(from_components("1", "0"), line, "trapezoid") == 2.0
+
+
+def test_sample_counts_are_refused_before_anything_is_allocated(monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was requested")
+
+    monkeypatch.setattr(fields.np, "linspace", no_arrays)
+    monkeypatch.setattr(fields.np, "meshgrid", no_arrays)
+    for n in (MAX_PATH_SEGMENTS + 1, 10**9):
+        with pytest.raises(ValidationError):
+            ParametricPath("cos(t)", "sin(t)", 0.0, 1.0, n)
+        with pytest.raises(ValidationError):
+            circle_path(0.0, 0.0, 1.0, n=n)
+    for grid in (MAX_CLOSEDNESS_GRID + 1, 100_000):
+        with pytest.raises(ValidationError):
+            is_closed(vortex(), (0.5, 0.5, 2.0, 2.0), grid=grid)
 
 
 def test_classify_three_ways():

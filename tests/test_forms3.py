@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from locmech.errors import ValidationError
+from locmech.exprlang import ScalarExpr, parse_expr
 from locmech.forms3 import (
     HODGE_TABLE,
     FormField,
@@ -110,19 +111,18 @@ def test_exterior_derivative_of_scalar_matches_partials():
     f = FormField(0, {"1": "sin(x)*y+z^2"})
     df = ext_d(f)
     x, y, z = PROBE
-    assert comp(df, "dx") == pytest.approx(np.cos(x) * y, abs=1e-7)
-    assert comp(df, "dy") == pytest.approx(np.sin(x), abs=1e-7)
-    assert comp(df, "dz") == pytest.approx(2 * z, abs=1e-7)
+    assert comp(df, "dx") == pytest.approx(np.cos(x) * y, rel=1e-15)
+    assert comp(df, "dy") == pytest.approx(np.sin(x), rel=1e-15)
+    assert comp(df, "dz") == pytest.approx(2 * z, rel=1e-15)
 
 
 def test_d_squared_vanishes_on_one_forms():
-    h = 1e-4
     a = FormField(1, {"dx": "x*y*z", "dy": "sin(z)", "dz": "exp(0.2*x)"})
-    dda = ext_d(ext_d(a, h), h)
+    dda = ext_d(ext_d(a))
     rng = np.random.default_rng(31)
     for _ in range(10):
         p = tuple(rng.uniform(-1.0, 1.0, size=3))
-        assert abs(comp(dda, "dx^dy^dz", p)) <= 10 * h
+        assert abs(comp(dda, "dx^dy^dz", p)) < 1e-12
 
 
 def test_top_degree_has_no_exterior_derivative():
@@ -134,29 +134,24 @@ def test_grad_curl_div_against_hand_results():
     g = grad("x^2+y^2+z^2")
     x, y, z = PROBE
     gx, gy, gz = g.evaluate(PROBE)
-    assert gx == pytest.approx(2 * x, abs=1e-6)
-    assert gy == pytest.approx(2 * y, abs=1e-6)
-    assert gz == pytest.approx(2 * z, abs=1e-6)
+    assert (gx, gy, gz) == (2 * x, 2 * y, 2 * z)
 
     c = curl(VectorField3("0-y", "x", 0.0))
     cx, cy, cz = c.evaluate(PROBE)
-    assert cx == pytest.approx(0.0, abs=1e-6)
-    assert cy == pytest.approx(0.0, abs=1e-6)
-    assert cz == pytest.approx(2.0, abs=1e-6)
+    assert (cx, cy, cz) == (0.0, 0.0, 2.0)
 
     d = div(VectorField3("x", "y", "z"))
-    assert d(*PROBE) == pytest.approx(3.0, abs=1e-6)
+    assert d(*PROBE) == 3.0
 
 
 def test_curl_grad_and_div_curl_vanish():
-    h = 1e-4
-    cg = curl(grad("sin(x)*cos(y)*exp(0.3*z)", h), h)
-    dc = div(curl(VectorField3("sin(y*z)", "x*z", "exp(0.2*x)*y"), h), h)
+    cg = curl(grad("sin(x)*cos(y)*exp(0.3*z)"))
+    dc = div(curl(VectorField3("sin(y*z)", "x*z", "exp(0.2*x)*y")))
     rng = np.random.default_rng(77)
     for _ in range(20):
         p = tuple(rng.uniform(-1.0, 1.0, size=3))
-        assert float(np.max(np.abs(np.array(cg.evaluate(p))))) <= 10 * h
-        assert abs(dc(*p)) <= 10 * h
+        assert float(np.max(np.abs(np.array(cg.evaluate(p))))) < 1e-12
+        assert abs(dc(*p)) < 1e-12
 
 
 def test_component_validation():
@@ -174,3 +169,17 @@ def test_missing_components_default_to_zero():
     a = FormField(1, {"dx": 1.0})
     assert comp(a, "dy") == 0.0
     assert a.evaluate(PROBE)["dz"] == 0.0
+
+
+def test_components_are_expressions_and_d_is_symbolic():
+    g = grad("x*y*z+2*x")
+    assert all(isinstance(c, ScalarExpr) for c in (g.vx, g.vy, g.vz))
+    assert g.vx.to_source() == "y*z+2.0"
+    assert g.vz.to_source() == "x*y"
+    # products of constants fold to a number
+    dot = hodge(wedge(flat(VectorField3(2.0, 0.0, 0.0)), hodge(flat(VectorField3(3.0, 1.0, 0.0)))))
+    assert dot.component("1").to_source() == "6.0"
+    with pytest.raises(ValidationError):
+        FormField(0, {"1": lambda x, y, z: x})
+    with pytest.raises(ValidationError):
+        FormField(0, {"1": parse_expr("t", ("t",))})
