@@ -24,7 +24,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .fields import R_MIN_EVAL, closest_approach, segment_work
+from .fields import R_MIN_EVAL, closest_approach, segment_integrals, segment_work
 
 _CONSTRAINT_TOL = 1e-9
 _EQUALITY_TOL = 1e-12
@@ -332,15 +332,25 @@ class PotentialEvaluator:
         """The integral part alone (zero at the basepoint)."""
         key = (float(q[0]), float(q[1]))
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        if hit is None:
+            hit = self._cache[key] = -segment_work(self.field, self.chart.basepoint,
+                                                   self._member(key))
+        return hit
+
+    def raw_many(self, points):
+        """raw at every row of points: memo hits, then every miss checked
+        against the chart, then all distinct misses in one kernel call."""
+        keys = [tuple(p) for p in np.asarray(points, dtype=float).reshape(-1, 2).tolist()]
+        misses = [self._member(k) for k in dict.fromkeys(keys) if k not in self._cache]
+        if misses:
+            vals = -segment_integrals(self.field, self.chart.basepoint, misses)
+            self._cache.update(zip(misses, vals.tolist()))
+        return np.array([self._cache[k] for k in keys])
+
+    def _member(self, key):
         if not self.chart.contains(key):
-            raise ChartMembershipError(
-                f"point {key} is outside chart {self.chart.id}"
-            )
-        val = -segment_work(self.field, self.chart.basepoint, key)
-        self._cache[key] = val
-        return val
+            raise ChartMembershipError(f"point {key} is outside chart {self.chart.id}")
+        return key
 
     def __call__(self, q):
         return self.gauge + self.raw(q)
@@ -375,9 +385,7 @@ class PotentialSet:
         return self.gauges[cid] + self.evaluators[cid].raw(q)
 
     def values(self, cid, points):
-        ev = self.evaluators[cid]
-        g = self.gauges[cid]
-        return np.array([g + ev.raw(p) for p in points])
+        return self.gauges[cid] + self.evaluators[cid].raw_many(points)
 
 
 def gauge_shift(ps, offsets):

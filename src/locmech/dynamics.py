@@ -234,12 +234,11 @@ def simulate(cfg, potentials=None):
     n = filled
     t = h * np.arange(n)
     Tkin = (px[:n] ** 2 + py[:n] ** 2) / (2.0 * m)
-    V = np.empty(n)   # from each chart's basepoint, independent of work_acc
-    for cid in np.unique(chart[:n]).tolist():
-        sel = np.flatnonzero(chart[:n] == cid)
-        V[sel] = ps.gauges[cid] - segment_integrals(
-            field, ps.atlas.charts[cid].basepoint, np.column_stack([qx[sel], qy[sel]])
-        )
+    # V from each state's chart basepoint, independent of work_acc
+    row = np.searchsorted(ps.atlas.ids, chart[:n])   # the ids are sorted
+    base = np.array([ch.basepoint for ch in ps.atlas.charts.values()])[row]
+    gauge = np.array([ps.gauges[c] for c in ps.atlas.ids])[row]
+    V = gauge - segment_integrals(field, base, np.column_stack([qx[:n], qy[:n]]))
     arrays = {
         "t": t, "qx": qx[:n], "qy": qy[:n], "px": px[:n], "py": py[:n],
         "chart": chart[:n], "theta": theta[:n], "V": V, "Tkin": Tkin,

@@ -273,6 +273,8 @@ class _Parser:
     def atom(self):
         kind, text, pos = self.peek()
         if kind == "num":
+            if not math.isfinite(float(text)):
+                self.fail(["a number literal within the double range"])
             self.advance()
             return Num(float(text))
         if kind == "ident":

@@ -5,23 +5,23 @@ trees plus a list of singular points) and two path flavors, polyline and
 parametric.  Parametric work pulls the form back to the parameter
 interval under a composite trapezoid, Simpson or Gauss-Legendre rule,
 with tangents from the exact derivatives of the path's expressions.
-Every straight segment (polyline edges, chart potentials, the logged V
-of a run) goes through one kernel, segment_integrals: 16-node
-Gauss-Legendre panels graded geometrically toward each singular point.
+Every straight segment goes through one kernel, segment_integrals (16-node
+Gauss-Legendre panels graded toward each singular point), one call per
+batch: a polyline's edges, a chart's overlap samples, a run's logged V.
 
 Winding numbers are deliberately not computed as a work integral: they
 come from continuous angle accumulation with principal-value steps kept
 below pi/2 by recursive subdivision.  That keeps the two routes
 independent so one can check the other.
 
-Closedness is probed with the exact partials dfx/dy and dfy/dx, so a
-closed field reads at rounding level; no derivative here is a finite
-difference.
+Closedness is probed with the exact partials dfx/dy and dfy/dx, relative
+to their size, so a closed field reads at rounding level even near a
+singular point; no derivative here is a finite difference.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -328,7 +328,7 @@ def _panel_cuts(a, b, singular_points, r_min):
 def _panel_sums(field, a, lo, width, dx, dy, r_min):
     """Integrals of the field over the panels [lo, lo + width] of the
     segments a -> a + (dx, dy), by 16-node Gauss-Legendre, _BLOCK_PANELS
-    panels at a time; dx and dy are scalars or hold one entry per panel."""
+    panels at a time; a's coordinates, dx and dy are scalars or per panel."""
     x0, y0, ex, ey = a[0] + lo * dx, a[1] + lo * dy, width * dx, width * dy
     sums = np.empty(len(lo))
     for i in range(0, len(lo), _BLOCK_PANELS):
@@ -342,23 +342,26 @@ def _panel_sums(field, a, lo, width, dx, dy, r_min):
 
 
 def segment_integrals(field, a, bs, r_min=R_MIN_EVAL):
-    """Line integrals of the field along the straight segments a -> b, one
-    for each row b of the (n, 2) array bs, on the panels of _panel_cuts;
-    _BLOCK_STATES segments at a time, so memory stays bounded."""
+    """Line integrals along the segments a -> b for the rows b of the (n, 2)
+    array bs, from one start point a or from row i of an (n, 2) array a, on
+    _panel_cuts panels; _BLOCK_STATES segments at a time, bounding memory."""
     bs = np.asarray(bs, dtype=float).reshape(-1, 2)
-    dx, dy = bs[:, 0] - a[0], bs[:, 1] - a[1]
+    starts = np.asarray(a, dtype=float)
+    per_row = starts.shape == bs.shape    # else one start point for every row
+    dx, dy = bs[:, 0] - starts[..., 0], bs[:, 1] - starts[..., 1]
     out = np.empty(len(bs))
     for i in range(0, len(bs), _BLOCK_STATES):
-        chunk = bs[i:i + _BLOCK_STATES].tolist()
-        cuts = [_panel_cuts(a, b, field.singular_points, r_min) for b in chunk]
+        j = slice(i, i + _BLOCK_STATES)
+        pairs = zip(starts[j].tolist() if per_row else repeat(a), bs[j].tolist())
+        cuts = [_panel_cuts(p, b, field.singular_points, r_min) for p, b in pairs]
         counts = np.fromiter(map(len, cuts), np.int64, len(cuts))
         flat = np.fromiter(chain.from_iterable(cuts), float, counts.sum())
         owner = np.repeat(np.arange(i, i + len(cuts)), counts)
         inner = owner[1:] == owner[:-1]   # both cuts on one segment: a panel
         owner = owner[1:][inner]
-        sums = _panel_sums(field, a, flat[:-1][inner], (flat[1:] - flat[:-1])[inner],
-                           dx[owner], dy[owner], r_min)
-        out[i:i + len(cuts)] = np.bincount(owner - i, sums, minlength=len(cuts))
+        sums = _panel_sums(field, starts.take(owner, 0).T if per_row else a, flat[:-1][inner],
+                           (flat[1:] - flat[:-1])[inner], dx[owner], dy[owner], r_min)
+        out[j] = np.bincount(owner - i, sums, minlength=len(cuts))
     return out
 
 
@@ -375,12 +378,13 @@ def work(field, path, quad="simpson", r_min=R_MIN_EVAL):
 
     Parametric paths are pulled back to t by the composite rule quad, with
     tangents from the exact t-derivatives of the path's expressions.
-    Polylines integrate edge by edge with segment_work; quad does not
-    apply to them.
+    Polylines integrate all their edges in one segment_integrals call;
+    quad does not apply to them.
     """
     rule, order = _parse_rule(quad)
     if isinstance(path, PolylinePath):
-        return sum(segment_work(field, a, b, r_min) for a, b in path.edges())
+        v = np.array(path.vertices)
+        return float(segment_integrals(field, v[:-1], v[1:], r_min).sum())
     ts, ws = _nodes_weights(rule, order, path.t0, path.t1, path.n)
     xs, ys = path.point_array(ts)
     dxdt, dydt = path.x_expr.diff("t").array_fn(ts), path.y_expr.diff("t").array_fn(ts)
@@ -497,10 +501,11 @@ class ClosednessReport:
 def is_closed(field, region, grid=20, tol=1e-4):
     """Check d(fx dx + fy dy) = 0 on a grid x grid lattice over region.
 
-    The residual |dfx/dy - dfy/dx| comes from the exact partials
-    (ScalarExpr.diff), so a closed field reads at rounding level.  region
-    is (x0, y0, x1, y1); no grid node may lie within R_MIN_EVAL of a
-    singular point, and grid is at most MAX_CLOSEDNESS_GRID.
+    The residual |dfx/dy - dfy/dx| / max(1, |dfx/dy| + |dfy/dx|) comes from
+    the exact partials (ScalarExpr.diff), so a closed field reads at rounding
+    level even where they grow like 1/r^2 near a singular point.  region is
+    (x0, y0, x1, y1); no grid node may lie within R_MIN_EVAL of a singular
+    point, and grid is at most MAX_CLOSEDNESS_GRID.
     """
     x0, y0, x1, y1 = (float(v) for v in region)
     if not (x1 > x0 and y1 > y0):
@@ -513,7 +518,8 @@ def is_closed(field, region, grid=20, tol=1e-4):
             raise SingularityError(
                 f"closedness grid within r_min={R_MIN_EVAL} of singular point ({sx}, {sy})"
             )
-    resid = np.abs(field.fx.diff("y").array_fn(X, Y) - field.fy.diff("x").array_fn(X, Y))
+    dfx, dfy = field.fx.diff("y").array_fn(X, Y), field.fy.diff("x").array_fn(X, Y)
+    resid = np.abs(dfx - dfy) / np.maximum(1.0, np.abs(dfx) + np.abs(dfy))
     if not np.all(np.isfinite(resid)):
         raise NonFiniteError("non-finite derivative in closedness check")
     k = int(np.argmax(resid))

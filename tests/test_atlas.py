@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from locmech import atlas
 from locmech.atlas import (
     Atlas,
     Chart,
@@ -106,6 +107,41 @@ def test_potential_rejects_points_outside_the_chart():
     pot = PotentialEvaluator(vortex(), quadrant_atlas().charts[1])
     with pytest.raises(ChartMembershipError):
         pot((-1.0, 1.0))
+
+
+def test_values_match_point_queries_and_reuse_the_memo(count_rows):
+    pts = [(2.0, 0.5), (0.0, 3.0), (1e-3, 1e-3), (4.0, 1e-7), (0.0, 3.0)]
+    single = PotentialSet.from_field(vortex(), quadrant_atlas())
+    want = [single.value(1, p) for p in pts]
+    ps = PotentialSet.from_field(vortex(), quadrant_atlas())
+    batched = count_rows(atlas, "segment_integrals")
+    one = count_rows(atlas, "segment_work")
+    got = ps.values(1, pts)
+    for v, w in zip(got, want):
+        assert abs(v - w) <= 1e-15 * (1.0 + abs(w))
+    assert batched == [4] and one == []     # the duplicate is integrated once
+    assert np.array_equal(ps.values(1, pts[::-1]), got[::-1])
+    assert [ps.value(1, p) for p in pts] == got.tolist()
+    assert batched == [4] and one == []     # repeats are memo hits
+    assert ps.values(1, np.empty((0, 2))).shape == (0,)
+
+
+def test_values_check_every_point_before_integrating(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    ps = PotentialSet.from_field(vortex(), quadrant_atlas())
+    monkeypatch.setattr(atlas, "segment_integrals", no_kernel)
+    for outside in ((-1.0, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ChartMembershipError):
+            ps.values(1, [(2.0, 0.5), outside, (0.5, 2.0)])
+
+
+def test_cocycle_makes_two_kernel_calls_per_overlap(count_rows):
+    batched = count_rows(atlas, "segment_integrals")
+    one = count_rows(atlas, "segment_work")
+    cocycle(PotentialSet.from_field(vortex(), quadrant_atlas()))
+    assert len(batched) <= 8 and one == []
 
 
 def test_exact_field_potential_oracle():

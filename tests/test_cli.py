@@ -245,6 +245,27 @@ def test_exponent_towers_exit_3(capsys, command, field):
     assert "integer exponent" in err
 
 
+@pytest.mark.parametrize("field", ["1e999;0", "0;-x*1E400"])
+@pytest.mark.parametrize("command", [["work", "--path", "circle:2,2,1"], ["check-closed"]])
+def test_non_finite_literals_exit_3(capsys, command, field):
+    code, _, err = invoke(capsys, *command, f"--field={field}")
+    assert code == 3
+    assert "double range" in err
+
+
+def test_large_finite_literal_is_a_field(capsys):
+    code, doc = out_json(capsys, "check-closed", "--field", "1e308;0", "--deterministic")
+    assert code == 0 and doc["closed"]
+
+
+def test_check_closed_near_the_puncture_compares_a_relative_residual(capsys):
+    # partials of size 1e12 near the origin cancel to about one ulp of that
+    code, doc = out_json(capsys, "check-closed", "--field", "vortex",
+                         "--region", "3e-7,7e-7,1,1", "--grid", "2", "--deterministic")
+    assert code == 0 and doc["closed"]
+    assert doc["max_residual"] < 1e-15
+
+
 def test_oversized_sample_counts_exit_1(capsys):
     for argv in (
         ["work", "--field", "vortex", "--path", "param:cos(t),sin(t),0,1,1000000000"],

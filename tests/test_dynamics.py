@@ -129,6 +129,13 @@ def test_logged_potentials_match_point_queries():
         assert abs(tr.V[k] - ps.value(int(tr.chart[k]), q)) <= 1e-12
 
 
+def test_post_pass_is_one_kernel_call_per_run(count_rows):
+    calls = count_rows(dynamics, "segment_integrals")
+    tr = simulate(vortex_cfg(T=4.0), PotentialSet.from_field(vortex(), quadrant_atlas()))
+    assert len(set(tr.chart.tolist())) > 1
+    assert calls == [tr.n_states]
+
+
 def test_radial_equation_of_motion():
     # Purely azimuthal force: m r'' = p_theta^2 / (m r^3).
     tr = simulate(vortex_cfg())

@@ -65,6 +65,20 @@ def test_exponent_towers_within_the_bound_fold():
     assert parse_expr("x^-2^2").root == Pow(Var("x"), -4)
 
 
+@pytest.mark.parametrize("source", ["1e999", "x+1E400", "-1e309*y",
+                                    pytest.param("1" + "0" * 400, id="401-digits")])
+def test_literals_beyond_the_double_range_are_refused(source):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr(source)
+    assert "double range" in str(info.value)
+
+
+def test_large_finite_literals_still_parse():
+    assert parse_expr("1e308").root == Num(1e308)
+    assert parse_expr("x*1.7976931348623157e308").evaluate(1.0, 0.0) == 1.7976931348623157e308
+    assert parse_expr("1e-999").root == Num(0.0)
+
+
 def test_unary_minus_binds_looser_than_power():
     assert ev("-2^2") == -4.0
     assert ev("(-2)^2") == 4.0

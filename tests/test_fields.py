@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from locmech import fields
 from locmech.errors import NonFiniteError, SingularityError, ValidationError
@@ -16,6 +18,7 @@ from locmech.fields import (
     angle_change,
     circle_path,
     classify,
+    closest_approach,
     concatenate,
     from_components,
     is_closed,
@@ -119,6 +122,12 @@ def test_segment_integrals_batch_matches_single_segments():
     exact = [math.atan2(y, x) - math.pi / 4 for x, y in bs]
     assert got == pytest.approx(exact, abs=1e-13)
     assert segment_integrals(field, a, np.empty((0, 2))).shape == (0,)
+    # one start point per row
+    starts = [(1.0, 1.0), (-2.0, 0.5), (0.3, -1e-5), (5.0, -4.0), (2.0, 2.0)]
+    ends = [(2.0, 0.5), (1.5, 1e-6), (-0.4, -2.0), (-3.0, -1e-3), (2.0, 2.0)]
+    got = segment_integrals(field, starts, ends)
+    for v, a, b in zip(got, starts, ends):
+        assert abs(v - segment_work(field, a, b)) <= 1e-15 * (1.0 + abs(v))
 
 
 def test_segment_kernel_refusals():
@@ -130,11 +139,43 @@ def test_segment_kernel_refusals():
         segment_work(vortex(), (-1.0, 0.0), (1.0, 0.0))
     with pytest.raises(ValidationError):
         segment_work(zero_field(), (0.0, 0.0), (1e6, 0.0))
+    # row by row with a start point per row: a NaN start (exit 2), an
+    # over-long segment (exit 1), a chord within r_min of the puncture (exit 2)
+    for a, b, error in [
+        ((math.nan, 0.0), (1.0, 1.0), NonFiniteError),
+        ((0.0, 1.0), (2e5, 1.0), ValidationError),
+        ((-1.0, 0.5 * R_MIN_EVAL), (1.0, 0.5 * R_MIN_EVAL), SingularityError),
+    ]:
+        with pytest.raises(error):
+            segment_integrals(vortex(), [(1.0, 1.0), a], [(2.0, 0.5), b])
 
 
 def test_exact_field_has_zero_loop_work():
     field = from_components("2*x", "2*y")
     assert work(field, SQUARE) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_polyline_work_is_one_kernel_call_over_all_edges(count_rows):
+    path = PolylinePath([(1, 0), (0.5, 2), (-3, 1e-4), (-1, -1), (2, -0.5), (1, 0)])
+    single = sum(segment_work(vortex(), a, b) for a, b in path.edges())
+    calls = count_rows(fields, "segment_integrals")
+    got = work(vortex(), path)
+    assert calls == [5]
+    assert abs(got - single) <= 1e-15 * (1.0 + abs(single))
+    assert got == pytest.approx(TAU, abs=1e-12)
+
+
+@given(st.lists(st.tuples(st.floats(0.05, 4.0), st.floats(-3.0, 3.0)),
+                min_size=2, max_size=10))
+@settings(max_examples=100)
+def test_polyline_loop_work_is_tau_times_winding(steps):
+    # vertices at radius r after turning by each step's angle, so loops
+    # wind about the puncture zero, one or several times either way
+    phis = np.cumsum([phi for _, phi in steps])
+    vertices = [(r * math.cos(p), r * math.sin(p)) for (r, _), p in zip(steps, phis)]
+    loop = PolylinePath(vertices + vertices[:1])
+    assume(all(closest_approach(a, b, (0.0, 0.0))[1] > 1e-6 for a, b in loop.edges()))
+    assert abs(work(vortex(), loop) - TAU * winding_number(loop).number) < 1e-9
 
 
 def test_angle_change_on_half_turn():
@@ -205,10 +246,24 @@ def test_closedness_grid_refuses_singular_points():
     with pytest.raises(SingularityError):
         is_closed(vortex(), (-1.0, -1.0, 1.0, 1.0), grid=21)
     # a node farther than R_MIN_EVAL is probed; the partials there are
-    # about 1/r^2 = 1e12 and cancel to within a few ulp of that
+    # about 1/r^2 = 1e12 and cancel to within a few ulp of their size
     near = is_closed(vortex(), (1e3 * R_MIN_EVAL, 0.0, 1.0, 1.0), grid=2)
     assert near.worst_point[0] == 1e3 * R_MIN_EVAL
-    assert near.max_residual < 4 * np.finfo(float).eps * 1e12
+    assert near.max_residual < 4 * np.finfo(float).eps
+
+
+def test_closedness_residual_is_relative_to_the_partials():
+    # 3e-7 from the origin an absolute residual read 2.4e-4 > tol
+    report = is_closed(vortex(), (3e-7, 7e-7, 1.0, 1.0), grid=2)
+    assert report.passed and report.max_residual < 1e-15
+    assert classify(vortex(), region=(3e-7, 7e-7, 1.0, 1.0)) == "closed-not-exact"
+    # where the partials are O(1) the residual is the plain difference:
+    # d(x^2 y dx) = -x^2 dx^dy, so |dfx/dy - dfy/dx| = x^2 <= 1/4 < 1
+    report = is_closed(from_components("x^2*y", "0"), (0.25, 0.25, 0.5, 0.5), grid=3)
+    assert report.max_residual == 0.25 and not report.passed
+    # and a large non-closed part still reads not closed
+    big = is_closed(from_components("1e6*y", "1e6*x+1e3*x"), (0.5, 0.5, 2.0, 2.0))
+    assert not big.passed and big.max_residual == pytest.approx(1e3 / (2e6 + 1e3))
 
 
 def test_parametric_work_uses_exact_tangents():
