@@ -11,6 +11,7 @@ from .atlas import (
     CechCocycle,
     Chart,
     PotentialSet,
+    atlas_for,
     check_star_shaped,
     cocycle,
     exactness_test,

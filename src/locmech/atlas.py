@@ -4,6 +4,8 @@ Charts are conjunctions of closed half-planes (a*x + b*y >= c) minus the
 field's singular points, each with an interior basepoint.  A potential on
 a chart is gauge - (segment integral of the field from the basepoint),
 which the Poincare lemma makes well defined on star-shaped charts.
+atlas_for builds such a cover for any finite set of punctures, and
+overlaps are computed exactly from the charts' half-planes.
 
 Potential differences on nonempty overlaps are constant for closed
 fields; collecting them gives a cocycle on the overlap graph.  A
@@ -13,7 +15,8 @@ obstruction story in computable form.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -21,53 +24,43 @@ from .errors import (
     ChartMembershipError,
     CocycleConstancyError,
     NerveDisconnectedError,
-    SingularityError,
     ValidationError,
 )
-from .fields import R_MIN_EVAL, closest_approach, segment_integrals, segment_work
+from .fields import segment_integrals, segment_work
 
 _CONSTRAINT_TOL = 1e-9
-_EQUALITY_TOL = 1e-12
 _SINGULAR_MARGIN = 1e-6
-_SAMPLE_RADIUS = 8.0
-_SAMPLE_BUDGET = 8192
+_PARALLEL_TOL = 1e-9    # |sin| of the angle below which two chart walls count as parallel
 DEFAULT_OVERLAP_SAMPLES = 32
 COCYCLE_SPREAD_TOL = 1e-7
 
 
-def _halton(i, base):
-    f, r = 1.0, 0.0
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
-
-
 class Chart:
-    """A closed convex region cut out by half-planes, minus singular points."""
+    """A closed convex region cut out by half-planes, minus singular points.
+
+    Each half-plane a*x + b*y >= c is kept with its normal scaled to unit
+    length, so constraint values are distances."""
 
     def __init__(self, cid, halfplanes, basepoint, label="", singular_points=()):
         self.id = int(cid)
+        self.basepoint = bx, by = (float(basepoint[0]), float(basepoint[1]))
+        if not (math.isfinite(bx) and math.isfinite(by)):
+            raise ValidationError(f"chart {self.id}: basepoint must be finite")
         cons = []
         for a, b, c in halfplanes:
             norm = math.hypot(a, b)
-            if norm == 0.0:
-                raise ValidationError("half-plane normal must be nonzero")
-            cons.append((float(a), float(b), float(c)))
+            if not (norm > 0.0 and math.isfinite(norm) and math.isfinite(c)):
+                raise ValidationError("half-plane normal must be finite and nonzero")
+            a, b, c = a / norm, b / norm, c / norm
+            if not a * bx + b * by - c >= _CONSTRAINT_TOL:
+                raise ValidationError(
+                    f"chart {self.id}: basepoint must satisfy constraints strictly")
+            cons.append((a, b, c))
         self.constraints = tuple(cons)
-        self.basepoint = (float(basepoint[0]), float(basepoint[1]))
         self.label = label
         self.singular_points = tuple(
             (float(a), float(b)) for a, b in singular_points
         )
-        for a, b, c in self.constraints:
-            norm = math.hypot(a, b)
-            slack = (a * self.basepoint[0] + b * self.basepoint[1] - c) / norm
-            if slack < _CONSTRAINT_TOL:
-                raise ValidationError(
-                    f"chart {self.id}: basepoint must satisfy constraints strictly"
-                )
         for s in self.singular_points:
             if math.hypot(self.basepoint[0] - s[0], self.basepoint[1] - s[1]) < _SINGULAR_MARGIN:
                 raise ValidationError(f"chart {self.id}: basepoint too close to {s}")
@@ -77,7 +70,7 @@ class Chart:
         if not (math.isfinite(x) and math.isfinite(y)):
             return False
         for a, b, c in self.constraints:
-            if a * x + b * y - c < -tol * math.hypot(a, b):
+            if a * x + b * y - c < -tol:
                 return False
         for sx, sy in self.singular_points:
             if x == sx and y == sy:
@@ -93,7 +86,7 @@ class Chart:
         for a, b, c in self.constraints:
             g0 = a * p0[0] + b * p0[1] - c
             g1 = a * p1[0] + b * p1[1] - c
-            if g1 < -tol * math.hypot(a, b) and g0 > g1:
+            if g1 < -tol and g0 > g1:
                 s = g0 / (g0 - g1)
                 if 0.0 <= s <= 1.0 and (best is None or s < best):
                     best = s
@@ -137,139 +130,171 @@ class Atlas:
         return CoverageReport(not missing, missing)
 
     def overlap_samples(self, i, j, k=DEFAULT_OVERLAP_SAMPLES):
-        """At least k deterministic points in the overlap of charts i and j,
-        or an empty array certifying emptiness (by exact degeneracy or by
-        exhausting the sampling budget)."""
+        """k deterministic points in the overlap of charts i and j, or an
+        empty array when the two meet at most in singular points (see _meet)."""
         key = (i, j, k) if i <= j else (j, i, k)
         if key not in self._overlap_cache:
-            ci, cj = self.charts[i], self.charts[j]
-            self._overlap_cache[key] = _region_samples([ci, cj], k)
+            self._overlap_cache[key] = _meet([self.charts[c] for c in key[:2]], k)
         return self._overlap_cache[key]
 
     def triple_overlap_nonempty(self, i, j, k):
-        pts = _region_samples([self.charts[i], self.charts[j], self.charts[k]],
-                              1, budget=2048)
-        return len(pts) > 0
+        return len(_meet([self.charts[c] for c in (i, j, k)], 1)) > 0
 
     def __repr__(self):
         return f"Atlas(ids={list(self.ids)})"
 
 
-def _region_samples(charts, k, budget=_SAMPLE_BUDGET):
-    """Deterministic low-discrepancy samples of an intersection of charts.
+def _clip(constraints, lo, hi):
+    """The box lo..hi cut by the half-planes, each kept within _CONSTRAINT_TOL
+    as Chart.contains keeps it (Sutherland-Hodgman): the corners of a convex
+    polygon, which may have collapsed to a segment or a point, or []."""
+    (x0, y0), (x1, y1) = map(float, lo), map(float, hi)
+    poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    for a, b, c in constraints:
+        keep = [(p, a * p[0] + b * p[1] - c) for p in poly]
+        poly = []
+        for (p, gp), (q, gq) in zip(keep, keep[1:] + keep[:1]):
+            if gp >= -_CONSTRAINT_TOL:
+                poly.append(p)
+            if (gp >= -_CONSTRAINT_TOL) != (gq >= -_CONSTRAINT_TOL):
+                s = min(1.0, max(0.0, gp / (gp - gq)))
+                poly.append((p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])))
+    return poly
 
-    Opposing half-planes are first resolved into equality lines, so
-    measure-zero overlaps (shared boundary rays) are sampled directly
-    instead of hoping area sampling hits them.
+
+def _shape(poly):
+    """The corners that span a clipped region: one row for a point, the two
+    ends for a segment, else the polygon's corners (an (m, 2) array)."""
+    v = np.array(poly, dtype=float).reshape(-1, 2)
+    if len(v) == 0:
+        return v
+    a = v[np.argmax(np.hypot(*(v - v[0]).T))]
+    b = v[np.argmax(np.hypot(*(v - a).T))]
+    length = math.hypot(*(b - a))
+    if length <= _CONSTRAINT_TOL:
+        return v[:1]
+    off = np.abs((v - a) @ (a[1] - b[1], b[0] - a[0])) / length
+    return np.array([a, b]) if off.max() <= _CONSTRAINT_TOL else v
+
+
+def _splits(s, shape, constraints):
+    """Whether the singular point s lies in the relative interior of a
+    segment or polygon region (never of a point)."""
+    if len(shape) == 2:
+        a, b = shape
+        e, d = (b - a) / math.hypot(*(b - a)), np.subtract(s, a)
+        along = e @ d
+        return (abs(e[0] * d[1] - e[1] * d[0]) <= _CONSTRAINT_TOL
+                and _CONSTRAINT_TOL < along < math.hypot(*(b - a)) - _CONSTRAINT_TOL)
+    return len(shape) > 2 and all(a * s[0] + b * s[1] - c > _CONSTRAINT_TOL
+                                  for a, b, c in constraints)
+
+
+def _meet(charts, k):
+    """k points of the common part of closed charts, computed exactly.
+
+    Their half-planes cut a box holding every vertex of their arrangement
+    and a point of each wall, so the cut is empty just when the charts do
+    not meet; a point region that is a singular point counts as empty.  A
+    singular point inside a segment region splits it, and one inside a
+    polygon region spoils star-shapedness: an atlas fault, ValidationError.
+    The samples are C + t*(S - C), t in (0, 1), for the corners S of the
+    region's part in the box around the basepoints and singular points
+    (widened by 1, then grown until it meets the region) and C their mean.
     """
-    cons = []
-    singulars = set()
-    for ch in charts:
-        cons.extend(ch.constraints)
-        singulars.update(ch.singular_points)
-    singulars = sorted(singulars)
-
-    normed = []
-    for a, b, c in cons:
-        n = math.hypot(a, b)
-        normed.append((a / n, b / n, c / n))
-
-    lines = []
-    for u in range(len(normed)):
-        au, bu, cu = normed[u]
-        for v in range(u + 1, len(normed)):
-            av, bv, cv = normed[v]
-            if abs(au + av) < _EQUALITY_TOL and abs(bu + bv) < _EQUALITY_TOL:
-                if abs(cu + cv) < _EQUALITY_TOL:
-                    if (au, bu) < (0.0, 0.0):
-                        au, bu, cu = -au, -bu, -cu
-                    line = (au, bu, cu)
-                    if not any(
-                        abs(line[0] - L[0]) < 1e-9
-                        and abs(line[1] - L[1]) < 1e-9
-                        and abs(line[2] - L[2]) < 1e-9
-                        for L in lines
-                    ):
-                        lines.append(line)
-                else:
-                    return np.empty((0, 2))  # parallel opposing planes, no gap
-
-    def acceptable(x, y):
-        for a, b, c in cons:
-            if a * x + b * y - c < -_EQUALITY_TOL * max(1.0, math.hypot(a, b)):
-                return False
-        for sx, sy in singulars:
-            if math.hypot(x - sx, y - sy) < _SINGULAR_MARGIN:
-                return False
-        return True
-
-    if len(lines) >= 2:
-        (a1, b1, c1), (a2, b2, c2) = lines[0], lines[1]
+    cons = [c for ch in charts for c in ch.constraints]
+    singular = sorted(set().union(*(ch.singular_points for ch in charts)))
+    anchors = [ch.basepoint for ch in charts] + singular
+    corners = anchors + [(a * c, b * c) for a, b, c in cons]
+    for (a1, b1, c1), (a2, b2, c2) in combinations(cons, 2):
         det = a1 * b2 - a2 * b1
-        if abs(det) < _EQUALITY_TOL:
-            return np.empty((0, 2))
-        x = (c1 * b2 - c2 * b1) / det
-        y = (a1 * c2 - a2 * c1) / det
-        if all(
-            abs(a * x + b * y - c) < 1e-9 for a, b, c in lines[2:]
-        ) and acceptable(x, y):
-            return np.array([[x, y]] * k)
+        if abs(det) > _PARALLEL_TOL:
+            corners.append(((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det))
+    far_lo, far_hi = np.min(corners, 0) - 1.0, np.max(corners, 0) + 1.0
+    region = _shape(_clip(cons, far_lo, far_hi))
+    for s in singular:
+        if _splits(s, region, cons):
+            raise ValidationError(f"atlas fault: singular point {s} lies inside the "
+                                  f"overlap of charts {tuple(ch.id for ch in charts)}")
+    if len(region) == 0 or len(region) == 1 and any(
+            math.dist(region[0], s) <= _CONSTRAINT_TOL for s in singular):
         return np.empty((0, 2))
+    lo, hi = np.min(anchors, 0) - 1.0, np.max(anchors, 0) + 1.0
+    part = _shape(_clip(cons, lo, hi))
+    while len(part) == 0 and (np.any(lo > far_lo) or np.any(hi < far_hi)):
+        lo, hi = 2.0 * lo - hi, 2.0 * hi - lo
+        part = _shape(_clip(cons, lo, hi))
+    if len(part) == 0:
+        part = region
+    mid = part.mean(0)
+    i = np.arange(k)
+    t = (i // len(part) + 1) / (-(-k // len(part)) + 1)
+    return mid + t[:, None] * (part[i % len(part)] - mid)
 
-    if len(lines) == 1:
-        a, b, c = lines[0]
-        p0 = (a * c, b * c)
-        d = (-b, a)
-        lo, hi = -_SAMPLE_RADIUS, _SAMPLE_RADIUS
-        for A, B, C in normed:
-            beta = A * d[0] + B * d[1]
-            alpha = A * p0[0] + B * p0[1] - C
-            if abs(beta) < _EQUALITY_TOL:
-                if alpha < -_CONSTRAINT_TOL:
-                    return np.empty((0, 2))
-                continue
-            bound = -alpha / beta
-            if beta > 0:
-                lo = max(lo, bound)
-            else:
-                hi = min(hi, bound)
-        if hi <= lo:
-            return np.empty((0, 2))
-        out = []
-        idx = 1
-        while len(out) < k and idx <= budget:
-            s = lo + (hi - lo) * _halton(idx, 2)
-            x, y = p0[0] + s * d[0], p0[1] + s * d[1]
-            if acceptable(x, y):
-                out.append((x, y))
-            idx += 1
-        return np.array(out) if out else np.empty((0, 2))
 
-    out = []
-    r_lo, r_hi = 0.05, _SAMPLE_RADIUS
-    for idx in range(1, budget + 1):
-        r = r_lo * (r_hi / r_lo) ** _halton(idx, 2)
-        phi = math.tau * _halton(idx, 3)
-        x, y = r * math.cos(phi), r * math.sin(phi)
-        if acceptable(x, y):
-            out.append((x, y))
-            if len(out) >= k:
-                break
-    return np.array(out) if out else np.empty((0, 2))
+def _direction(points):
+    """A unit vector along which the points have well separated projections:
+    (1, 0) unless two (nearly) share an x, else the middle of the widest
+    gap between the directions that fail."""
+    pairs = list(combinations(points, 2))
+    if all(abs(p[0] - q[0]) >= 1e-6 * max(1.0, math.dist(p, q)) for p, q in pairs):
+        return (1.0, 0.0)
+    bad = sorted({math.atan2(p[0] - q[0], q[1] - p[1]) % math.pi for p, q in pairs})
+    width, start = max(zip(np.diff(bad + [bad[0] + math.pi]), bad))
+    return (math.cos(start + 0.5 * width), math.sin(start + 0.5 * width))
+
+
+def atlas_for(punctures):
+    """A good cover of the plane minus a finite set of punctures.
+
+    Sorted along a direction u in which their projections are well apart
+    (see _direction), the punctures cut the plane into closed strips.  The line
+    through a strip's two bounding punctures, or for an end strip the ray
+    from its one puncture along u, splits it into an upper and a lower
+    chart.  That gives 2n + 2 convex charts with punctures only at
+    corners, 3n + 1 connected overlaps and no triple overlap: the nerve has
+    cycle rank n, the rank of H^1 (Bott & Tu, Differential Forms in
+    Algebraic Topology, sections 8-10).  Ids run counterclockwise, upper
+    charts from the right end strip leftwards, then lower ones rightwards,
+    so the nerve cycle around the k-th puncture is (n+1-k, n+2-k, n+1+k,
+    n+2+k, n+1-k).  No puncture cuts at the origin; one at the origin gives
+    the four closed quadrants with basepoints (+-1, +-1).
+    """
+    points = sorted({(float(x), float(y)) for x, y in punctures})
+    ux, uy = _direction(points)
+    v = (-uy, ux)
+    cuts = sorted(points, key=lambda p: p[0] * ux + p[1] * uy) or [(0.0, 0.0)]
+    n = len(cuts)
+    charts = []
+    for k in range(n + 1):
+        walls, ends = [], cuts[max(k - 1, 0):k + 1]
+        if k > 0:
+            walls.append((ux, uy, ux * ends[0][0] + uy * ends[0][1]))
+        if k < n:
+            walls.append((-ux, -uy, -(ux * ends[-1][0] + uy * ends[-1][1])))
+        p = ends[0]
+        if len(ends) == 2:     # the line through the two bounding punctures
+            d = (ends[1][0] - p[0], ends[1][1] - p[1])
+            nx, ny = -d[1], d[0]
+            mid = (0.5 * (p[0] + ends[1][0]), 0.5 * (p[1] + ends[1][1]))
+        else:                  # the ray from the one puncture of an end strip
+            nx, ny = v
+            side = 1.0 if k == n else -1.0
+            mid = (p[0] + side * ux, p[1] + side * uy)
+        c = nx * p[0] + ny * p[1]
+        for cid, sign in ((n + 1 - k, 1.0), (n + 2 + k, -1.0)):
+            charts.append(Chart(
+                cid, walls + [(sign * nx, sign * ny, sign * c)],
+                (mid[0] + sign * v[0], mid[1] + sign * v[1]),
+                f"strip {k}, {'upper' if sign > 0 else 'lower'}", points,
+            ))
+    return Atlas(charts)
 
 
 def quadrant_atlas(singular_points=((0.0, 0.0),)):
-    """Four closed quadrants minus the singular set; overlaps are the four
-    open half-axes and no triple overlap survives removing the origin."""
-    specs = [
-        (1, [(1, 0, 0), (0, 1, 0)], (1.0, 1.0), "x>=0, y>=0"),
-        (2, [(-1, 0, 0), (0, 1, 0)], (-1.0, 1.0), "x<=0, y>=0"),
-        (3, [(-1, 0, 0), (0, -1, 0)], (-1.0, -1.0), "x<=0, y<=0"),
-        (4, [(1, 0, 0), (0, -1, 0)], (1.0, -1.0), "x>=0, y<=0"),
-    ]
-    return Atlas([
-        Chart(cid, hp, bp, label, singular_points) for cid, hp, bp, label in specs
-    ])
+    """atlas_for the singular points: by default the four closed quadrants
+    about a puncture at the origin."""
+    return atlas_for(singular_points)
 
 
 # ---------------------------------------------------------------------------
@@ -278,38 +303,17 @@ def quadrant_atlas(singular_points=((0.0, 0.0),)):
 @dataclass(frozen=True)
 class StarShapeReport:
     passed: bool
-    checked: int
-    violation: tuple | None   # (sample point, singular point its segment hits)
+    violation: tuple | None   # a singular point strictly inside the chart
 
 
-def check_star_shaped(chart, samples=1000, box_radius=4.0):
-    """Sampled check that every basepoint -> q segment stays in the chart.
-
-    Convexity makes the half-plane part automatic, so the real content is
-    singular-point avoidance.
-    """
-    if samples < 1:
-        raise ValidationError("need at least one sample")
-    bp = chart.basepoint
-    checked = 0
-    idx = 1
-    budget = 200 * samples
-    while checked < samples and idx <= budget:
-        x = box_radius * (2.0 * _halton(idx, 2) - 1.0)
-        y = box_radius * (2.0 * _halton(idx, 3) - 1.0)
-        idx += 1
-        if not chart.contains((x, y)):
-            continue
-        if any(
-            math.hypot(x - sx, y - sy) < _SINGULAR_MARGIN
-            for sx, sy in chart.singular_points
-        ):
-            continue
-        checked += 1
-        for s in chart.singular_points:
-            if closest_approach(bp, (x, y), s)[1] < R_MIN_EVAL:
-                return StarShapeReport(False, checked, ((x, y), s))
-    return StarShapeReport(True, checked, None)
+def check_star_shaped(chart):
+    """Whether every segment from the basepoint to a point of the chart
+    stays in it, exactly: the chart is convex, so only a singular point
+    strictly inside can be crossed, never one on the boundary."""
+    for s in chart.singular_points:
+        if all(a * s[0] + b * s[1] - c > _CONSTRAINT_TOL for a, b, c in chart.constraints):
+            return StarShapeReport(False, s)
+    return StarShapeReport(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -498,35 +502,20 @@ def exactness_test(cc, tol=COCYCLE_SPREAD_TOL):
         adj[i].add(j)
         adj[j].add(i)
 
-    root = ids[0]
-    parent = {root: None}
-    offsets = {root: 0.0}
-    order = [root]
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(adj[u]):
-            if v not in parent:
-                parent[v] = u
-                offsets[v] = offsets[u] - cc.value(u, v)
-                order.append(v)
-                queue.append(v)
-    if len(order) != len(ids):
-        seen = set(order)
-        components = [sorted(seen)]
-        rest = [i for i in ids if i not in seen]
-        while rest:
-            comp_root = rest[0]
-            comp = {comp_root}
-            stack = [comp_root]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in comp:
-                        comp.add(v)
-                        stack.append(v)
-            components.append(sorted(comp))
-            rest = [i for i in rest if i not in comp]
+    parent, offsets, components = {}, {}, []
+    for root in ids:    # a breadth-first spanning forest; one tree if connected
+        if root in parent:
+            continue
+        parent[root], offsets[root] = None, 0.0
+        queue = [root]
+        for u in queue:
+            for v in sorted(adj[u]):
+                if v not in parent:
+                    parent[v] = u
+                    offsets[v] = offsets[u] - cc.value(u, v)
+                    queue.append(v)
+        components.append(sorted(queue))
+    if len(components) > 1:
         raise NerveDisconnectedError(components)
 
     def up_path(v):
@@ -568,27 +557,20 @@ class GradientReport:
 
 def potential_gradient_report(ps, h=1e-5, samples=100, margin=0.05,
                               box_radius=3.0):
-    """Max over interior samples of |finite-difference grad V_i + field|."""
+    """Max over interior samples of |finite-difference grad V_i + field|,
+    drawn (seeded) from the box of the given radius about each chart's
+    basepoint, at least margin inside the chart and from singular points."""
     worst = 0.0
     checked = 0
-    for cid in ps.atlas.ids:
-        ch = ps.atlas.charts[cid]
-        got = 0
-        idx = 1
-        while got < samples and idx <= 200 * samples:
-            x = box_radius * (2.0 * _halton(idx, 2) - 1.0)
-            y = box_radius * (2.0 * _halton(idx, 3) - 1.0)
-            idx += 1
-            ok = all(
-                (a * x + b * y - c) / math.hypot(a, b) >= margin
-                for a, b, c in ch.constraints
-            ) and all(
-                math.hypot(x - sx, y - sy) >= margin
-                for sx, sy in ch.singular_points
-            )
-            if not ok:
-                continue
-            got += 1
+    rng = np.random.default_rng(0)
+    for cid, ch in ps.atlas.charts.items():
+        pts = ch.basepoint + box_radius * rng.uniform(-1.0, 1.0, (200 * samples, 2))
+        ok = np.ones(len(pts), dtype=bool)
+        for a, b, c in ch.constraints:
+            ok &= pts @ (a, b) - c >= margin
+        for s in ch.singular_points:
+            ok &= np.hypot(*(pts - s).T) >= margin
+        for x, y in pts[ok][:samples].tolist():
             checked += 1
             gx = (ps.value(cid, (x + h, y)) - ps.value(cid, (x - h, y))) / (2 * h)
             gy = (ps.value(cid, (x, y + h)) - ps.value(cid, (x, y - h))) / (2 * h)

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .atlas import Atlas, Chart, PotentialSet, cocycle, exactness_test, quadrant_atlas
+from .atlas import Atlas, Chart, PotentialSet, atlas_for, cocycle, exactness_test
 from .bundle import holonomy, is_trivial, transitions
 from .cover import LogGerm, continue_log, lift_path
 from .dynamics import SimConfig, simulate
@@ -82,29 +82,31 @@ def _float(text, what):
 def _int(text, what):
     try:
         return int(text)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what}: expected an integer, got {text!r}") from None
 
 
-def _pair(value, what):
-    """Accept 'x,y' strings or two-element sequences."""
+def _numbers(value, what, n=2):
+    """Accept 'x,y,...' strings or sequences of n numbers."""
     if isinstance(value, str):
         parts = value.split(",")
     else:
-        parts = list(value)
-    if len(parts) != 2:
-        raise ValidationError(f"{what}: expected two components")
-    return (_float(parts[0], what), _float(parts[1], what))
+        parts = list(value) if isinstance(value, (list, tuple)) else []
+    if len(parts) != n:
+        raise ValidationError(f"{what}: expected {n} components")
+    return tuple(_float(v, what) for v in parts)
 
 
-def _point_list(value, what):
-    """Accept 'x,y;x,y' strings or sequences of pairs."""
+def _point_list(value, what, n=2):
+    """Accept 'x,y;x,y' strings or sequences of pairs (of n-tuples)."""
     if value is None:
         return ()
     if isinstance(value, str):
         chunks = [c for c in value.split(";") if c.strip()]
-        return tuple(_pair(c, what) for c in chunks)
-    return tuple(_pair(v, what) for v in value)
+        return tuple(_numbers(c, what, n) for c in chunks)
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what}: expected a list of points")
+    return tuple(_numbers(v, what, n) for v in value)
 
 
 def _split_top_level(text, sep=","):
@@ -158,7 +160,7 @@ def _parse_field(spec, singular):
         return vortex()
     if spec == "zero":
         return zero_field()
-    if ";" in spec:
+    if isinstance(spec, str) and ";" in spec:
         fx, fy = spec.split(";", 1)
         return from_components(fx, fy, singular_points=singular, name="cli")
     raise ValidationError(
@@ -167,6 +169,8 @@ def _parse_field(spec, singular):
 
 
 def _check_keys(block, allowed, where):
+    if not isinstance(block, dict):
+        raise ValidationError(f"{where} must be a JSON object")
     unknown = sorted(set(block) - allowed)
     if unknown:
         raise ValidationError(
@@ -176,24 +180,25 @@ def _check_keys(block, allowed, where):
 
 def _parse_atlas(spec, singular):
     if spec is None or spec == "quadrant":
-        return quadrant_atlas(singular) if singular else quadrant_atlas()
+        return atlas_for(singular)
     if isinstance(spec, dict):
         _check_keys(spec, _ATLAS_KEYS, "atlas")
+        if not isinstance(spec.get("charts"), list) or not spec["charts"]:
+            raise ValidationError("atlas config lists no charts")
         charts = []
-        for k, entry in enumerate(spec.get("charts", ())):
-            _check_keys(entry, _CHART_KEYS, f"atlas.charts[{k}]")
+        for k, entry in enumerate(spec["charts"]):
+            where = f"atlas.charts[{k}]"
+            _check_keys(entry, _CHART_KEYS, where)
             for key in ("id", "halfplanes", "basepoint"):
                 if key not in entry:
-                    raise ValidationError(f"atlas.charts[{k}] needs {key!r}")
+                    raise ValidationError(f"{where} needs {key!r}")
             charts.append(Chart(
-                entry["id"],
-                entry["halfplanes"],
-                _pair(entry["basepoint"], f"atlas.charts[{k}].basepoint"),
+                _int(entry["id"], f"{where}.id"),
+                _point_list(entry["halfplanes"], f"{where}.halfplanes", 3),
+                _numbers(entry["basepoint"], f"{where}.basepoint"),
                 entry.get("label", ""),
                 singular,
             ))
-        if not charts:
-            raise ValidationError("atlas config lists no charts")
         return Atlas(charts)
     raise ValidationError("atlas must be 'quadrant' or a chart-list object")
 
@@ -208,25 +213,21 @@ def _load_config(path):
         raise ValidationError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise ValidationError("config must be a JSON object")
-    _check_keys(config, _TOP_KEYS, "config")
-    for block, keys in (("simulate", _SIM_KEYS), ("outputs", _OUT_KEYS)):
-        if block in config:
-            if not isinstance(config[block], dict):
-                raise ValidationError(f"config.{block} must be an object")
-            _check_keys(config[block], keys, f"config.{block}")
-    if "sweep" in config:
-        if not isinstance(config["sweep"], list):
-            raise ValidationError("config.sweep must be a list")
-        for k, entry in enumerate(config["sweep"]):
-            if not isinstance(entry, dict):
-                raise ValidationError(f"config.sweep[{k}] must be an object")
-            _check_keys(entry, _TOP_KEYS - {"sweep"}, f"config.sweep[{k}]")
-            for block, keys in (("simulate", _SIM_KEYS), ("outputs", _OUT_KEYS)):
-                if block in entry:
-                    _check_keys(entry[block], keys, f"config.sweep[{k}].{block}")
+    _check_scenario(config, _TOP_KEYS, "config")
+    if not isinstance(config.get("sweep", []), list):
+        raise ValidationError("config.sweep must be a list")
+    for k, entry in enumerate(config.get("sweep", [])):
+        _check_scenario(entry, _TOP_KEYS - {"sweep"}, f"config.sweep[{k}]")
     return config
+
+
+def _check_scenario(block, allowed, where):
+    """A config document or sweep entry: an object of known keys whose
+    simulate and outputs blocks are objects of known keys."""
+    _check_keys(block, allowed, where)
+    for name, keys in (("simulate", _SIM_KEYS), ("outputs", _OUT_KEYS)):
+        if name in block:
+            _check_scenario(block[name], keys, f"{where}.{name}")
 
 
 def _singular_from(ns, config):
@@ -403,7 +404,7 @@ def _cmd_work(ns, config):
 
 def _cmd_winding(ns, config):
     path = _parse_path(ns.path)
-    about = _pair(ns.about, "--about")
+    about = _numbers(ns.about, "--about")
     res = winding_number(path, about)
     _emit_json({
         "winding": res.number,
@@ -422,8 +423,10 @@ def _cmd_potentials(ns, config):
         point_txt, _, chart_txt = spec.partition("@")
         if not chart_txt:
             raise ValidationError("--eval takes x,y@chart")
-        q = _pair(point_txt, "--eval point")
+        q = _numbers(point_txt, "--eval point")
         cid = _int(chart_txt, "--eval chart")
+        if cid not in atlas.charts:
+            raise ValidationError(f"--eval chart {cid} is not in the atlas")
         evals.append({
             "chart": cid,
             "point": list(q),
@@ -465,8 +468,7 @@ def _cmd_cocycle(ns, config):
 
 def _cmd_classify(ns, config):
     field, _ = _field_from(ns, config)
-    spec = getattr(ns, "atlas", None) or config.get("atlas")
-    atlas = _parse_atlas(spec, field.singular_points) if spec else None
+    atlas = _atlas_from(ns, config, field)
     _emit_json({"classification": classify(field, atlas)}, ns.deterministic)
     return 0
 
@@ -529,6 +531,8 @@ def _scenario_from(ns, config):
     }
     if scenario["q0"] is None or scenario["p0"] is None:
         raise ValidationError("simulate needs q0 and p0 (flags or config)")
+    if not all(isinstance(scenario[k], (str, type(None))) for k in ("out", "emit_svg")):
+        raise ValidationError("out and emit_svg must be file paths")
     return scenario
 
 
@@ -551,8 +555,8 @@ def _run_scenario(scenario):
     kwargs = dict(
         field=field,
         atlas=atlas,
-        q0=_pair(scenario["q0"], "q0"),
-        p0=_pair(scenario["p0"], "p0"),
+        q0=_numbers(scenario["q0"], "q0"),
+        p0=_numbers(scenario["p0"], "p0"),
         m=_float(scenario["m"], "m"),
         h=_float(scenario["h"], "h"),
         T=_float(scenario["T"], "T"),
@@ -628,15 +632,10 @@ def _read_traj_csv(path):
     rows = [r for r in rows if not r.startswith("#")]
     if not rows or rows[0].split(",")[: len(CSV_COLUMNS)] != list(CSV_COLUMNS):
         raise ValidationError("trajectory CSV does not match the known header")
-    t, x, y = [], [], []
-    for r in rows[1:]:
-        parts = r.split(",")
-        t.append(_float(parts[0], "t column"))
-        x.append(_float(parts[1], "x column"))
-        y.append(_float(parts[2], "y column"))
-    if not t:
+    data = [_numbers(r.split(",")[:3], "trajectory row t,x,y", 3) for r in rows[1:]]
+    if not data:
         raise ValidationError("trajectory CSV has no data rows")
-    return np.array(t), np.array(x), np.array(y)
+    return tuple(np.array(column) for column in zip(*data))
 
 
 def _cmd_lift(ns, config):
@@ -668,7 +667,7 @@ def _cmd_lift(ns, config):
 
 
 def _cmd_log_continue(ns, config):
-    q = _pair(ns.from_point, "--from")
+    q = _numbers(ns.from_point, "--from")
     germ = LogGerm(complex(q[0], q[1]), ns.sheet)
     path = _parse_path(ns.path)
     end = continue_log(germ, path)
@@ -723,7 +722,9 @@ def _build_parser():
 
     atlas_args = argparse.ArgumentParser(add_help=False)
     atlas_args.add_argument(
-        "--atlas", help="'quadrant' (default) or defined in the config"
+        "--atlas",
+        help="'quadrant' (default: the cover atlas_for builds from the "
+        "punctures, four quadrants for one at the origin) or defined in the config",
     )
 
     sub.add_parser(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, SingularityError, ValidationError
-from .fields import TAU, angle_change, unwrapped_angle
+from .fields import TAU, angle_change, circulation, unwrapped_angle
 
 _SHEET_RESIDUAL_TOL = 1e-6
 _ANCHOR_MATCH_TOL = 1e-9
@@ -50,12 +50,14 @@ def sheet_of(state):
 
 
 class LiftTrajectory:
-    """Arrays (t, u, v) of a lifted run plus per-state sheet indices."""
+    """Arrays (t, u, v) of a run lifted about a center, plus per-state sheet
+    indices."""
 
-    def __init__(self, t, u, v):
+    def __init__(self, t, u, v, center=(0.0, 0.0)):
         self.t = t
         self.u = u
         self.v = v
+        self.center = center
 
     @property
     def n_states(self):
@@ -71,24 +73,27 @@ class LiftTrajectory:
 
     def reprojected(self):
         r = np.exp(self.u)
-        return np.column_stack([r * np.cos(self.v), r * np.sin(self.v)])
+        return np.column_stack([self.center[0] + r * np.cos(self.v),
+                                self.center[1] + r * np.sin(self.v)])
 
 
 def lift_trajectory(tr):
-    """Lift a planar trajectory through exp; it must avoid the origin.
+    """Lift a planar trajectory through exp about the field's center c (its
+    first singular point, or the origin), which the run must avoid.
 
-    v starts at Arg(q0) and accumulates the logged angle steps, so the
-    projection exp(u)(cos v, sin v) reproduces the positions.
+    v starts at Arg(q0 - c) and accumulates the logged angle steps, so the
+    projection c + exp(u)(cos v, sin v) reproduces the positions.
     """
-    r = np.hypot(tr.qx, tr.qy)
+    cx, cy = tr.field.center
+    r = np.hypot(tr.qx - cx, tr.qy - cy)
     if float(np.min(r)) <= 0.0:
-        raise SingularityError("trajectory touches the origin; no lift")
+        raise SingularityError("trajectory touches the center; no lift")
     u = np.log(r)
-    if (0.0, 0.0) in tr.field.singular_points:
-        v = tr.theta[:, tr.field.singular_points.index((0.0, 0.0))].copy()
+    if tr.field.singular_points:
+        v = tr.theta[:, 0].copy()
     else:
         v = unwrapped_angle(tr.positions())
-    return LiftTrajectory(tr.t.copy(), u, v)
+    return LiftTrajectory(tr.t.copy(), u, v, (cx, cy))
 
 
 def lift_path(path):
@@ -112,7 +117,8 @@ class CoverEnergyReport:
 
 
 def cover_energy(tr, lift, m=None, strength=None):
-    """Energy on the cover: kinetic part minus circulation * v.
+    """Energy on the cover: kinetic part minus strength * v, the strength
+    being the circulation about the lift's center over 2*pi.
 
     For the unit vortex the cover potential is -v and the result is
     T - v; for a field with no puncture the strength is zero and this
@@ -121,20 +127,11 @@ def cover_energy(tr, lift, m=None, strength=None):
     if m is None:
         m = tr.m
     if strength is None:
-        strength = _origin_strength(tr.field)
+        strength = circulation(tr.field, 0) / TAU if tr.field.singular_points else 0.0
     Tkin = (tr.px ** 2 + tr.py ** 2) / (2.0 * m)
     energy = Tkin - strength * lift.v
     drift = float(np.max(np.abs(energy - energy[0])))
     return CoverEnergyReport(tr.t.copy(), energy, drift, strength)
-
-
-def _origin_strength(field):
-    from .dynamics import _circulation
-
-    for which, s in enumerate(field.singular_points):
-        if s == (0.0, 0.0):
-            return _circulation(field, which) / TAU
-    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +145,8 @@ class LogGerm:
     sheet: int
 
     def __post_init__(self):
-        if self.anchor == 0:
-            raise ValidationError("log has no germ at the origin")
+        if self.anchor == 0 or not cmath.isfinite(self.anchor):
+            raise ValidationError("log has germs only at finite nonzero points")
 
     @property
     def value(self):
@@ -168,7 +165,7 @@ def continue_log(germ, path):
     """
     start = path.start
     gap = abs(complex(start[0], start[1]) - germ.anchor)
-    if gap > _ANCHOR_MATCH_TOL:
+    if not gap <= _ANCHOR_MATCH_TOL:
         raise ValidationError(
             f"path starts {gap:.3e} away from the germ anchor"
         )

@@ -25,11 +25,10 @@ from .errors import (
 )
 from .fields import (
     TAU,
-    circle_path,
+    circulation,
     principal_angle_diff,
     segment_integrals,
     unwrapped_angle,
-    work,
 )
 
 SIM_R_MIN = 1e-3
@@ -128,6 +127,7 @@ def simulate(cfg, potentials=None):
         raise ValidationError("T too small for the step size")
     singulars = field.singular_points
     n_sing = len(singulars)
+    cx, cy = field.center
 
     qx = np.empty(n_steps + 1)
     qy = np.empty(n_steps + 1)
@@ -145,7 +145,7 @@ def simulate(cfg, potentials=None):
     for s_idx, (sx, sy) in enumerate(singulars):
         theta[0, s_idx] = math.atan2(y - sy, x - sx)
     work_acc[0] = 0.0
-    p_theta[0] = x * vy - y * vx
+    p_theta[0] = (x - cx) * vy - (y - cy) * vx
 
     transitions = []
     status, reason = "completed", None
@@ -227,7 +227,7 @@ def simulate(cfg, potentials=None):
         px[filled], py[filled] = npx, npy
         chart[filled] = new_chart
         work_acc[filled] = work_acc[filled - 1] + dw
-        p_theta[filled] = nx * npy - ny * npx
+        p_theta[filled] = (nx - cx) * npy - (ny - cy) * npx
         filled += 1
         x, y, vx, vy, fx, fy = nx, ny, npx, npy, nfx, nfy
 
@@ -337,7 +337,7 @@ class TransitionCheck:
 @dataclass(frozen=True)
 class LoopCheck:
     gap: float
-    winding: int
+    winding: tuple    # one winding number per singular point
     delta_T: float
     expected: float
     deviation: float
@@ -353,7 +353,8 @@ class EnergyLedger:
 
 def energy_ledger(tr, ps, cc=None, closure_tol=1e-6):
     """Per-chart-segment energy drift, transition-jump audit, and, for
-    trajectories that nearly close in position, the work-winding total."""
+    trajectories that nearly close in position, the kinetic energy gained
+    against the sum over singular points of circulation times winding."""
     if cc is None:
         cc = build_cocycle(ps)
     segments = []
@@ -381,25 +382,11 @@ def energy_ledger(tr, ps, cc=None, closure_tol=1e-6):
     )
     if gap <= closure_tol and tr.n_states > 2:
         delta_T = float(tr.Tkin[-1] - tr.Tkin[0])
-        if tr.theta.shape[1]:
-            winding = int(round(float(tr.theta[-1, 0] - tr.theta[0, 0]) / TAU))
-            circ = _circulation(tr.field, 0)
-        else:
-            winding, circ = 0, 0.0
-        expected = circ * winding
+        winding = tuple(int(w) for w in np.rint((tr.theta[-1] - tr.theta[0]) / TAU))
+        expected = sum((circulation(tr.field, i) * w for i, w in enumerate(winding) if w), 0.0)
         loop = LoopCheck(gap, winding, delta_T, expected, abs(delta_T - expected))
     max_drift = max(s.max_drift for s in segments)
     return EnergyLedger(tuple(segments), max_drift, tuple(checks), loop)
-
-
-def _circulation(field, which):
-    """Work around a small circle about one singular point."""
-    sx, sy = field.singular_points[which]
-    r = 0.5
-    for j, (ox, oy) in enumerate(field.singular_points):
-        if j != which:
-            r = min(r, 0.5 * math.hypot(ox - sx, oy - sy))
-    return work(field, circle_path(sx, sy, r, 1.0, 512))
 
 
 @dataclass(frozen=True)
@@ -414,7 +401,7 @@ class PolarSeries:
 def polar_diagnostics(tr, about=None):
     """Polar view of a trajectory: r, continuous angle, p_r, p_theta."""
     if about is None:
-        about = tr.field.singular_points[0] if tr.field.singular_points else (0.0, 0.0)
+        about = tr.field.center
     ax, ay = float(about[0]), float(about[1])
     dx = tr.qx - ax
     dy = tr.qy - ay

@@ -32,7 +32,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .exprlang import ScalarExpr, parse_expr
+from .exprlang import Call, Num, ScalarExpr, Var, fold, parse_expr
 
 TAU = math.tau
 R_MIN_EVAL = 1e-9
@@ -46,6 +46,8 @@ MAX_SEGMENT_LENGTH = 1e5
 _PANELS_PER_UNIT = 8
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_S = 0.5 * (_GL_X + 1.0)     # the Gauss-Legendre nodes moved to [0, 1]
+_GL_H = 0.5 * _GL_W             # weights on [0, 1]; they sum to 1, so only an
+                                # integral past the double range overflows
 _BLOCK_PANELS = 1024            # panels per field evaluation (16 384 nodes)
 _BLOCK_STATES = 1024            # segments whose cuts are built at once
 
@@ -86,6 +88,12 @@ class FieldOneForm:
             raise NonFiniteError("non-finite field value in bulk evaluation")
         return vx, vy
 
+    @property
+    def center(self):
+        """Where polar views, lifts and p_theta are taken about: the first
+        singular point, or the origin when there is none."""
+        return self.singular_points[0] if self.singular_points else (0.0, 0.0)
+
     def _guard_point(self, x, y, r_min):
         for sx, sy in self.singular_points:
             if math.hypot(x - sx, y - sy) < r_min:
@@ -95,12 +103,10 @@ class FieldOneForm:
 
 
 def from_components(fx_source, fy_source, singular_points=(), name=""):
-    return FieldOneForm(
-        parse_expr(fx_source),
-        parse_expr(fy_source),
-        tuple((float(a), float(b)) for a, b in singular_points),
-        name,
-    )
+    points = tuple((float(a), float(b)) for a, b in singular_points)
+    if not all(map(math.isfinite, chain.from_iterable(points))):
+        raise ValidationError("singular points must be finite")
+    return FieldOneForm(parse_expr(fx_source), parse_expr(fy_source), points, name)
 
 
 def vortex():
@@ -197,7 +203,7 @@ class ParametricPath:
         return np.column_stack([xs, ys])
 
     def reversed(self):
-        flip = parse_expr(f"{self.t0!r}+{self.t1!r}-t", ("t",))
+        flip = ScalarExpr(fold("-", fold("+", Num(self.t0), Num(self.t1)), Var("t")), ("t",))
         return ParametricPath(
             self.x_expr.substitute("t", flip),
             self.y_expr.substitute("t", flip),
@@ -220,13 +226,10 @@ def circle_path(cx, cy, r, turns=1.0, n=DEFAULT_SEGMENTS):
         raise ValidationError("circle center, radius and turns must be finite")
     if r <= 0:
         raise ValidationError("circle radius must be positive")
-    return ParametricPath(
-        f"{cx!r}+{r!r}*cos({w!r}*t)",
-        f"{cy!r}+{r!r}*sin({w!r}*t)",
-        0.0,
-        TAU,
-        n,
-    )
+    angle = fold("*", Num(w), Var("t"))
+    x, y = (ScalarExpr(fold("+", Num(c), fold("*", Num(r), Call(f, (angle,)))), ("t",))
+            for c, f in ((cx, "cos"), (cy, "sin")))
+    return ParametricPath(x, y, 0.0, TAU, n)
 
 
 def concatenate(first, second):
@@ -337,8 +340,15 @@ def _panel_sums(field, a, lo, width, dx, dy, r_min):
         vx, vy = field.eval_array(np.ravel(x0[j, None] + ex[j, None] * _GL_S),
                                   np.ravel(y0[j, None] + ey[j, None] * _GL_S), r_min)
         vx, vy = vx.reshape(-1, _GL_S.size), vy.reshape(-1, _GL_S.size)
-        sums[j] = 0.5 * ((vx @ _GL_W) * ex[j] + (vy @ _GL_W) * ey[j])
+        sums[j] = (vx @ _GL_H) * ex[j] + (vy @ _GL_H) * ey[j]
     return sums
+
+
+def _finite(values, what):
+    """values, or NonFiniteError when an integral left the double range."""
+    if not (math.isfinite(values) if type(values) is float else np.isfinite(values).all()):
+        raise NonFiniteError(f"non-finite {what}")
+    return values
 
 
 def segment_integrals(field, a, bs, r_min=R_MIN_EVAL):
@@ -362,15 +372,15 @@ def segment_integrals(field, a, bs, r_min=R_MIN_EVAL):
         sums = _panel_sums(field, starts.take(owner, 0).T if per_row else a, flat[:-1][inner],
                            (flat[1:] - flat[:-1])[inner], dx[owner], dy[owner], r_min)
         out[j] = np.bincount(owner - i, sums, minlength=len(cuts))
-    return out
+    return _finite(out, "segment integral")
 
 
 def segment_work(field, a, b, r_min=R_MIN_EVAL):
     """Line integral of the field along the straight segment a -> b: the
     one-segment case of segment_integrals, without its batch bookkeeping."""
     cuts = np.array(_panel_cuts(a, b, field.singular_points, r_min))
-    return float(_panel_sums(field, a, cuts[:-1], cuts[1:] - cuts[:-1],
-                             b[0] - a[0], b[1] - a[1], r_min).sum())
+    sums = _panel_sums(field, a, cuts[:-1], cuts[1:] - cuts[:-1], b[0] - a[0], b[1] - a[1], r_min)
+    return _finite(float(sums.sum()), "segment integral")
 
 
 def work(field, path, quad="simpson", r_min=R_MIN_EVAL):
@@ -389,9 +399,20 @@ def work(field, path, quad="simpson", r_min=R_MIN_EVAL):
     xs, ys = path.point_array(ts)
     dxdt, dydt = path.x_expr.diff("t").array_fn(ts), path.y_expr.diff("t").array_fn(ts)
     vx, vy = field.eval_array(xs, ys, r_min)
-    if not (np.all(np.isfinite(dxdt)) and np.all(np.isfinite(dydt))):
-        raise NonFiniteError("non-finite path tangent")
-    return float(np.dot(ws, vx * dxdt + vy * dydt))
+    for d in (dxdt, dydt):
+        _finite(d, "path tangent")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(np.dot(ws, vx * dxdt + vy * dydt)), "work integral")
+
+
+def circulation(field, which):
+    """Work around a small circle about one singular point."""
+    sx, sy = field.singular_points[which]
+    r = 0.5
+    for j, (ox, oy) in enumerate(field.singular_points):
+        if j != which:
+            r = min(r, 0.5 * math.hypot(ox - sx, oy - sy))
+    return work(field, circle_path(sx, sy, r, 1.0, 512))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +562,7 @@ def classify(field, atlas=None, region=(0.5, 0.5, 2.0, 2.0), tol=1e-4):
     if not report.passed:
         return "not-closed"
     if atlas is None:
-        atlas = atlas_mod.quadrant_atlas(singular_points=field.singular_points)
+        atlas = atlas_mod.atlas_for(field.singular_points)
     potentials = atlas_mod.PotentialSet.from_field(field, atlas)
     cocycle = atlas_mod.cocycle(potentials, atlas)
     result = atlas_mod.exactness_test(cocycle)

@@ -1,5 +1,7 @@
-"""Quadrant charts, local potentials, and the overlap-difference cocycle."""
+"""Quadrant charts, covers of any puncture set, exact overlaps, local
+potentials, and the overlap-difference cocycle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from locmech.atlas import (
     Chart,
     PotentialEvaluator,
     PotentialSet,
+    atlas_for,
     check_star_shaped,
     cocycle,
     exactness_test,
@@ -24,7 +27,7 @@ from locmech.errors import (
     NerveDisconnectedError,
     ValidationError,
 )
-from locmech.fields import from_components, vortex
+from locmech.fields import classify, from_components, vortex
 
 TAU = math.tau
 HALF_PI = math.pi / 2
@@ -71,9 +74,14 @@ def test_overlap_samples_live_on_the_open_half_axes():
 def test_quadrant_charts_are_star_shaped():
     at = quadrant_atlas()
     for cid in at.ids:
-        report = check_star_shaped(at.charts[cid], samples=300)
+        report = check_star_shaped(at.charts[cid])
         assert report.passed
-        assert report.checked == 300
+        assert report.violation is None
+    # A singular point strictly inside a chart is the only way to fail.
+    inside = Chart(1, [(1, 0, 0), (0, 1, 0)], (1.0, 1.0), singular_points=((2.0, 3.0),))
+    assert check_star_shaped(inside) == atlas.StarShapeReport(False, (2.0, 3.0))
+    corner = Chart(1, [(1, 0, 0), (0, 1, 0)], (1.0, 1.0), singular_points=((0.0, 5.0),))
+    assert check_star_shaped(corner).passed
 
 
 def test_chart_first_exit_crosses_linear_walls_exactly():
@@ -217,3 +225,87 @@ def test_potential_gradients_recover_the_field():
     report = potential_gradient_report(ps, samples=40)
     assert report.checked == 160
     assert report.max_error < 1e-5
+
+
+# the quadrant table atlas_for replaced: (id, half-planes, basepoint)
+QUADRANTS = (
+    (1, ((1, 0, 0), (0, 1, 0)), (1.0, 1.0)),
+    (2, ((-1, 0, 0), (0, 1, 0)), (-1.0, 1.0)),
+    (3, ((-1, 0, 0), (0, -1, 0)), (-1.0, -1.0)),
+    (4, ((1, 0, 0), (0, -1, 0)), (1.0, -1.0)),
+)
+
+
+@pytest.mark.parametrize("punctures", [((0.0, 0.0),), ()])
+def test_atlas_for_one_puncture_at_the_origin_is_the_quadrant_atlas(punctures):
+    at = atlas_for(punctures)
+    assert [(cid, ch.constraints, ch.basepoint) for cid, ch in at.charts.items()] == \
+        [(cid, hp, bp) for cid, hp, bp in QUADRANTS]
+    assert all(ch.singular_points == punctures for ch in at.charts.values())
+
+
+def vortices(points, strengths):
+    """Sum of point vortices: circulation 2*pi*s about each point."""
+    terms = [(f"({-s!r})*(y-({b!r}))", f"({s!r})*(x-({a!r}))", f"((x-({a!r}))^2+(y-({b!r}))^2)")
+             for (a, b), s in zip(points, strengths)]
+    return from_components("+".join(f"{u}/{r}" for u, _, r in terms),
+                           "+".join(f"{v}/{r}" for _, v, r in terms), points)
+
+
+@pytest.mark.parametrize("points, strengths", [
+    (((2.0, 0.0),), (1.0,)),
+    (((0.0, 0.0), (3.0, 0.0)), (1.0, 0.5)),
+    (((-1.5, 0.4), (0.3, -0.8), (2.2, 1.3)), (1.0, 0.5, -2.0)),
+    (((0.0, 0.0), (0.0, 2.0)), (1.0, -0.5)),                    # a shared x
+    (((1.0, -1.0), (1.0, 2.5), (-2.0, 0.5)), (0.5, 1.0, -2.0)),
+    (((0.0, 0.0), (1e-3, 0.0)), (1.0, 0.5)),                    # 1e-3 apart
+    (((0.0, 0.0), (1e-12, 1.0)), (1.0, -1.0)),                  # x 1e-12 apart
+])
+def test_atlas_for_is_a_good_cover_of_any_puncture_set(points, strengths):
+    field = vortices(points, strengths)
+    assert classify(field) == "closed-not-exact"
+    at = atlas_for(points)
+    n = len(points)
+    assert len(at.ids) == 2 * n + 2
+    assert all(check_star_shaped(ch).passed for ch in at.charts.values())
+    cc = cocycle(PotentialSet.from_field(field, at))
+    assert len(cc.pairs()) == 3 * n + 1
+    assert max(cc.spreads.values()) < 1e-12
+    assert not any(at.triple_overlap_nonempty(*t) for t in itertools.combinations(at.ids, 3))
+    assert len(exactness_test(cc).periods) == n
+    for p, s in zip(points, strengths):
+        # the four charts whose closures meet at p, counterclockwise about it
+        around = [cid for cid, ch in at.charts.items()
+                  if all(a * p[0] + b * p[1] - c >= -1e-12 for a, b, c in ch.constraints)]
+        around.sort(key=lambda cid: math.atan2(at.charts[cid].basepoint[1] - p[1],
+                                               at.charts[cid].basepoint[0] - p[0]))
+        assert len(around) == 4
+        assert cc.cycle_sum(around + around[:1]) == pytest.approx(-TAU * s, abs=1e-9)
+
+
+def test_overlaps_are_exact():
+    # Two corners that meet in a single point: a point overlap, unless
+    # that point is a singular point.
+    pair = [(1, [(1, 0, 0), (0, 1, 0)], (1.0, 1.0)),
+            (2, [(-1, 0, 0), (0, -1, 0)], (-1.0, -1.0))]
+    at = Atlas([Chart(*spec) for spec in pair])
+    assert at.overlap_samples(1, 2, 5).tolist() == [[0.0, 0.0]] * 5
+    at = Atlas([Chart(*spec, singular_points=((0.0, 0.0),)) for spec in pair])
+    assert len(at.overlap_samples(1, 2)) == 0
+    # A wedge far from both basepoints: the sample window grows to meet it.
+    at = Atlas([Chart(1, [(-1, 1, 100)], (0.0, 101.0)), Chart(2, [(-1, -1, 100)], (0.0, -101.0))])
+    pts = at.overlap_samples(1, 2)
+    assert len(pts) == 32
+    assert all(at.charts[1].contains(q) and at.charts[2].contains(q) for q in pts)
+    assert float(np.max(pts[:, 0])) < -100.0
+    # A singular point splitting a shared wall, or inside a shared region,
+    # is an atlas fault named in the error.
+    halves = [Chart(1, [(1, 0, 0)], (1.0, 0.0), singular_points=((0.0, 2.0),)),
+              Chart(2, [(-1, 0, 0)], (-1.0, 0.0), singular_points=((0.0, 2.0),))]
+    with pytest.raises(ValidationError,
+                       match=r"\(0\.0, 2\.0\) lies inside the overlap of charts \(1, 2\)"):
+        Atlas(halves).overlap_samples(1, 2)
+    slabs = [Chart(1, [(1, 0, 0)], (1.0, 0.0), singular_points=((0.5, 0.0),)),
+             Chart(2, [(-1, 0, -1)], (0.0, 1.0), singular_points=((0.5, 0.0),))]
+    with pytest.raises(ValidationError, match=r"\(0\.5, 0\.0\) lies inside"):
+        cocycle(PotentialSet.from_field(vortices(((0.5, 0.0),), (1.0,)), Atlas(slabs)))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -439,3 +440,46 @@ def test_no_command_prints_usage(capsys):
     code, _, err = invoke(capsys)
     assert code == 1
     assert "usage" in err
+
+
+@pytest.mark.parametrize("field, singular", [
+    ("-y/((x-2)^2+y^2);(x-2)/((x-2)^2+y^2)", "2,0"),
+    ("-y/(x^2+y^2)-y/((x-3)^2+y^2);x/(x^2+y^2)+(x-3)/((x-3)^2+y^2)", "0,0;3,0"),
+])
+def test_classify_follows_the_punctures(capsys, field, singular):
+    code, doc = out_json(capsys, "classify", f"--field={field}", "--singular", singular,
+                         "--deterministic")
+    assert code == 0
+    assert doc["classification"] == "closed-not-exact"
+
+
+def test_a_puncture_on_a_custom_chart_wall_is_an_atlas_fault(tmp_path, capsys):
+    charts = [{"id": cid, "halfplanes": [list(h) for h in hp], "basepoint": list(bp)}
+              for cid, hp, bp in (
+                  (1, ((1, 0, 0), (0, 1, 0)), (1, 1)), (2, ((-1, 0, 0), (0, 1, 0)), (-1, 1)),
+                  (3, ((-1, 0, 0), (0, -1, 0)), (-1, -1)), (4, ((1, 0, 0), (0, -1, 0)), (1, -1)))]
+    cfg_path = os.path.join(tmp_path, "quadrants.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"atlas": {"charts": charts}}, fh)
+    code, out, err = invoke(capsys, "classify", "--field=-y/((x-2)^2+y^2);(x-2)/((x-2)^2+y^2)",
+                            "--singular", "2,0", "--config", cfg_path)
+    assert code == 1 and out == ""
+    assert "singular point (2.0, 0.0) lies inside the overlap of charts (1, 4)" in err
+
+
+def test_work_near_the_double_range_is_finite_or_exits_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no overflow on the way to a finite answer
+        code, doc = out_json(capsys, "work", "--field", "1e308;0",
+                             "--path", "poly:0,0;1e-8,0", "--deterministic")
+    assert code == 0 and doc["work"] == pytest.approx(1e300, rel=1e-12)
+    for path in ("poly:0,0;10,0", "circle:0,0,10"):
+        code, out, err = invoke(capsys, "work", "--field", "1e308;0", "--path", path)
+        assert code == 2 and out == ""
+        assert err.startswith("numeric failure: non-finite")
+
+
+def test_non_finite_singular_points_exit_1(capsys):
+    code, out, err = invoke(capsys, "classify", "--field", "1;0", "--singular", "nan,0")
+    assert code == 1 and out == ""
+    assert "singular points must be finite" in err

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from locmech import dynamics
-from locmech.atlas import PotentialSet, cocycle, gauge_shift, quadrant_atlas
-from locmech.cover import lift_trajectory
+from locmech.atlas import PotentialSet, atlas_for, cocycle, gauge_shift, quadrant_atlas
+from locmech.cover import cover_energy, lift_trajectory
 from locmech.dynamics import (
     SimConfig,
     energy_ledger,
@@ -231,28 +231,49 @@ def test_step_count_is_capped_before_anything_is_allocated(monkeypatch):
 
 def test_closed_loop_ledger_on_a_spring_vortex_orbit():
     # A vortex with an attracting spring keeps orbits bounded; this start
-    # was tuned so position returns to machine precision after T.
-    field = from_components(
-        "-y/(x^2+y^2) - 4*x", "x/(x^2+y^2) - 4*y",
-        singular_points=((0.0, 0.0),), name="spring-vortex",
-    )
-    at = quadrant_atlas()
-    cfg = SimConfig(
-        field=field, atlas=at,
-        q0=(1.0, 0.0),
-        p0=(1.2488471069451006, -2.9155852031332001),
-        h=1e-3, T=7.592,
-    )
-    ps = PotentialSet.from_field(field, at)
-    tr = simulate(cfg, ps)
+    # was tuned so position returns to machine precision after T.  The
+    # ledger sums circulation times winding over every declared puncture,
+    # so an extra one listed first that the orbit does not enclose changes
+    # nothing.
+    for singular, winding in ((((0.0, 0.0),), (1,)), (((10.0, 0.0), (0.0, 0.0)), (0, 1))):
+        field = from_components(
+            "-y/(x^2+y^2) - 4*x", "x/(x^2+y^2) - 4*y",
+            singular_points=singular, name="spring-vortex",
+        )
+        at = atlas_for(singular)
+        cfg = SimConfig(
+            field=field, atlas=at,
+            q0=(1.0, 0.0),
+            p0=(1.2488471069451006, -2.9155852031332001),
+            h=1e-3, T=7.592,
+        )
+        ps = PotentialSet.from_field(field, at)
+        tr = simulate(cfg, ps)
+        assert tr.completed
+        ledger = energy_ledger(tr, ps)
+        loop = ledger.loop
+        assert loop is not None
+        assert loop.gap < 1e-6
+        assert loop.winding == winding
+        # Kinetic energy comes back up by one circulation quantum per turn.
+        assert loop.expected == pytest.approx(TAU, abs=1e-6)
+        assert loop.deviation < 1e-4
+        assert len(ledger.transition_checks) >= 4
+        assert max(c.residual for c in ledger.transition_checks) < 1e-9
+
+
+def test_an_off_origin_vortex_is_viewed_about_its_puncture():
+    # p_theta, the lift and the cover energy are all taken about the
+    # field's first singular point, wherever it is.
+    field = from_components("-y/((x-2)^2+y^2)", "(x-2)/((x-2)^2+y^2)",
+                            singular_points=((2.0, 0.0),))
+    tr = simulate(SimConfig(field=field, atlas=atlas_for(field.singular_points),
+                            q0=(3.0, 0.0), p0=(0.0, 1.0), h=1e-3, T=2.0))
     assert tr.completed
-    ledger = energy_ledger(tr, ps)
-    loop = ledger.loop
-    assert loop is not None
-    assert loop.gap < 1e-6
-    assert loop.winding == 1
-    # Kinetic energy comes back up by one circulation quantum per turn.
-    assert loop.expected == pytest.approx(TAU, abs=1e-6)
-    assert loop.deviation < 1e-4
-    assert len(ledger.transition_checks) >= 4
-    assert max(c.residual for c in ledger.transition_checks) < 1e-9
+    assert float(np.max(np.abs(tr.p_theta - tr.p_theta[0] - tr.t))) < 1e-6
+    lift = lift_trajectory(tr)
+    assert float(np.max(np.abs(lift.reprojected() - tr.positions()))) < 1e-12
+    report = cover_energy(tr, lift)
+    assert report.strength == pytest.approx(1.0, abs=1e-7)
+    assert report.drift < 1e-4
+    assert np.array_equal(polar_diagnostics(tr).p_theta, tr.p_theta)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from locmech import fields
 from locmech.errors import NonFiniteError, SingularityError, ValidationError
+from locmech.exprlang import parse_expr
 from locmech.fields import (
     MAX_CLOSEDNESS_GRID,
     MAX_PATH_SEGMENTS,
@@ -130,6 +131,7 @@ def test_segment_integrals_batch_matches_single_segments():
         assert abs(v - segment_work(field, a, b)) <= 1e-15 * (1.0 + abs(v))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")   # the 1e308 rows
 def test_segment_kernel_refusals():
     with pytest.raises(NonFiniteError):
         segment_work(vortex(), (1.0, 0.0), (math.nan, 1.0))
@@ -148,6 +150,15 @@ def test_segment_kernel_refusals():
     ]:
         with pytest.raises(error):
             segment_integrals(vortex(), [(1.0, 1.0), a], [(2.0, 0.5), b])
+    # finite field values whose integrals pass the double range
+    huge = from_components("1e308", "0")
+    assert segment_work(huge, (0.0, 0.0), (1e-8, 0.0)) == pytest.approx(1e300, rel=1e-12)
+    with pytest.raises(NonFiniteError):
+        segment_work(huge, (0.0, 0.0), (10.0, 0.0))
+    with pytest.raises(NonFiniteError):
+        segment_integrals(huge, (0.0, 0.0), [(1.0, 0.0), (10.0, 0.0)])
+    with pytest.raises(NonFiniteError):
+        work(huge, circle_path(0.0, 0.0, 10.0))
 
 
 def test_exact_field_has_zero_loop_work():
@@ -217,6 +228,25 @@ def test_unwrapped_angle_tracks_every_sample():
     assert unwrapped_angle(pts[1:2]).tolist() == [math.pi / 2]
     circle = circle_path(0.0, 0.0, 1.0, turns=-1.0, n=8)
     assert unwrapped_angle(circle) == pytest.approx(-np.arange(9) * TAU / 8, abs=1e-15)
+
+
+@pytest.mark.parametrize("cx, cy, r, turns", [
+    (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, -1.0), (3.0, -0.5, 0.25, 2.0), (-2.0, 1.5, 7.0, -3.0),
+])
+def test_circle_paths_are_trees_with_the_spliced_source_values(cx, cy, r, turns):
+    # the reference is the circle, and its reversal, spliced into source
+    # text and parsed again
+    spliced = ParametricPath(f"{cx!r}+{r!r}*cos({turns!r}*t)", f"{cy!r}+{r!r}*sin({turns!r}*t)",
+                             0.0, TAU)
+    flip = parse_expr(f"{0.0!r}+{TAU!r}-t", ("t",))
+    back = ParametricPath(spliced.x_expr.substitute("t", flip),
+                          spliced.y_expr.substitute("t", flip), 0.0, TAU)
+    built = circle_path(cx, cy, r, turns)
+    for quad in ("simpson", "trapezoid", "gauss(8)"):
+        assert work(vortex(), built, quad) == work(vortex(), spliced, quad)
+        assert work(vortex(), built.reversed(), quad) == work(vortex(), back, quad)
+    ts = np.linspace(0.0, TAU, 7)
+    assert np.array_equal(built.point_array(ts), spliced.point_array(ts))
 
 
 def test_circle_path_refuses_non_finite_input():
@@ -305,6 +335,9 @@ def test_field_evaluation_guards():
         field.eval_at(1e-12, 0.0)
     vx, vy = field.eval_at(0.0, 2.0)
     assert (vx, vy) == (-0.5, 0.0)
+    for bad in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            from_components("1", "0", singular_points=(bad,))
 
 
 def test_zero_field_does_no_work():
