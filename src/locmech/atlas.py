@@ -32,6 +32,7 @@ _CONSTRAINT_TOL = 1e-9
 _SINGULAR_MARGIN = 1e-6
 _PARALLEL_TOL = 1e-9    # |sin| of the angle below which two chart walls count as parallel
 DEFAULT_OVERLAP_SAMPLES = 32
+MAX_OVERLAP_SAMPLES = 10_000    # samples per overlap, each a potential evaluation per chart
 COCYCLE_SPREAD_TOL = 1e-7
 
 
@@ -264,6 +265,12 @@ def atlas_for(punctures):
     ux, uy = _direction(points)
     v = (-uy, ux)
     cuts = sorted(points, key=lambda p: p[0] * ux + p[1] * uy) or [(0.0, 0.0)]
+    for p, q in zip(cuts, cuts[1:]):
+        # the strip between them holds basepoints half way, _CONSTRAINT_TOL
+        # inside each wall; twice that again leaves room for rounding
+        if (q[0] - p[0]) * ux + (q[1] - p[1]) * uy < 4.0 * _CONSTRAINT_TOL:
+            raise ValidationError(f"punctures {p} and {q} are too close together to "
+                                  "separate by a chart wall")
     n = len(cuts)
     charts = []
     for k in range(n + 1):
@@ -441,8 +448,8 @@ def cocycle(ps, atlas=None, samples=DEFAULT_OVERLAP_SAMPLES,
     is not closed across that overlap and the difference is meaningless.
     Triangle identities are verified on every inhabited triple overlap.
     """
-    if samples < 1:
-        raise ValidationError(f"samples must be at least 1, got {samples}")
+    if not 1 <= samples <= MAX_OVERLAP_SAMPLES:
+        raise ValidationError(f"samples must be in [1, {MAX_OVERLAP_SAMPLES}], got {samples}")
     at = atlas or ps.atlas
     ids = at.ids
     entries, spreads = {}, {}

@@ -5,6 +5,8 @@ CSV files named by --out, with a transition log written next to them
 and an optional SVG polyline figure via --emit-svg. Scenarios can be
 given as flags, as a JSON config document (--config), or both; flags
 win over config fields, and unknown config keys are rejected outright.
+The flags are read as a document of the config's shape and laid over it
+(_overlay); a sweep entry goes between the two.  A null value is absent.
 
 Exit codes: 0 success, 1 invalid input or a failed check, 2 numeric
 guard tripped (singularity, step guard, overflow), 3 expression parse
@@ -26,13 +28,22 @@ import sys
 
 import numpy as np
 
-from .atlas import Atlas, Chart, PotentialSet, atlas_for, cocycle, exactness_test
+from .atlas import (
+    DEFAULT_OVERLAP_SAMPLES,
+    Atlas,
+    Chart,
+    PotentialSet,
+    atlas_for,
+    cocycle,
+    exactness_test,
+)
 from .bundle import holonomy, is_trivial, transitions
 from .cover import LogGerm, continue_log, lift_path
 from .dynamics import SimConfig, simulate
 from .errors import LocmechError, NumericError, ValidationError
 from .exprlang import ExprError
 from .fields import (
+    DEFAULT_SEGMENTS,
     MAX_CLOSEDNESS_GRID,
     ParametricPath,
     PolylinePath,
@@ -148,7 +159,7 @@ def _parse_path(spec):
             raise ValidationError("param spec takes xexpr,yexpr,t0,t1[,N]")
         t0 = _float(parts[2], "param t0")
         t1 = _float(parts[3], "param t1")
-        n = _int(parts[4], "param N") if len(parts) == 5 else 2000
+        n = _int(parts[4], "param N") if len(parts) == 5 else DEFAULT_SEGMENTS
         return ParametricPath(parts[0], parts[1], t0, t1, n)
     raise ValidationError(f"unknown path kind {kind!r}")
 
@@ -230,25 +241,37 @@ def _check_scenario(block, allowed, where):
             _check_scenario(block[name], keys, f"{where}.{name}")
 
 
-def _singular_from(ns, config):
-    if getattr(ns, "singular", None) is not None:
-        return _point_list(ns.singular, "--singular")
-    return _point_list(config.get("singular"), "config.singular")
+def _flags(ns):
+    """The scenario flags as a document of the config's shape; a flag not
+    given (and one the subcommand lacks) is None."""
+    def flag(key):
+        return getattr(ns, key, None)
+
+    return {"field": flag("field"), "singular": flag("singular"), "atlas": flag("atlas"),
+            "simulate": {key: flag(key) for key in sorted(_SIM_KEYS)},
+            "outputs": {key: flag(key) for key in sorted(_OUT_KEYS)}}
 
 
-def _field_from(ns, config):
-    singular = _singular_from(ns, config)
-    spec = getattr(ns, "field", None)
-    if spec is None:
-        spec = config.get("field")
-    return _parse_field(spec, singular), singular
+def _overlay(base, top):
+    """top laid over base: top's simulate and outputs blocks merge key by
+    key, its other keys replace, and its null values are absent."""
+    doc = dict(base)
+    for key, value in top.items():
+        if key in ("simulate", "outputs"):
+            doc[key] = _overlay(doc.get(key, {}), value)
+        elif value is not None:
+            doc[key] = value
+    return doc
 
 
-def _atlas_from(ns, config, field):
-    spec = getattr(ns, "atlas", None)
-    if spec is None:
-        spec = config.get("atlas")
-    return _parse_atlas(spec, field.singular_points)
+def _field_from(doc):
+    singular = _point_list(doc.get("singular"), "singular")
+    return _parse_field(doc.get("field"), singular)
+
+
+def _field_and_atlas(doc):
+    field = _field_from(doc)
+    return field, _parse_atlas(doc.get("atlas"), field.singular_points)
 
 
 # ---------------------------------------------------------------------------
@@ -265,33 +288,24 @@ def _emit_json(obj, deterministic):
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _write_traj_csv(tr, out, deterministic):
-    lines = []
-    if not deterministic:
-        lines.append(f"# generated_at {_generated_at()}")
-    lines.append(",".join(CSV_COLUMNS))
-    n_sing = tr.theta.shape[1]
-    for k in range(tr.n_states):
-        if n_sing == 1:
-            theta_txt = repr(float(tr.theta[k, 0]))
-        else:
-            theta_txt = ";".join(repr(float(v)) for v in tr.theta[k])
-        row = (
-            repr(float(tr.t[k])),
-            repr(float(tr.qx[k])),
-            repr(float(tr.qy[k])),
-            repr(float(tr.px[k])),
-            repr(float(tr.py[k])),
-            str(int(tr.chart[k])),
-            repr(float(tr.V[k])),
-            repr(float(tr.Tkin[k])),
-            repr(float(tr.E_local[k])),
-            theta_txt,
-            repr(float(tr.p_theta[k])),
-        )
-        lines.append(",".join(row))
-    with open(out, "w") as fh:
+def _write_csv(path, header, columns, deterministic):
+    """One row per index of the columns (arrays or lists): repr for a
+    float cell, str for any other."""
+    lines = [] if deterministic else [f"# generated_at {_generated_at()}"]
+    lines.append(",".join(header))
+    cells = [[repr(v) if type(v) is float else str(v) for v in
+              (col.tolist() if isinstance(col, np.ndarray) else col)] for col in columns]
+    lines.extend(map(",".join, zip(*cells)))
+    with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_traj_csv(tr, out, deterministic):
+    # theta_acc holds one angle per singular point, ';'-joined
+    theta = tr.theta[:, 0] if tr.theta.shape[1] == 1 else [
+        ";".join(map(repr, row)) for row in tr.theta.tolist()]
+    _write_csv(out, CSV_COLUMNS, (tr.t, tr.qx, tr.qy, tr.px, tr.py, tr.chart, tr.V, tr.Tkin,
+                                  tr.E_local, theta, tr.p_theta), deterministic)
 
 
 def _sidecar_path(out):
@@ -370,13 +384,13 @@ def _write_svg(points, singular_points, fname, size=640):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_forms_table(ns, config):
+def _cmd_forms_table(ns, doc):
     _emit_json({"star": star_table()}, ns.deterministic)
     return 0
 
 
-def _cmd_check_closed(ns, config):
-    field, _ = _field_from(ns, config)
+def _cmd_check_closed(ns, doc):
+    field = _field_from(doc)
     region = tuple(_float(v, "--region") for v in ns.region.split(","))
     if len(region) != 4:
         raise ValidationError("--region takes x0,y0,x1,y1")
@@ -392,8 +406,8 @@ def _cmd_check_closed(ns, config):
     return 0 if rep.passed else 1
 
 
-def _cmd_work(ns, config):
-    field, _ = _field_from(ns, config)
+def _cmd_work(ns, doc):
+    field = _field_from(doc)
     path = _parse_path(ns.path)
     value = work(field, path, quad=ns.quad)
     # the rule applies to parametric paths only; polylines use the kernel
@@ -402,7 +416,7 @@ def _cmd_work(ns, config):
     return 0
 
 
-def _cmd_winding(ns, config):
+def _cmd_winding(ns, doc):
     path = _parse_path(ns.path)
     about = _numbers(ns.about, "--about")
     res = winding_number(path, about)
@@ -414,9 +428,8 @@ def _cmd_winding(ns, config):
     return 0
 
 
-def _cmd_potentials(ns, config):
-    field, _ = _field_from(ns, config)
-    atlas = _atlas_from(ns, config, field)
+def _cmd_potentials(ns, doc):
+    field, atlas = _field_and_atlas(doc)
     ps = PotentialSet.from_field(field, atlas)
     evals = []
     for spec in ns.eval or ():
@@ -457,25 +470,22 @@ def _cocycle_report(cc):
     }
 
 
-def _cmd_cocycle(ns, config):
-    field, _ = _field_from(ns, config)
-    atlas = _atlas_from(ns, config, field)
+def _cmd_cocycle(ns, doc):
+    field, atlas = _field_and_atlas(doc)
     ps = PotentialSet.from_field(field, atlas)
     cc = cocycle(ps, atlas, samples=ns.samples)
     _emit_json(_cocycle_report(cc), ns.deterministic)
     return 0
 
 
-def _cmd_classify(ns, config):
-    field, _ = _field_from(ns, config)
-    atlas = _atlas_from(ns, config, field)
+def _cmd_classify(ns, doc):
+    field, atlas = _field_and_atlas(doc)
     _emit_json({"classification": classify(field, atlas)}, ns.deterministic)
     return 0
 
 
-def _cmd_bundle(ns, config):
-    field, _ = _field_from(ns, config)
-    atlas = _atlas_from(ns, config, field)
+def _cmd_bundle(ns, doc):
+    field, atlas = _field_and_atlas(doc)
     ps = PotentialSet.from_field(field, atlas)
     cc = cocycle(ps, atlas)
     ts = transitions(cc)
@@ -498,87 +508,28 @@ def _cmd_bundle(ns, config):
     return 0
 
 
-def _scenario_from(ns, config):
-    """Merge config blocks and flags into one plain scenario mapping."""
-    sim = config.get("simulate", {})
-    out = config.get("outputs", {})
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        if key in sim:
-            return sim[key]
-        return fallback
-
-    scenario = {
-        "field": ns.field if ns.field is not None else config.get("field"),
-        "singular": (
-            ns.singular if ns.singular is not None else config.get("singular")
-        ),
-        "atlas": ns.atlas if ns.atlas is not None else config.get("atlas"),
-        "m": pick(ns.m, "m", 1.0),
-        "q0": pick(ns.q0, "q0", None),
-        "p0": pick(ns.p0, "p0", None),
-        "h": pick(ns.h, "h", 1e-3),
-        "T": pick(ns.T, "T", 5.0),
-        "r_min": pick(ns.r_min, "r_min", None),
-        "integrator": pick(ns.integrator, "integrator", "leapfrog"),
-        "out": ns.out if ns.out is not None else out.get("out"),
-        "emit_svg": (
-            ns.emit_svg if ns.emit_svg is not None else out.get("emit_svg")
-        ),
-        "deterministic": ns.deterministic,
-    }
-    if scenario["q0"] is None or scenario["p0"] is None:
+def _run_scenario(doc, deterministic):
+    """Run one merged scenario document, write its artifacts and return
+    its summary; SimConfig fills in the simulate keys the document lacks."""
+    sim = {k: v for k, v in doc.get("simulate", {}).items() if v is not None}
+    outputs = {k: v for k, v in doc.get("outputs", {}).items() if v is not None}
+    if "q0" not in sim or "p0" not in sim:
         raise ValidationError("simulate needs q0 and p0 (flags or config)")
-    if not all(isinstance(scenario[k], (str, type(None))) for k in ("out", "emit_svg")):
+    if not all(isinstance(v, str) for v in outputs.values()):
         raise ValidationError("out and emit_svg must be file paths")
-    return scenario
+    field, atlas = _field_and_atlas(doc)
+    kwargs = {k: _numbers(sim.pop(k), k) for k in ("q0", "p0")}
+    kwargs.update((k, v if k == "integrator" else _float(v, k)) for k, v in sim.items())
+    tr = simulate(SimConfig(field, atlas, **kwargs))
 
-
-def _merge_sweep_entry(config, entry):
-    merged = {k: v for k, v in config.items() if k != "sweep"}
-    for key, value in entry.items():
-        if key in ("simulate", "outputs"):
-            block = dict(merged.get(key, {}))
-            block.update(value)
-            merged[key] = block
-        else:
-            merged[key] = value
-    return merged
-
-
-def _run_scenario(scenario):
-    singular = _point_list(scenario["singular"], "singular")
-    field = _parse_field(scenario["field"], singular)
-    atlas = _parse_atlas(scenario["atlas"], field.singular_points)
-    kwargs = dict(
-        field=field,
-        atlas=atlas,
-        q0=_numbers(scenario["q0"], "q0"),
-        p0=_numbers(scenario["p0"], "p0"),
-        m=_float(scenario["m"], "m"),
-        h=_float(scenario["h"], "h"),
-        T=_float(scenario["T"], "T"),
-        integrator=scenario["integrator"],
-    )
-    if scenario["r_min"] is not None:
-        kwargs["r_min"] = _float(scenario["r_min"], "r_min")
-    cfg = SimConfig(**kwargs)
-    ps = PotentialSet.from_field(field, atlas)
-    tr = simulate(cfg, ps)
-
-    if scenario["out"]:
-        _write_traj_csv(tr, scenario["out"], scenario["deterministic"])
-        _write_sidecar(tr, scenario["out"])
-    if scenario["emit_svg"]:
-        _write_svg(
-            list(zip(tr.qx.tolist(), tr.qy.tolist())),
-            field.singular_points,
-            scenario["emit_svg"],
-        )
+    out, svg = outputs.get("out"), outputs.get("emit_svg")
+    if out:
+        _write_traj_csv(tr, out, deterministic)
+        _write_sidecar(tr, out)
+    if svg:
+        _write_svg(list(zip(tr.qx.tolist(), tr.qy.tolist())), field.singular_points, svg)
     last = tr.n_states - 1
-    summary = {
+    return {
         "status": tr.status,
         "abort_reason": tr.abort_reason,
         "states": tr.n_states,
@@ -588,39 +539,31 @@ def _run_scenario(scenario):
         "chart_final": int(tr.chart[last]),
         "E_local_final": float(tr.E_local[last]),
         "n_transitions": len(tr.transitions),
-        "out": scenario["out"],
+        "out": out,
     }
-    return tr, summary
 
 
-def _sweep_worker(scenario):
-    _, summary = _run_scenario(scenario)
-    return summary
-
-
-def _cmd_simulate(ns, config):
-    sweep = config.get("sweep")
-    if sweep:
-        scenarios = []
-        for entry in sweep:
-            merged = _merge_sweep_entry(config, entry)
-            scenarios.append(_scenario_from(ns, merged))
-        jobs = ns.jobs or 1
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-                summaries = list(ex.map(_sweep_worker, scenarios))
-        else:
-            summaries = [_sweep_worker(s) for s in scenarios]
-        _emit_json({"sweep": summaries}, ns.deterministic)
-        return 0 if all(s["status"] == "completed" for s in summaries) else 2
-
-    scenario = _scenario_from(ns, config)
-    tr, summary = _run_scenario(scenario)
-    _emit_json(summary, ns.deterministic)
-    if not tr.completed:
-        print(f"aborted: {tr.abort_reason}", file=sys.stderr)
-        return 2
-    return 0
+def _cmd_simulate(ns, doc):
+    sweep = doc.get("sweep")
+    if not sweep:
+        summary = _run_scenario(doc, ns.deterministic)
+        _emit_json(summary, ns.deterministic)
+        if summary["status"] != "completed":
+            print(f"aborted: {summary['abort_reason']}", file=sys.stderr)
+            return 2
+        return 0
+    # doc is the config under the flags; laying the flags again over each
+    # entry keeps a flag above an entry, and an entry above the config
+    flags = _flags(ns)
+    docs = [_overlay(_overlay(doc, entry), flags) for entry in sweep]
+    deterministic = [ns.deterministic] * len(docs)
+    if ns.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=ns.jobs) as ex:
+            summaries = list(ex.map(_run_scenario, docs, deterministic))
+    else:
+        summaries = list(map(_run_scenario, docs, deterministic))
+    _emit_json({"sweep": summaries}, ns.deterministic)
+    return 0 if all(s["status"] == "completed" for s in summaries) else 2
 
 
 def _read_traj_csv(path):
@@ -638,35 +581,24 @@ def _read_traj_csv(path):
     return tuple(np.array(column) for column in zip(*data))
 
 
-def _cmd_lift(ns, config):
+def _cmd_lift(ns, doc):
     t, x, y = _read_traj_csv(ns.traj)
     lift = lift_path(np.column_stack([x, y]))
-    u, v = lift.u, lift.v
     sheets = lift.sheets()
-
     if ns.out:
-        lines = []
-        if not ns.deterministic:
-            lines.append(f"# generated_at {_generated_at()}")
-        lines.append("t,u,v,sheet")
-        for k in range(len(t)):
-            lines.append(
-                f"{float(t[k])!r},{float(u[k])!r},{float(v[k])!r},"
-                f"{int(sheets[k])}"
-            )
-        with open(ns.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(ns.out, ("t", "u", "v", "sheet"), (t, lift.u, lift.v, sheets),
+                   ns.deterministic)
     _emit_json({
         "states": len(t),
         "sheet_initial": int(sheets[0]),
         "sheet_final": int(sheets[-1]),
-        "v_final": float(v[-1]),
+        "v_final": float(lift.v[-1]),
         "out": ns.out,
     }, ns.deterministic)
     return 0
 
 
-def _cmd_log_continue(ns, config):
+def _cmd_log_continue(ns, doc):
     q = _numbers(ns.from_point, "--from")
     germ = LogGerm(complex(q[0], q[1]), ns.sheet)
     path = _parse_path(ns.path)
@@ -679,7 +611,7 @@ def _cmd_log_continue(ns, config):
     return 0
 
 
-def _cmd_verify(ns, config):
+def _cmd_verify(ns, doc):
     numbers = set(ns.only) if ns.only else None
     report = verify_mod.run_all(numbers=numbers)
     if not ns.deterministic:
@@ -768,7 +700,7 @@ def _build_parser():
         "cocycle", parents=[common, field_args, atlas_args],
         help="overlap constants of the local potentials",
     )
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=int, default=DEFAULT_OVERLAP_SAMPLES)
 
     sub.add_parser(
         "classify", parents=[common, field_args, atlas_args],
@@ -848,8 +780,8 @@ def run(argv=None):
         if ns.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        config = _load_config(ns.config)
-        return _DISPATCH[ns.command](ns, config)
+        doc = _overlay(_load_config(ns.config), _flags(ns))
+        return _DISPATCH[ns.command](ns, doc)
     except ExprError as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 3

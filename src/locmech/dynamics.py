@@ -115,7 +115,7 @@ def simulate(cfg, potentials=None):
     """Integrate and log the run; aborts are clean partial trajectories.
 
     status is one of completed, aborted-singularity, aborted-step-guard,
-    aborted-coverage, aborted-evaluation, aborted-transition.
+    aborted-coverage, aborted-evaluation.
     """
     from .atlas import PotentialSet
 
@@ -200,13 +200,6 @@ def simulate(cfg, potentials=None):
             status = "aborted-coverage"
             reason = f"step {k + 1} left the atlas at ({nx}, {ny})"
             break
-        old_chart = int(chart[filled - 1])
-        if new_chart != old_chart:
-            tr = _log_transition(
-                atlas, ps, old_chart, new_chart, (x, y), (nx, ny),
-                (k + 1) * h, h,
-            )
-            transitions.append(tr)
 
         # running work by one Simpson panel on the step chord; endpoint
         # forces are already in hand, only the midpoint costs an eval
@@ -222,6 +215,13 @@ def simulate(cfg, potentials=None):
             + 4.0 * (mfx * dxs + mfy * dys)
             + (nfx * dxs + nfy * dys)
         ) / 6.0
+
+        # the state is kept: log its chart hop
+        old_chart = int(chart[filled - 1])
+        if new_chart != old_chart:
+            transitions.append(_log_transition(
+                atlas, ps, old_chart, new_chart, (x, y), (nx, ny), (k + 1) * h, h,
+            ))
 
         qx[filled], qy[filled] = nx, ny
         px[filled], py[filled] = npx, npy

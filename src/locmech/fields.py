@@ -76,7 +76,8 @@ class FieldOneForm:
         return vx, vy
 
     def eval_array(self, xs, ys, r_min=R_MIN_EVAL):
-        for sx, sy in self.singular_points:
+        # r_min = 0 skips the distance pass, for nodes kept away already
+        for sx, sy in self.singular_points if r_min else ():
             d2 = (xs - sx) ** 2 + (ys - sy) ** 2
             if d2.size and float(np.min(d2)) < r_min * r_min:
                 raise SingularityError(
@@ -328,17 +329,19 @@ def _panel_cuts(a, b, singular_points, r_min):
     return cuts
 
 
-def _panel_sums(field, a, lo, width, dx, dy, r_min):
+def _panel_sums(field, a, lo, width, dx, dy):
     """Integrals of the field over the panels [lo, lo + width] of the
     segments a -> a + (dx, dy), by 16-node Gauss-Legendre, _BLOCK_PANELS
-    panels at a time; a's coordinates, dx and dy are scalars or per panel."""
+    panels at a time; a's coordinates, dx and dy are scalars or per panel.
+    _panel_cuts has kept each segment r_min from every singular point, so
+    the nodes skip eval_array's distance pass."""
     x0, y0, ex, ey = a[0] + lo * dx, a[1] + lo * dy, width * dx, width * dy
     sums = np.empty(len(lo))
     for i in range(0, len(lo), _BLOCK_PANELS):
         j = slice(i, i + _BLOCK_PANELS)
         # flat node arrays: eval_array takes a list of points
         vx, vy = field.eval_array(np.ravel(x0[j, None] + ex[j, None] * _GL_S),
-                                  np.ravel(y0[j, None] + ey[j, None] * _GL_S), r_min)
+                                  np.ravel(y0[j, None] + ey[j, None] * _GL_S), 0.0)
         vx, vy = vx.reshape(-1, _GL_S.size), vy.reshape(-1, _GL_S.size)
         sums[j] = (vx @ _GL_H) * ex[j] + (vy @ _GL_H) * ey[j]
     return sums
@@ -370,7 +373,7 @@ def segment_integrals(field, a, bs, r_min=R_MIN_EVAL):
         inner = owner[1:] == owner[:-1]   # both cuts on one segment: a panel
         owner = owner[1:][inner]
         sums = _panel_sums(field, starts.take(owner, 0).T if per_row else a, flat[:-1][inner],
-                           (flat[1:] - flat[:-1])[inner], dx[owner], dy[owner], r_min)
+                           (flat[1:] - flat[:-1])[inner], dx[owner], dy[owner])
         out[j] = np.bincount(owner - i, sums, minlength=len(cuts))
     return _finite(out, "segment integral")
 
@@ -379,7 +382,7 @@ def segment_work(field, a, b, r_min=R_MIN_EVAL):
     """Line integral of the field along the straight segment a -> b: the
     one-segment case of segment_integrals, without its batch bookkeeping."""
     cuts = np.array(_panel_cuts(a, b, field.singular_points, r_min))
-    sums = _panel_sums(field, a, cuts[:-1], cuts[1:] - cuts[:-1], b[0] - a[0], b[1] - a[1], r_min)
+    sums = _panel_sums(field, a, cuts[:-1], cuts[1:] - cuts[:-1], b[0] - a[0], b[1] - a[1])
     return _finite(float(sums.sum()), "segment integral")
 
 

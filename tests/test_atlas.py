@@ -309,3 +309,22 @@ def test_overlaps_are_exact():
              Chart(2, [(-1, 0, -1)], (0.0, 1.0), singular_points=((0.5, 0.0),))]
     with pytest.raises(ValidationError, match=r"\(0\.5, 0\.0\) lies inside"):
         cocycle(PotentialSet.from_field(vortices(((0.5, 0.0),), (1.0,)), Atlas(slabs)))
+
+
+def test_punctures_too_close_to_separate_are_refused_by_name():
+    with pytest.raises(ValidationError, match=r"punctures \(0\.0, 0\.0\) and \(0\.0, 1e-12\)"):
+        atlas_for(((0, 0), (0, 1e-12)))
+    assert len(atlas_for(((0, 0), (0, 1e-3))).ids) == 6
+
+
+def test_overlap_sample_count_is_capped_before_anything_is_allocated(monkeypatch):
+    ps = PotentialSet.from_field(vortex(), quadrant_atlas())
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the sample count was checked")
+
+    monkeypatch.setattr(atlas.np, "arange", no_alloc)
+    monkeypatch.setattr(atlas.np, "empty", no_alloc)
+    for samples in (0, atlas.MAX_OVERLAP_SAMPLES + 1, 10**12):
+        with pytest.raises(ValidationError, match="samples must be in"):
+            cocycle(ps, samples=samples)

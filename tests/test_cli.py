@@ -272,6 +272,7 @@ def test_oversized_sample_counts_exit_1(capsys):
         ["work", "--field", "vortex", "--path", "param:cos(t),sin(t),0,1,1000000000"],
         ["winding", "--path", "param:cos(t),sin(t),0,1,1000000000"],
         ["check-closed", "--field", "vortex", "--grid", "100000"],
+        ["cocycle", "--field", "vortex", "--samples", "1000000000000"],
     ):
         code, _, err = invoke(capsys, *argv)
         assert code == 1
@@ -362,6 +363,51 @@ def test_sweep_runs_every_entry(tmp_path, capsys):
     assert code == 0
     assert [s["states"] for s in doc["sweep"]] == [51, 101]
     assert all(s["status"] == "completed" for s in doc["sweep"])
+
+
+def write_sweep(tmp_path, entries):
+    cfg_path = os.path.join(tmp_path, "sweep.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({
+            "field": "vortex",
+            "simulate": {"q0": "1,0", "p0": "0,1", "h": 1e-2, "T": 5.0, "m": None},
+            "sweep": entries,
+        }, fh)
+    return cfg_path
+
+
+def test_a_flag_beats_a_sweep_entry_which_beats_the_config(tmp_path, capsys):
+    # simulate blocks merge key by key: q0 and p0 come from the config in
+    # every entry, and a null is absent, so it overrides nothing
+    cfg_path = write_sweep(tmp_path, [
+        {"simulate": {"T": 0.5}},
+        {"simulate": {"h": 0.05, "T": 1.0}},
+        {"simulate": {"T": None}, "field": None},
+    ])
+    code, doc = out_json(capsys, "simulate", "--config", cfg_path, "--deterministic")
+    assert code == 0
+    assert [(s["states"], s["t_final"]) for s in doc["sweep"]] == [
+        (51, 0.5), (21, 1.0), (501, 5.0)]
+    code, doc = out_json(capsys, "simulate", "--config", cfg_path, "--h", "0.02",
+                         "--deterministic")
+    assert code == 0
+    assert [(s["states"], s["t_final"]) for s in doc["sweep"]] == [
+        (26, 0.5), (51, 1.0), (251, 5.0)]
+
+
+def test_parallel_sweep_matches_the_serial_one(tmp_path, capsys):
+    cfg_path = write_sweep(tmp_path, [
+        {"simulate": {"T": 0.5}},
+        {"simulate": {"T": 1.0, "integrator": "rk4"}},
+        {"simulate": {"q0": "0.002,0", "p0": "-1,0", "h": 1e-5, "T": 0.01}},
+    ])
+    serial = invoke(capsys, "simulate", "--config", cfg_path, "--deterministic", "--jobs", "1")
+    parallel = invoke(capsys, "simulate", "--config", cfg_path, "--deterministic",
+                      "--jobs", "2")
+    assert serial == parallel
+    assert serial[0] == 2    # the third entry aborts
+    assert [s["status"] for s in json.loads(serial[1])["sweep"]] == [
+        "completed", "completed", "aborted-singularity"]
 
 
 def test_lift_round_trip(tmp_path, capsys):

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from locmech import dynamics
-from locmech.atlas import PotentialSet, atlas_for, cocycle, gauge_shift, quadrant_atlas
+from locmech.atlas import (
+    Atlas,
+    Chart,
+    PotentialSet,
+    atlas_for,
+    cocycle,
+    gauge_shift,
+    quadrant_atlas,
+)
 from locmech.cover import cover_energy, lift_trajectory
 from locmech.dynamics import (
     SimConfig,
@@ -194,6 +202,43 @@ def test_singularity_abort_keeps_a_clean_partial_run():
     # Logged rows stay finite and self-consistent up to the abort.
     assert np.all(np.isfinite(tr.positions()))
     assert float(np.min(np.hypot(tr.qx, tr.qy))) >= cfg.r_min
+
+
+# fixed runs for the three guards no other test reaches; each pins the
+# abort's step through the state count and its reason text
+ABORT_RUNS = {
+    "aborted-step-guard": (
+        lambda: SimConfig(field=from_components("0", "0", singular_points=((0, 0),)),
+                          atlas=atlas_for(((0, 0),)), q0=(-0.5, 0.01), p0=(1, 0), h=1, T=2),
+        1, "step 1 swept -3.102 rad about (0.0, 0.0); reduce h"),
+    "aborted-coverage": (     # one chart, x >= -0.5, about the vortex
+        lambda: SimConfig(field=vortex(), atlas=Atlas([Chart(1, [(1, 0, -0.5)], (1, 0),
+                                                             singular_points=((0, 0),))]),
+                          q0=(1, 0), p0=(0, 1), h=1e-3, T=5),
+        2820, "step 2820 left the atlas at (-0.5007245332121646, 4.7132613922124404)"),
+    "aborted-evaluation": (   # log(0) at the midpoint of the step across x = 0
+        lambda: SimConfig(field=from_components("0*log(abs(x))", "0"), atlas=atlas_for(()),
+                          q0=(-0.875, 0.5), p0=(1, 0), h=0.25, T=2),
+        4, "field evaluation failed at (0.0, 0.5): math domain error"),
+}
+
+
+@pytest.mark.parametrize("status", sorted(ABORT_RUNS))
+def test_abort_runs_stop_at_a_fixed_state_with_a_fixed_reason(status):
+    make, n_states, reason = ABORT_RUNS[status]
+    tr = simulate(make())
+    assert (tr.status, tr.n_states, tr.abort_reason) == (status, n_states, reason)
+    # every logged hop leads to a kept state
+    assert all(t.t <= tr.t[-1] for t in tr.transitions)
+    assert len(tr.transitions) == int(np.count_nonzero(np.diff(tr.chart)))
+
+
+def test_a_dropped_state_logs_no_chart_hop():
+    make, _, _ = ABORT_RUNS["aborted-evaluation"]
+    tr = simulate(make())
+    # the step into chart 1 is dropped when its midpoint force fails
+    assert tr.chart.tolist() == [2, 2, 2, 2]
+    assert tr.transitions == ()
 
 
 def test_config_validation():
