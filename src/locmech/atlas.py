@@ -266,9 +266,10 @@ def atlas_for(punctures):
     v = (-uy, ux)
     cuts = sorted(points, key=lambda p: p[0] * ux + p[1] * uy) or [(0.0, 0.0)]
     for p, q in zip(cuts, cuts[1:]):
-        # the strip between them holds basepoints half way, _CONSTRAINT_TOL
-        # inside each wall; twice that again leaves room for rounding
-        if (q[0] - p[0]) * ux + (q[1] - p[1]) * uy < 4.0 * _CONSTRAINT_TOL:
+        # the strip between them holds basepoints half way, and overlap
+        # samples on the segment pq whose potential segments must pass
+        # fields.R_MIN_EVAL clear of both: _SINGULAR_MARGIN leaves room
+        if (q[0] - p[0]) * ux + (q[1] - p[1]) * uy < _SINGULAR_MARGIN:
             raise ValidationError(f"punctures {p} and {q} are too close together to "
                                   "separate by a chart wall")
     n = len(cuts)

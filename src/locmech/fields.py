@@ -6,8 +6,9 @@ parametric.  Parametric work pulls the form back to the parameter
 interval under a composite trapezoid, Simpson or Gauss-Legendre rule,
 with tangents from the exact derivatives of the path's expressions.
 Every straight segment goes through one kernel, segment_integrals (16-node
-Gauss-Legendre panels graded toward each singular point), one call per
-batch: a polyline's edges, a chart's overlap samples, a run's logged V.
+Gauss-Legendre panels graded toward each singular point, bisected where
+their Legendre tail is large), one call per batch: a polyline's edges, a
+chart's overlap samples, a run's logged V.
 
 Winding numbers are deliberately not computed as a work integral: they
 come from continuous angle accumulation with principal-value steps kept
@@ -21,7 +22,7 @@ singular point; no derivative here is a finite difference.
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -41,15 +42,28 @@ MAX_PATH_SEGMENTS = 100_000    # parameter segments of a ParametricPath
 MAX_CLOSEDNESS_GRID = 1000     # nodes per side of the closedness grid
 PATH_CLOSE_TOL = 1e-12
 _THETA_MAX = math.pi / 2
-_MAX_REFINE_DEPTH = 48
+_MAX_REFINE_DEPTH = 48          # halvings of an angle step; bisection rounds of a panel
 MAX_SEGMENT_LENGTH = 1e5
-_PANELS_PER_UNIT = 8
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_S = 0.5 * (_GL_X + 1.0)     # the Gauss-Legendre nodes moved to [0, 1]
 _GL_H = 0.5 * _GL_W             # weights on [0, 1]; they sum to 1, so only an
                                 # integral past the double range overflows
-_BLOCK_PANELS = 1024            # panels per field evaluation (16 384 nodes)
-_BLOCK_STATES = 1024            # segments whose cuts are built at once
+# c_k = (2k + 1) sum_j h_j P_k(x_j) g_j: the Legendre coefficients of the
+# interpolant of the node values g_j; column 0 is _GL_H, the panel integral
+_GL_TAIL = (np.polynomial.legendre.legvander(_GL_X, 15)
+            * (_GL_H[:, None] * (2.0 * np.arange(16) + 1.0)))[:, [0, 12, 13, 14, 15]]
+_TAIL_SUM = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+# Exact to degree 31: a tail of q * scale at degree 12, falling geometrically,
+# leaves about q^(32/12) * scale past 31, under the terms' rounding eps * scale
+# once q <= eps^(3/8) (Trefethen, ATAP ch. 8 and 19)
+_TAIL_TOL = np.finfo(float).eps ** 0.375
+_MAX_SEGMENT_PANELS = 4096      # bounds the work and memory of one segment
+_GL_NODES = np.stack([np.ones(16), _GL_S])        # (start, width) -> the 16 nodes
+_HALVE, _SHIFT = np.array([[[1.0]], [[0.5]]]), np.array([[[1.0]], [[0.0]]])
+_POW2 = np.ldexp([[-1.0], [1.0]], np.arange(1024))    # -2^j and 2^j, exact
+_H_MIN = np.finfo(float).tiny   # least first cut offset h: h 2^j passes 1 within _POW2
+_BLOCK_PANELS = 512             # panels per field evaluation (8 192 nodes)
+_BLOCK_STATES = 2048            # (segment, singular point) pairs cut at once
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +99,7 @@ class FieldOneForm:
                 )
         vx = self.fx.array_fn(xs, ys)
         vy = self.fy.array_fn(xs, ys)
-        if not (np.all(np.isfinite(vx)) and np.all(np.isfinite(vy))):
+        if not (np.isfinite(vx).all() and np.isfinite(vy).all()):
             raise NonFiniteError("non-finite field value in bulk evaluation")
         return vx, vy
 
@@ -284,67 +298,111 @@ def _nodes_weights(rule, order, a, b, n):
 
 def closest_approach(a, b, p):
     """Where the segment a -> b passes nearest to p: the parameter s in
-    [0, 1] of that point, and its distance from p."""
+    [0, 1] of that point, and its distance from p (+, -, *, / and sqrt
+    only, so _batch_cuts repeats it bit for bit)."""
     dx, dy, rx, ry = b[0] - a[0], b[1] - a[1], p[0] - a[0], p[1] - a[1]
     L2 = dx * dx + dy * dy
     s = min(1.0, max(0.0, (rx * dx + ry * dy) / L2)) if L2 > 0.0 else 0.0
-    return s, math.hypot(rx - s * dx, ry - s * dy)
+    ex, ey = rx - s * dx, ry - s * dy
+    return s, math.sqrt(ex * ex + ey * ey)
 
 
-def _panel_cuts(a, b, singular_points, r_min):
-    """Sorted panel breakpoints in [0, 1] for the segment a -> b.
-
-    A uniform grid of about _PANELS_PER_UNIT panels per unit length, plus
-    cuts at s* +- (d / 2L) * 2^j for each singular point, where s* is the
-    segment's closest approach to it and d the distance there, down to
-    the grid spacing.  Near s* the integrand steepens like 1/d; the
-    geometric cuts keep every panel narrower than about its distance to
-    the singular point, so one fixed rule converges fast on all of them
-    while the panel count grows only like log(L/d) (Schwab, Computing 53,
-    1994).
-    """
-    L = math.hypot(b[0] - a[0], b[1] - a[1])
-    if not math.isfinite(L):
+def _cuts(a, b, singular_points, r_min):
+    """Sorted distinct panel breakpoints in [0, 1] of the segment a -> b:
+    for each singular point, with s* the closest approach and d the
+    distance there, s* +- (d / 2L) 2^j, j = 0, 1, ..., inside (0, 1).  No
+    panel is wider than its distance to the point, so each is analytic in
+    a Bernstein ellipse of fixed size (Trefethen, ATAP ch. 8), and there
+    are about log(L/d) of them (Schwab, Computing 53, 1994)."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    if not (math.isfinite(dx) and math.isfinite(dy)):
         raise NonFiniteError(f"non-finite segment {tuple(a)} -> {tuple(b)}")
-    if L == 0.0:
-        return [0.0]
+    L = math.sqrt(dx * dx + dy * dy)
     if L > MAX_SEGMENT_LENGTH:
         raise ValidationError(f"segment longer than {MAX_SEGMENT_LENGTH:g}")
-    n = math.ceil(_PANELS_PER_UNIT * L)
-    cuts = [k / n for k in range(n + 1)]
-    for p in singular_points:
+    cuts = [0.0, 1.0] if L > 0.0 else [0.0]
+    for p in singular_points if L > 0.0 else ():
         s, d = closest_approach(a, b, p)
         h = d / (2.0 * L)
-        if d < r_min or h == 0.0:
-            raise SingularityError(
-                f"segment passes within r_min={r_min} of singular point {p}"
-            )
-        while h * n < 1.0:
-            if s - h > 0.0:
-                cuts.append(s - h)
-            if s + h < 1.0:
-                cuts.append(s + h)
+        if d < r_min or h < _H_MIN:
+            raise SingularityError(f"segment passes within r_min={r_min} of singular point {p}")
+        while s - h > 0.0 or s + h < 1.0:
+            cuts += [c for c in (s - h, s + h) if 0.0 < c < 1.0]
             h *= 2.0
-    cuts.sort()
-    return cuts
+    return sorted(set(cuts))
 
 
-def _panel_sums(field, a, lo, width, dx, dy):
-    """Integrals of the field over the panels [lo, lo + width] of the
-    segments a -> a + (dx, dy), by 16-node Gauss-Legendre, _BLOCK_PANELS
-    panels at a time; a's coordinates, dx and dy are scalars or per panel.
-    _panel_cuts has kept each segment r_min from every singular point, so
-    the nodes skip eval_array's distance pass."""
-    x0, y0, ex, ey = a[0] + lo * dx, a[1] + lo * dy, width * dx, width * dy
-    sums = np.empty(len(lo))
-    for i in range(0, len(lo), _BLOCK_PANELS):
-        j = slice(i, i + _BLOCK_PANELS)
-        # flat node arrays: eval_array takes a list of points
-        vx, vy = field.eval_array(np.ravel(x0[j, None] + ex[j, None] * _GL_S),
-                                  np.ravel(y0[j, None] + ey[j, None] * _GL_S), 0.0)
-        vx, vy = vx.reshape(-1, _GL_S.size), vy.reshape(-1, _GL_S.size)
-        sums[j] = (vx @ _GL_H) * ex[j] + (vy @ _GL_H) * ey[j]
-    return sums
+def _batch_cuts(a, b, singular_points, r_min):
+    """_cuts of the segments a -> b, the columns of the (2, n) arrays a (or
+    its one column) and b, flat: each panel's start, width and row, row
+    after row; with the displacements b - a."""
+    d = b - a
+    L2 = np.add.reduce(d * d)
+    L = np.sqrt(L2)
+    if not np.maximum.reduce(L, initial=0.0) <= MAX_SEGMENT_LENGTH:   # raise as _cuts does
+        k = int(np.argmin(L <= MAX_SEGMENT_LENGTH))
+        _cuts(a[:, k % a.shape[1]].tolist(), b[:, k].tolist(), (), r_min)
+    if not singular_points:
+        owner = np.flatnonzero(L)
+        return np.zeros(len(owner)), np.ones(len(owner)), owner, d
+    # closest_approach per (row, point); a zero-length row is NaN from here on
+    r = np.array(singular_points).T[:, None, :] - a[:, :, None]
+    s = np.minimum(np.maximum(np.add.reduce(r * d[:, :, None]) / L2[:, None], 0.0), 1.0)
+    e = r - s * d[:, :, None]
+    dist = np.sqrt(np.add.reduce(e * e))
+    h = dist / (2.0 * L[:, None])
+    hmin = np.fmin.reduce(h, axis=None, initial=np.inf)
+    if np.fmin.reduce(dist, axis=None, initial=np.inf) < r_min or hmin < _H_MIN:
+        k = np.argwhere((dist < r_min) | (h < _H_MIN))[0, 0]
+        _cuts(a[:, k % a.shape[1]].tolist(), b[:, k].tolist(), singular_points, r_min)
+    # s -+ h 2^j until h 2^j >= 1 on every row, clipped to [0, 1] and sorted
+    # row by row; in the flat array the panels are the positive steps
+    c = s[..., None, None] + h[..., None, None] * _POW2[:, :max(1, 2 - math.frexp(hmin)[1])]
+    c = np.sort(np.minimum(np.maximum(c, 0.0), 1.0).reshape(len(L), -1), axis=1).ravel()
+    width = c[1:] - c[:-1]
+    keep = (width > 0.0).nonzero()[0]
+    return c[keep], width[keep], keep // (len(c) // len(L)), d
+
+
+def _panel_sums(field, pan):
+    """16-node Gauss-Legendre integrals over the panels from pan[0, :, i]
+    to pan[0, :, i] + pan[1, :, i], _BLOCK_PANELS per field evaluation;
+    with each its tail |c_12| + ... + |c_15| and its scale
+    sum_j h_j (|fx ex| + |fy ey|), (ex, ey) = pan[1, :, i].  The cuts keep
+    the nodes r_min from the singular points: no distance pass."""
+    if pan.shape[2] > _BLOCK_PANELS:
+        parts = [_panel_sums(field, pan[..., i:i + _BLOCK_PANELS])
+                 for i in range(0, pan.shape[2], _BLOCK_PANELS)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    nodes = pan.transpose(1, 2, 0) @ _GL_NODES   # x0 + ex s_j, y0 + ey s_j
+    vx, vy = field.eval_array(nodes[0].reshape(-1), nodes[1].reshape(-1), 0.0)
+    gx = vx.reshape(-1, _GL_S.size) * pan[1, 0, :, None]
+    gy = vy.reshape(-1, _GL_S.size) * pan[1, 1, :, None]
+    c = (gx + gy) @ _GL_TAIL
+    return c[:, 0], np.abs(c) @ _TAIL_SUM, (np.abs(gx) + np.abs(gy)) @ _GL_H
+
+
+def _row_sums(field, pan, owner, rows):
+    """The panel integrals (see _panel_sums) summed per row, owner giving
+    each panel's row.  Panels whose tail is over _TAIL_TOL of their scale
+    are bisected and integrated again, all rows in one round (Piessens et
+    al., QUADPACK, 1983); past _MAX_REFINE_DEPTH rounds or
+    _MAX_SEGMENT_PANELS added panels on a segment, RefinementLimitError."""
+    out = added = 0.0
+    for _ in range(_MAX_REFINE_DEPTH + 1):
+        sums, tail, scale = _panel_sums(field, pan)
+        bad = tail > _TAIL_TOL * scale
+        if not np.count_nonzero(bad):
+            return out + np.bincount(owner, sums, rows)
+        out = out + np.bincount(owner, np.where(bad, 0.0, sums), rows)
+        owner, half = owner[bad], pan[..., bad] * _HALVE     # (start, width / 2)
+        added = added + np.bincount(owner, minlength=rows)
+        if added.max() > _MAX_SEGMENT_PANELS:
+            break
+        right = half + half[::-1] * _SHIFT                    # (start + width / 2, width / 2)
+        owner, pan = np.tile(owner, 2), np.concatenate([half, right], 2)
+    raise RefinementLimitError("segment quadrature did not converge: the field may vary "
+                               "too fast, or have a singular point that is not declared")
 
 
 def _finite(values, what):
@@ -356,34 +414,36 @@ def _finite(values, what):
 
 def segment_integrals(field, a, bs, r_min=R_MIN_EVAL):
     """Line integrals along the segments a -> b for the rows b of the (n, 2)
-    array bs, from one start point a or from row i of an (n, 2) array a, on
-    _panel_cuts panels; _BLOCK_STATES segments at a time, bounding memory."""
+    array bs, from one start point a (shape (2,) or (1, 2)) or from row i
+    of an (n, 2) array a: _batch_cuts panels refined by _row_sums,
+    _BLOCK_STATES (segment, singular point) pairs at a time, bounding memory."""
     bs = np.asarray(bs, dtype=float).reshape(-1, 2)
-    starts = np.asarray(a, dtype=float)
-    per_row = starts.shape == bs.shape    # else one start point for every row
-    dx, dy = bs[:, 0] - starts[..., 0], bs[:, 1] - starts[..., 1]
+    starts = np.asarray(a, dtype=float).reshape(-1, 2)
     out = np.empty(len(bs))
-    for i in range(0, len(bs), _BLOCK_STATES):
-        j = slice(i, i + _BLOCK_STATES)
-        pairs = zip(starts[j].tolist() if per_row else repeat(a), bs[j].tolist())
-        cuts = [_panel_cuts(p, b, field.singular_points, r_min) for p, b in pairs]
-        counts = np.fromiter(map(len, cuts), np.int64, len(cuts))
-        flat = np.fromiter(chain.from_iterable(cuts), float, counts.sum())
-        owner = np.repeat(np.arange(i, i + len(cuts)), counts)
-        inner = owner[1:] == owner[:-1]   # both cuts on one segment: a panel
-        owner = owner[1:][inner]
-        sums = _panel_sums(field, starts.take(owner, 0).T if per_row else a, flat[:-1][inner],
-                           (flat[1:] - flat[:-1])[inner], dx[owner], dy[owner])
-        out[j] = np.bincount(owner - i, sums, minlength=len(cuts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = max(1, _BLOCK_STATES // max(1, len(field.singular_points)))
+        for i in range(0, len(bs), step):
+            a_j, b_j = (starts[i:i + step] if len(starts) > 1 else starts).T, bs[i:i + step].T
+            lo, width, owner, d = _batch_cuts(a_j, b_j, field.singular_points, r_min)
+            d, pan = d.take(owner, 1), np.empty((2, 2, len(owner)))
+            np.multiply(lo, d, out=pan[0])    # then x0 = ax + lo dx, ...
+            pan[0] += a_j.take(owner, 1) if len(starts) > 1 else a_j
+            np.multiply(width, d, out=pan[1])
+            out[i:i + step] = _row_sums(field, pan, owner, b_j.shape[1])
     return _finite(out, "segment integral")
 
 
 def segment_work(field, a, b, r_min=R_MIN_EVAL):
     """Line integral of the field along the straight segment a -> b: the
-    one-segment case of segment_integrals, without its batch bookkeeping."""
-    cuts = np.array(_panel_cuts(a, b, field.singular_points, r_min))
-    sums = _panel_sums(field, a, cuts[:-1], cuts[1:] - cuts[:-1], b[0] - a[0], b[1] - a[1])
-    return _finite(float(sums.sum()), "segment integral")
+    one-segment case of segment_integrals, with the same cuts and panels
+    but no batch bookkeeping."""
+    cuts = _cuts(a, b, field.singular_points, r_min)
+    (ax, ay), dx, dy = a, b[0] - a[0], b[1] - a[1]
+    pan = np.array([[[lo * dx + ax, lo * dy + ay], [(hi - lo) * dx, (hi - lo) * dy]]
+                    for lo, hi in zip(cuts, cuts[1:])]).reshape(-1, 2, 2).transpose(1, 2, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(_row_sums(field, pan, np.zeros(len(cuts) - 1, np.intp), 1)[0]),
+                       "segment integral")
 
 
 def work(field, path, quad="simpson", r_min=R_MIN_EVAL):

@@ -317,6 +317,20 @@ def test_punctures_too_close_to_separate_are_refused_by_name():
     assert len(atlas_for(((0, 0), (0, 1e-3))).ids) == 6
 
 
+@pytest.mark.parametrize("d", [4e-9, 5e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6 - 1e-12, 1e-6])
+def test_close_punctures_classify_or_are_refused_by_name(d):
+    # the vortex with a second puncture declared d to its right: overlap
+    # samples between the two used to end potential segments within
+    # R_MIN_EVAL of a puncture (exit 2) for d up to about 6e-8
+    field = from_components("-y/(x^2+y^2)", "x/(x^2+y^2)", ((0.0, 0.0), (d, 0.0)))
+    if d < 1e-6:
+        with pytest.raises(ValidationError, match="too close together") as refused:
+            classify(field)
+        assert "(0.0, 0.0)" in str(refused.value) and f"({d!r}, 0.0)" in str(refused.value)
+    else:
+        assert classify(field) == "closed-not-exact"
+
+
 def test_overlap_sample_count_is_capped_before_anything_is_allocated(monkeypatch):
     ps = PotentialSet.from_field(vortex(), quadrant_atlas())
 

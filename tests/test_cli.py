@@ -525,6 +525,12 @@ def test_work_near_the_double_range_is_finite_or_exits_2(capsys):
         assert err.startswith("numeric failure: non-finite")
 
 
+def test_an_undeclared_pole_on_a_polyline_exits_2(capsys):
+    code, out, err = invoke(capsys, "work", "--field", "1/(x-1/3);0", "--path", "poly:0,0;1,0")
+    assert code == 2 and out == ""
+    assert err.startswith("numeric failure: segment quadrature did not converge")
+
+
 def test_non_finite_singular_points_exit_1(capsys):
     code, out, err = invoke(capsys, "classify", "--field", "1;0", "--singular", "nan,0")
     assert code == 1 and out == ""

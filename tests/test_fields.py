@@ -1,6 +1,7 @@
 """Line integrals, winding numbers, and closedness probes for plane fields."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locmech import fields
-from locmech.errors import NonFiniteError, SingularityError, ValidationError
+from locmech.errors import (
+    NonFiniteError,
+    NumericError,
+    RefinementLimitError,
+    SingularityError,
+    ValidationError,
+)
 from locmech.exprlang import parse_expr
 from locmech.fields import (
     MAX_CLOSEDNESS_GRID,
@@ -108,7 +115,7 @@ def test_segment_work_passing_close_to_the_puncture(d):
 
 def test_segment_work_of_an_oscillating_gradient():
     # grad of sin(3x) cos(2y) along a chord of length 5, far from any
-    # singular point, so only the uniform panel grid is at work
+    # singular point: no cut, so bisection on the Legendre tail does it all
     field = from_components("3*cos(3*x)*cos(2*y)", "-2*sin(3*x)*sin(2*y)")
     got = segment_work(field, (1.0, 1.0), (4.0, -3.0))
     exact = math.sin(12.0) * math.cos(-6.0) - math.sin(3.0) * math.cos(2.0)
@@ -129,9 +136,14 @@ def test_segment_integrals_batch_matches_single_segments():
     got = segment_integrals(field, starts, ends)
     for v, a, b in zip(got, starts, ends):
         assert abs(v - segment_work(field, a, b)) <= 1e-15 * (1.0 + abs(v))
+    # one start point given as a one-row array
+    ends = [(2.0, 0.5), (0.5, 2.0)]
+    got = segment_integrals(field, np.array([[1.0, 1.0]]), ends)
+    assert got.tolist() == segment_integrals(field, (1.0, 1.0), ends).tolist()
+    assert got == pytest.approx([segment_work(field, (1.0, 1.0), b) for b in ends], abs=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")   # the 1e308 rows
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # numpy's overflow stays inside
 def test_segment_kernel_refusals():
     with pytest.raises(NonFiniteError):
         segment_work(vortex(), (1.0, 0.0), (math.nan, 1.0))
@@ -159,6 +171,105 @@ def test_segment_kernel_refusals():
         segment_integrals(huge, (0.0, 0.0), [(1.0, 0.0), (10.0, 0.0)])
     with pytest.raises(NonFiniteError):
         work(huge, circle_path(0.0, 0.0, 10.0))
+
+
+def _swept(a, b, p=(0.0, 0.0)):
+    """The angle the chord a -> b sweeps about p, from the exact cross and
+    dot products of a - p and b - p: within an ulp or two of the truth."""
+    ax, ay, bx, by = (Fraction(u) - Fraction(w) for u, w in zip((*a, *b), (*p, *p)))
+    return math.atan2(float(ax * by - ay * bx), float(ax * bx + ay * by))
+
+
+def test_a_fast_gradient_with_no_singular_point_is_refined_to_its_potential():
+    # phi = sin(40x) cos(3y): no cut at all, so every panel comes from
+    # bisection on the Legendre tail, up to about 25 waves per chord
+    field = from_components("40*cos(40*x)*cos(3*y)", "-3*sin(40*x)*sin(3*y)")
+    rng = np.random.default_rng(40)
+    a, b = rng.uniform(-2.0, 2.0, (2, 500, 2))
+    phi = np.sin(40.0 * b[:, 0]) * np.cos(3.0 * b[:, 1]) - np.sin(40.0 * a[:, 0]) * np.cos(3.0 * a[:, 1])
+    got = segment_integrals(field, a, b)
+    assert np.abs(got - phi).max() < 1e-12
+    for k in range(0, 500, 50):
+        assert segment_work(field, tuple(a[k]), tuple(b[k])) == pytest.approx(got[k], abs=1e-14)
+
+
+def test_two_punctures_1e_3_apart_sum_both_angles():
+    points = ((0.0, 0.0), (1e-3, 0.0))
+    field = from_components("-y/(x^2+y^2)-y/((x-1e-3)^2+y^2)",
+                            "x/(x^2+y^2)+(x-1e-3)/((x-1e-3)^2+y^2)", points)
+    rng = np.random.default_rng(3)
+    a, b = (5e-4, 0.0) + rng.uniform(-0.01, 0.01, (2, 500, 2))
+    clear = [min(closest_approach(p, q, c)[1] for c in points) > 1e-5 for p, q in zip(a, b)]
+    a, b = a[clear], b[clear]
+    exact = [sum(_swept(p, q, c) for c in points) for p, q in zip(a, b)]
+    assert np.abs(segment_integrals(field, a, b) - exact).max() < 1e-13
+
+
+def test_the_legendre_tail_bounds_the_error_on_vortex_chords(monkeypatch):
+    # the tail |c_12| + ... + |c_15| of a lone panel bounds its error where
+    # truncation dominates, the puncture 0.02 to 2 panel widths away ...
+    for delta in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
+        sums, tail, _ = fields._panel_sums(vortex(), np.array([[[-0.5], [delta]], [[1.0], [0.0]]]))
+        assert abs(sums[0] - _swept((-0.5, delta), (0.5, delta))) <= tail[0]
+    # ... and summed over the panels the kernel keeps, it bounds the error
+    # of whole chords, near the puncture and far from it
+    kept, panel_sums = [], fields._panel_sums
+
+    def recorded(field, pan):
+        sums, tail, scale = panel_sums(field, pan)
+        kept.extend(tail[tail <= fields._TAIL_TOL * scale])
+        return sums, tail, scale
+
+    monkeypatch.setattr(fields, "_panel_sums", recorded)
+    rng = np.random.default_rng(12)
+    for a, b in np.concatenate([rng.uniform(-3.0, 3.0, (400, 2, 2)),
+                                rng.uniform(-0.01, 0.01, (400, 2, 2))]):
+        if closest_approach(a, b, (0.0, 0.0))[1] < 1e-6:
+            continue
+        kept.clear()
+        got = segment_work(vortex(), tuple(a), tuple(b))
+        assert abs(got - _swept(a, b)) <= sum(kept)
+
+
+@pytest.mark.parametrize("fx, end", [
+    ("1/(x-1/3)", (1.0, 0.0)),      # a pole on the chord that nobody declared
+    ("cos(1e5*x)", (100.0, 0.0)),   # a million waves along the chord
+])
+def test_an_unresolvable_integrand_exits_2_in_bounded_work(fx, end, monkeypatch):
+    field = from_components(fx, "0")
+    calls, eval_array = [], fields.FieldOneForm.eval_array
+
+    def counted(self, xs, ys, r_min=R_MIN_EVAL):
+        calls.append(len(xs))
+        return eval_array(self, xs, ys, r_min)
+
+    monkeypatch.setattr(fields.FieldOneForm, "eval_array", counted)
+    for integrate in (segment_work, lambda f, a, b: segment_integrals(f, a, [b])):
+        calls.clear()
+        with pytest.raises(NumericError):
+            integrate(field, (0.0, 0.0), end)
+        # at most _MAX_REFINE_DEPTH + 1 rounds of at most
+        # _MAX_SEGMENT_PANELS panels of 16 nodes
+        assert sum(calls) <= (fields._MAX_REFINE_DEPTH + 1) * fields._MAX_SEGMENT_PANELS * 16
+    with pytest.raises(RefinementLimitError):
+        segment_work(field, (0.0, 0.0), end)
+
+
+def test_segment_work_cuts_are_the_batch_rows_cuts_bit_for_bit():
+    rng = np.random.default_rng(7)
+    points = ((0.0, 0.0), (0.5, -0.25), (0.5 + 1e-7, -0.25))
+    a = rng.uniform(-2.0, 2.0, (300, 2))
+    b = np.concatenate([rng.uniform(-2.0, 2.0, (200, 2)), a[200:250],   # zero length
+                        rng.uniform(-1e-6, 1e-6, (50, 2))])             # ending near (0, 0)
+    for sp in (points[:1], points, ()):
+        for start in (a, a[:1]):
+            with np.errstate(invalid="ignore"):   # the zero-length rows
+                lo, width, owner, _ = fields._batch_cuts(start.T, b.T, sp, R_MIN_EVAL)
+            for i in range(len(b)):
+                cuts = fields._cuts(tuple(start[i % len(start)]), tuple(b[i]), sp, R_MIN_EVAL)
+                row = owner == i
+                assert lo[row].tolist() == cuts[:-1]
+                assert width[row].tolist() == [q - p for p, q in zip(cuts, cuts[1:])]
 
 
 def test_exact_field_has_zero_loop_work():
