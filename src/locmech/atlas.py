@@ -26,7 +26,7 @@ from .errors import (
     NerveDisconnectedError,
     ValidationError,
 )
-from .fields import segment_integrals, segment_work
+from .fields import R_MIN_EVAL, segment_integrals, segment_work
 
 _CONSTRAINT_TOL = 1e-9
 _SINGULAR_MARGIN = 1e-6
@@ -199,9 +199,10 @@ def _meet(charts, k):
     not meet; a point region that is a singular point counts as empty.  A
     singular point inside a segment region splits it, and one inside a
     polygon region spoils star-shapedness: an atlas fault, ValidationError.
-    The samples are C + t*(S - C), t in (0, 1), for the corners S of the
+    The samples are C + t*(S - C), t in (0, 1/2), for the corners S of the
     region's part in the box around the basepoints and singular points
-    (widened by 1, then grown until it meets the region) and C their mean.
+    (widened by 1, then grown until it meets the region) and C their mean:
+    a sample on a segment is over a quarter of its length from either end.
     """
     cons = [c for ch in charts for c in ch.constraints]
     singular = sorted(set().union(*(ch.singular_points for ch in charts)))
@@ -229,7 +230,7 @@ def _meet(charts, k):
         part = region
     mid = part.mean(0)
     i = np.arange(k)
-    t = (i // len(part) + 1) / (-(-k // len(part)) + 1)
+    t = (i // len(part) + 1) / (2 * (-(-k // len(part)) + 1))
     return mid + t[:, None] * (part[i % len(part)] - mid)
 
 
@@ -266,10 +267,15 @@ def atlas_for(punctures):
     v = (-uy, ux)
     cuts = sorted(points, key=lambda p: p[0] * ux + p[1] * uy) or [(0.0, 0.0)]
     for p, q in zip(cuts, cuts[1:]):
-        # the strip between them holds basepoints half way, and overlap
-        # samples on the segment pq whose potential segments must pass
-        # fields.R_MIN_EVAL clear of both: _SINGULAR_MARGIN leaves room
-        if (q[0] - p[0]) * ux + (q[1] - p[1]) * uy < _SINGULAR_MARGIN:
+        # the strip between them holds basepoints half way, _CONSTRAINT_TOL
+        # inside each wall, and overlap samples on pq over a quarter of the
+        # way in, so potential segments pass R_MIN_EVAL clear of both; a
+        # kernel node there lies within eps |p| of its place, which turns the
+        # angle it reads by 4 eps |p| / gap: keep that a quarter of the
+        # cocycle's tol
+        gap = (q[0] - p[0]) * ux + (q[1] - p[1]) * uy
+        if gap < max(4.0 * max(_CONSTRAINT_TOL, R_MIN_EVAL), 16.0 * np.finfo(float).eps
+                     * max(map(abs, p + q)) / COCYCLE_SPREAD_TOL):
             raise ValidationError(f"punctures {p} and {q} are too close together to "
                                   "separate by a chart wall")
     n = len(cuts)

@@ -52,14 +52,17 @@ _GL_H = 0.5 * _GL_W             # weights on [0, 1]; they sum to 1, so only an
 # interpolant of the node values g_j; column 0 is _GL_H, the panel integral
 _GL_TAIL = (np.polynomial.legendre.legvander(_GL_X, 15)
             * (_GL_H[:, None] * (2.0 * np.arange(16) + 1.0)))[:, [0, 12, 13, 14, 15]]
-_TAIL_SUM = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+_TAIL_SUM = np.array([0.0, 1.0, 1.0, 1.0, 1.0])   # |c_12| + ... + |c_15| as a product
+_GL_NODES = np.stack([np.ones(16), _GL_S])        # (start, width) -> the 16 nodes
 # Exact to degree 31: a tail of q * scale at degree 12, falling geometrically,
 # leaves about q^(32/12) * scale past 31, under the terms' rounding eps * scale
 # once q <= eps^(3/8) (Trefethen, ATAP ch. 8 and 19)
 _TAIL_TOL = np.finfo(float).eps ** 0.375
+# A kink where the integrand vanishes, or a jump, keeps a panel's q as it
+# halves; such a panel is kept once its tail is under eps^(3/4) of its
+# row's scale, about 20 halvings for a kink and 40 for a jump
+_ROW_TOL = np.finfo(float).eps ** 0.75
 _MAX_SEGMENT_PANELS = 4096      # bounds the work and memory of one segment
-_GL_NODES = np.stack([np.ones(16), _GL_S])        # (start, width) -> the 16 nodes
-_HALVE, _SHIFT = np.array([[[1.0]], [[0.5]]]), np.array([[[1.0]], [[0.0]]])
 _POW2 = np.ldexp([[-1.0], [1.0]], np.arange(1024))    # -2^j and 2^j, exact
 _H_MIN = np.finfo(float).tiny   # least first cut offset h: h 2^j passes 1 within _POW2
 _BLOCK_PANELS = 512             # panels per field evaluation (8 192 nodes)
@@ -384,22 +387,29 @@ def _panel_sums(field, pan):
 
 def _row_sums(field, pan, owner, rows):
     """The panel integrals (see _panel_sums) summed per row, owner giving
-    each panel's row.  Panels whose tail is over _TAIL_TOL of their scale
-    are bisected and integrated again, all rows in one round (Piessens et
-    al., QUADPACK, 1983); past _MAX_REFINE_DEPTH rounds or
-    _MAX_SEGMENT_PANELS added panels on a segment, RefinementLimitError."""
+    each panel's row.  A panel whose tail is over _TAIL_TOL of its scale
+    and over _ROW_TOL of its row's first-round scale is bisected and
+    integrated again, all rows in one round (Piessens et al., QUADPACK,
+    1983); past _MAX_REFINE_DEPTH rounds or _MAX_SEGMENT_PANELS added
+    panels on a segment, RefinementLimitError."""
     out = added = 0.0
-    for _ in range(_MAX_REFINE_DEPTH + 1):
+    for depth in range(_MAX_REFINE_DEPTH + 1):
         sums, tail, scale = _panel_sums(field, pan)
         bad = tail > _TAIL_TOL * scale
+        if np.count_nonzero(bad):
+            if not depth:
+                floor = _ROW_TOL * np.bincount(owner, scale, rows)
+            bad &= tail > floor[owner]
         if not np.count_nonzero(bad):
             return out + np.bincount(owner, sums, rows)
         out = out + np.bincount(owner, np.where(bad, 0.0, sums), rows)
-        owner, half = owner[bad], pan[..., bad] * _HALVE     # (start, width / 2)
+        owner, half = owner[bad], pan[..., bad]     # a copy: (start, width)
         added = added + np.bincount(owner, minlength=rows)
         if added.max() > _MAX_SEGMENT_PANELS:
             break
-        right = half + half[::-1] * _SHIFT                    # (start + width / 2, width / 2)
+        half[1] *= 0.5
+        right = half.copy()
+        right[0] += half[1]
         owner, pan = np.tile(owner, 2), np.concatenate([half, right], 2)
     raise RefinementLimitError("segment quadrature did not converge: the field may vary "
                                "too fast, or have a singular point that is not declared")

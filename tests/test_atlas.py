@@ -317,18 +317,36 @@ def test_punctures_too_close_to_separate_are_refused_by_name():
     assert len(atlas_for(((0, 0), (0, 1e-3))).ids) == 6
 
 
-@pytest.mark.parametrize("d", [4e-9, 5e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6 - 1e-12, 1e-6])
-def test_close_punctures_classify_or_are_refused_by_name(d):
-    # the vortex with a second puncture declared d to its right: overlap
+def _two_vortices(p, q):
+    terms = [(f"(y-({b!r}))", f"(x-({a!r}))", f"((x-({a!r}))^2+(y-({b!r}))^2)") for a, b in (p, q)]
+    return from_components("+".join(f"-{u}/{r}" for u, _, r in terms),
+                           "+".join(f"{v}/{r}" for _, v, r in terms), (p, q))
+
+
+@pytest.mark.parametrize("d", [4e-9, 5e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6])
+def test_close_punctures_classify(d):
+    # a second puncture declared d to the right of the vortex: overlap
     # samples between the two used to end potential segments within
-    # R_MIN_EVAL of a puncture (exit 2) for d up to about 6e-8
+    # R_MIN_EVAL of a puncture (exit 2), for d up to about 6e-8 at the
+    # default 32 samples and up to 1e-6 at 1 000
     field = from_components("-y/(x^2+y^2)", "x/(x^2+y^2)", ((0.0, 0.0), (d, 0.0)))
-    if d < 1e-6:
+    assert classify(field) == "closed-not-exact"
+    ps = PotentialSet.from_field(field, atlas_for(field.singular_points))
+    assert max(cocycle(ps, samples=1000).spreads.values()) < 1e-12
+    with pytest.raises(ValidationError, match="too close together"):
+        atlas_for(((0.0, 0.0), (0.975 * 4e-9, 0.0)))
+
+
+def test_close_punctures_away_from_the_origin_classify_or_are_refused_by_name():
+    # rounding in the kernel's nodes near (0.3, -1.7) turns the angles read
+    # between punctures 1e-8 apart by about 1e-7, the cocycle's tolerance
+    p = (0.3, -1.7)
+    for d in (1e-8, 5e-8):
         with pytest.raises(ValidationError, match="too close together") as refused:
-            classify(field)
-        assert "(0.0, 0.0)" in str(refused.value) and f"({d!r}, 0.0)" in str(refused.value)
-    else:
-        assert classify(field) == "closed-not-exact"
+            classify(_two_vortices(p, (p[0] + d, p[1])))
+        assert "(0.3, -1.7)" in str(refused.value) and f"({p[0] + d!r}, -1.7)" in str(refused.value)
+    for d in (1e-7, 1e-6):
+        assert classify(_two_vortices(p, (p[0] + d, p[1]))) == "closed-not-exact"
 
 
 def test_overlap_sample_count_is_capped_before_anything_is_allocated(monkeypatch):

@@ -531,6 +531,13 @@ def test_an_undeclared_pole_on_a_polyline_exits_2(capsys):
     assert err.startswith("numeric failure: segment quadrature did not converge")
 
 
+def test_a_kink_on_a_polyline_is_integrated(capsys):
+    # |x| vanishes at its kink, 3/13 of the way along: no panel around it
+    # ever shrinks its tail relative to its own scale
+    code, out, _ = invoke(capsys, "work", "--field", "abs(x);0", "--path", "poly:-0.3,0;1,0")
+    assert code == 0 and json.loads(out)["work"] == pytest.approx(0.545, abs=1e-12)
+
+
 def test_non_finite_singular_points_exit_1(capsys):
     code, out, err = invoke(capsys, "classify", "--field", "1;0", "--singular", "nan,0")
     assert code == 1 and out == ""

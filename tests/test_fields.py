@@ -255,6 +255,26 @@ def test_an_unresolvable_integrand_exits_2_in_bounded_work(fx, end, monkeypatch)
         segment_work(field, (0.0, 0.0), end)
 
 
+def _integral_of_atan(y):
+    return y * math.atan(y) - 0.5 * math.log1p(y * y)
+
+
+@pytest.mark.parametrize("fx, fy, a, b, exact", [
+    # a kink where the integrand vanishes, 3/13 of the way along
+    ("abs(x)", "0", (-0.3, 0.0), (1.0, 0.0), 0.545),
+    # the atan2 branch cut, crossed 3/13 of the way along: a jump of 2 pi
+    ("0", "atan2(y,x)", (-1.0, -0.3), (-1.0, 1.0),
+     0.7 * math.pi - _integral_of_atan(1.0) + _integral_of_atan(-0.3)),
+])
+def test_a_kink_or_a_jump_off_the_dyadic_points_is_integrated(fx, fy, a, b, exact):
+    # the panel holding it keeps its tail-to-scale ratio as it halves, and
+    # is kept once its tail is small beside the whole chord's scale
+    field = from_components(fx, fy)
+    assert segment_work(field, a, b) == pytest.approx(exact, abs=1e-12)
+    got = segment_integrals(field, [a, b], [b, a])
+    assert got == pytest.approx([exact, -exact], abs=1e-12)
+
+
 def test_segment_work_cuts_are_the_batch_rows_cuts_bit_for_bit():
     rng = np.random.default_rng(7)
     points = ((0.0, 0.0), (0.5, -0.25), (0.5 + 1e-7, -0.25))
