@@ -16,6 +16,7 @@ obstruction story in computable form.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -122,12 +123,43 @@ class Atlas:
                 return cid
         return None
 
+    @cached_property
+    def _rules(self):
+        """For locate: every chart's half-planes as (K, 1) columns a, b, c,
+        then 0x + 0y >= 0, which holds at finite points only (it is NaN
+        elsewhere); the singular points as (H, 1) columns; and which charts
+        each of these rules out.  The last row, ruled out by none, stands
+        for no chart."""
+        charts = list(self.charts.values())
+        planes = [abc for ch in charts for abc in ch.constraints] + [(0.0, 0.0, 0.0)]
+        holes = sorted(set().union(*(ch.singular_points for ch in charts)))
+        owner = np.repeat(np.arange(len(charts)), [len(ch.constraints) for ch in charts])
+        rules_out = np.zeros((len(charts) + 1, len(planes) + len(holes)))
+        rules_out[owner, np.arange(len(owner))] = 1.0
+        rules_out[:-1, len(owner)] = 1.0
+        for k, s in enumerate(holes, len(planes)):
+            rules_out[:-1, k] = [s in ch.singular_points for ch in charts]
+        return (*np.array(planes).T[:, :, None], *np.reshape(holes, (-1, 2)).T[:, :, None],
+                rules_out)
+
+    def locate(self, xs, ys, tol=_CONSTRAINT_TOL):
+        """chart_for at every point of the 1-d arrays xs, ys at once: the
+        index in ids of the lowest-id chart containing each point, or
+        len(ids) where none does.  Each constraint value is the
+        a*x + b*y - c of Chart.contains, so the two agree point for point."""
+        a, b, c, hx, hy, rules_out = self._rules
+        with np.errstate(invalid="ignore", over="ignore"):
+            fails = ~(a * xs + b * ys - c >= -tol)   # NaN fails
+        hole = xs == hx
+        if np.count_nonzero(hole):      # rare: only then test y too
+            fails = np.concatenate([fails, hole & (ys == hy)])
+        # rules failed per chart, a small whole number; the first chart with none
+        return (rules_out[:, :len(fails)] @ fails).argmin(0)
+
     def covers(self, points, tol=_CONSTRAINT_TOL):
-        missing = tuple(
-            (float(p[0]), float(p[1]))
-            for p in points
-            if self.chart_for(p, tol) is None
-        )
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        found = self.locate(pts[:, 0], pts[:, 1], tol) < len(self.charts)
+        missing = tuple(map(tuple, pts[~found].tolist()))
         return CoverageReport(not missing, missing)
 
     def overlap_samples(self, i, j, k=DEFAULT_OVERLAP_SAMPLES):
@@ -386,6 +418,16 @@ class PotentialSet:
         self.atlas = atlas
         self.evaluators = evaluators
         self.gauges = dict(gauges)
+
+    @cached_property
+    def basepoints(self):
+        """The charts' basepoints in id order, as an (n, 2) array."""
+        return np.array([ch.basepoint for ch in self.atlas.charts.values()])
+
+    @cached_property
+    def gauge_array(self):
+        """The gauges in id order."""
+        return np.array([self.gauges[cid] for cid in self.atlas.ids])
 
     @classmethod
     def from_field(cls, field, atlas, gauges=None):

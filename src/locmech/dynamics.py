@@ -9,13 +9,24 @@ the cocycle entry of that overlap.
 Leapfrog (kick-drift-kick) is the primary integrator: symplectic,
 time-reversible, O(h^2).  A classical RK4 integrator is kept alongside
 as a cross-check reference, not as the default.
+
+simulate steps in a bare loop that keeps only the state and the r_min
+guard, and books everything else in numpy once per chunk of steps:
+the angles about each singular point and the step-angle guard, the
+chart of each state (Atlas.locate), the Simpson midpoint forces, work,
+p_theta and the chart hops.  The run is cut at the first step that
+fails any guard, in the order a step-by-step loop checks them, so the
+log is the same; an abort's cause is kept as tr.abort.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 
 import numpy as np
 
+from .atlas import PotentialSet
 from .atlas import cocycle as build_cocycle
 from .errors import (
     DomainEvalError,
@@ -26,7 +37,6 @@ from .errors import (
 from .fields import (
     TAU,
     circulation,
-    principal_angle_diff,
     segment_integrals,
     unwrapped_angle,
 )
@@ -35,6 +45,7 @@ SIM_R_MIN = 1e-3
 STEP_ANGLE_GUARD = 3.0   # radians per step; < pi so unwrapping stays unambiguous
 MAX_STEPS = 1_000_000    # ~100 MB of logged columns and about half a minute of stepping
 INTEGRATORS = ("leapfrog", "rk4")
+_CHUNK = 4096            # steps per bookkeeping pass: ~1 MB of floats in flight
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,16 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
+class Abort:
+    """Why a run stopped early: the step that failed, the guard it failed
+    (singularity, step-guard, coverage or evaluation) and, for the first
+    two, the distance to the singular point or the angle swept."""
+    step: int
+    guard: str
+    value: float | None
+
+
+@dataclass(frozen=True)
 class Transition:
     t: float
     from_chart: int
@@ -62,7 +83,7 @@ class Transition:
 class Trajectory:
     """Column-oriented log of a run: one array per logged quantity."""
 
-    def __init__(self, cfg, arrays, transitions, status, abort_reason=None):
+    def __init__(self, cfg, arrays, transitions, status, abort_reason=None, abort=None):
         self.config = cfg
         self.field = cfg.field
         self.atlas = cfg.atlas
@@ -74,6 +95,7 @@ class Trajectory:
         self.transitions = tuple(transitions)
         self.status = status
         self.abort_reason = abort_reason
+        self.abort = abort
 
     @property
     def n_states(self):
@@ -115,136 +137,196 @@ def simulate(cfg, potentials=None):
     """Integrate and log the run; aborts are clean partial trajectories.
 
     status is one of completed, aborted-singularity, aborted-step-guard,
-    aborted-coverage, aborted-evaluation.
-    """
-    from .atlas import PotentialSet
+    aborted-coverage, aborted-evaluation; tr.abort is the cause of an abort
+    (an Abort) and None for a completed run.
 
+    The step loop keeps only what feeds back into the state: the stepper,
+    with its force calls, and the r_min guard.  After every _CHUNK steps
+    one numpy pass books the rest (the angles and the step-angle guard, the
+    charts and coverage, the Simpson midpoint forces, work_acc, p_theta and
+    the chart hops) and cuts the run at the first step that fails a guard.
+    A run so steps up to one chunk past its abort, but logs what stepping
+    and booking one step at a time would log.
+    """
     _validate_config(cfg, potentials)
     ps = potentials or PotentialSet.from_field(cfg.field, cfg.atlas)
-    field, atlas, m, h = cfg.field, cfg.atlas, cfg.m, cfg.h
+    field, h, m, r_min = cfg.field, cfg.h, cfg.m, cfg.r_min
     n_steps = int(round(cfg.T / h))
     if n_steps < 1:
         raise ValidationError("T too small for the step size")
     singulars = field.singular_points
-    n_sing = len(singulars)
-    cx, cy = field.center
-
-    qx = np.empty(n_steps + 1)
-    qy = np.empty(n_steps + 1)
-    px = np.empty(n_steps + 1)
-    py = np.empty(n_steps + 1)
-    chart = np.empty(n_steps + 1, dtype=np.int64)
-    theta = np.empty((n_steps + 1, n_sing))
-    work_acc = np.empty(n_steps + 1)
-    p_theta = np.empty(n_steps + 1)
 
     x, y = float(cfg.q0[0]), float(cfg.q0[1])
     vx, vy = float(cfg.p0[0]), float(cfg.p0[1])
-    qx[0], qy[0], px[0], py[0] = x, y, vx, vy
-    chart[0] = atlas.chart_for((x, y))
-    for s_idx, (sx, sy) in enumerate(singulars):
-        theta[0, s_idx] = math.atan2(y - sy, x - sx)
-    work_acc[0] = 0.0
-    p_theta[0] = (x - cx) * vy - (y - cy) * vx
-
-    transitions = []
-    status, reason = "completed", None
-    filled = 1
-
     force = field.eval_at
     try:
         fx, fy = force(x, y)
     except (DomainEvalError, NonFiniteError, SingularityError) as exc:
         raise ValidationError(f"force undefined at q0: {exc}") from None
-
     stepper = _leapfrog_step if cfg.integrator == "leapfrog" else _rk4_step
 
-    for k in range(n_steps):
-        try:
-            nx, ny, npx, npy, nfx, nfy = stepper(x, y, vx, vy, fx, fy, h, m, force)
-        except (DomainEvalError, NonFiniteError, SingularityError) as exc:
-            status, reason = "aborted-evaluation", str(exc)
-            break
-
-        hit = False
-        for sx, sy in singulars:
-            if math.hypot(nx - sx, ny - sy) < cfg.r_min:
-                status = "aborted-singularity"
-                reason = (
-                    f"step {k + 1} came within r_min={cfg.r_min} of ({sx}, {sy})"
-                )
-                hit = True
+    book = _Books(cfg, ps)
+    cause = None
+    while book.steps < n_steps and cause is None:
+        flat = [x, y, vx, vy, fx, fy]     # the last state kept, then one per step
+        extend = flat.extend
+        for k in range(book.steps + 1, min(book.steps + _CHUNK, n_steps) + 1):
+            try:
+                s = stepper(x, y, vx, vy, fx, fy, h, m, force)
+            except (DomainEvalError, NonFiniteError, SingularityError) as exc:
+                cause = Abort(k, "evaluation", None), str(exc)
                 break
-        if hit:
+            x, y, vx, vy, fx, fy = s
+            for sx, sy in singulars:
+                dist = math.hypot(x - sx, y - sy)
+                if dist < r_min:
+                    break
+            else:
+                extend(s)
+                continue
+            cause = (Abort(k, "singularity", dist),
+                     f"step {k} came within r_min={r_min} of ({sx}, {sy})")
             break
+        cause = book.chunk(flat) or cause
+        x, y, vx, vy, fx, fy = flat[-6:]
+    del flat, extend    # up to a megabyte of floats: free before the post-pass
+    return book.trajectory(*cause or (None, None))
 
-        guard = False
-        for s_idx, (sx, sy) in enumerate(singulars):
-            d = principal_angle_diff(
-                math.atan2(ny - sy, nx - sx), math.atan2(y - sy, x - sx)
-            )
-            if abs(d) >= STEP_ANGLE_GUARD:
-                status = "aborted-step-guard"
-                reason = (
-                    f"step {k + 1} swept {d:.3f} rad about ({sx}, {sy}); "
-                    "reduce h"
-                )
-                guard = True
-                break
-            theta[filled, s_idx] = theta[filled - 1, s_idx] + d
-        if guard:
-            break
 
-        new_chart = atlas.chart_for((nx, ny))
-        if new_chart is None:
-            status = "aborted-coverage"
-            reason = f"step {k + 1} left the atlas at ({nx}, {ny})"
-            break
+class _Books:
+    """The logged columns of a run, booked a chunk of steps at a time."""
 
-        # running work by one Simpson panel on the step chord; endpoint
-        # forces are already in hand, only the midpoint costs an eval
-        mx, my = 0.5 * (x + nx), 0.5 * (y + ny)
-        try:
-            mfx, mfy = force(mx, my)
-        except (DomainEvalError, NonFiniteError, SingularityError) as exc:
-            status, reason = "aborted-evaluation", str(exc)
-            break
-        dxs, dys = nx - x, ny - y
-        dw = (
-            (fx * dxs + fy * dys)
-            + 4.0 * (mfx * dxs + mfy * dys)
-            + (nfx * dxs + nfy * dys)
-        ) / 6.0
+    def __init__(self, cfg, ps):
+        self.cfg, self.ps = cfg, ps
+        self.points = cfg.field.singular_points
+        self.center = np.reshape(cfg.field.center, (2, 1))
+        self.steps = 0          # steps kept so far
+        self.theta = None       # the angles and the work at the last state kept
+        self.work = 0.0
+        self.blocks = []
+        self.transitions = []
 
-        # the state is kept: log its chart hop
-        old_chart = int(chart[filled - 1])
-        if new_chart != old_chart:
-            transitions.append(_log_transition(
-                atlas, ps, old_chart, new_chart, (x, y), (nx, ny), (k + 1) * h, h,
+    def chunk(self, flat):
+        """Book the states of flat, six numbers each (x, y, px, py, fx, fy):
+        the last state kept, then one per step.  Keeps them up to the first
+        step that fails a guard, and returns that step's (Abort, reason), or
+        None if all pass."""
+        field, atlas, done = self.cfg.field, self.cfg.atlas, self.steps
+        state = np.fromiter(flat, float, len(flat)).reshape(-1, 6).T.copy()
+        end, cause = state.shape[1] - 1, None   # steps kept; why the next one is not
+        row = atlas.locate(state[0], state[1])  # each state's chart, as its index in ids
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta, swept = self._angles(flat[0::6], flat[1::6])
+            if swept is not None:
+                end, j, r = swept
+                sx, sy = self.points[j]
+                cause = (Abort(done + end + 1, "step-guard", r),
+                         f"step {done + end + 1} swept {r:.3f} rad about ({sx}, {sy}); reduce h")
+            k = int(row.argmax())
+            if k <= end and row[k] == len(atlas.charts):
+                end, cause = k - 1, (Abort(done + k, "coverage", None),
+                                     f"step {done + k} left the atlas at "
+                                     f"({flat[6 * k]}, {flat[6 * k + 1]})")
+            # one Simpson panel of work on each step chord: the endpoint
+            # forces are in hand, the midpoints cost one bulk evaluation
+            mfx, mfy, failed = _midpoint_forces(
+                field, *(0.5 * (state[:2, :end] + state[:2, 1:end + 1])))
+            if failed is not None:
+                end, exc = failed
+                cause = Abort(done + end + 1, "evaluation", None), str(exc)
+            state, row = state[:, :end + 1], row[:end + 1]
+            d = state[:2, 1:] - state[:2, :-1]
+            a, b = state[4:, :-1] * d, state[4:, 1:] * d
+            work = np.empty(end + 1)
+            work[0] = self.work
+            np.divide((a[0] + a[1]) + 4.0 * (mfx * d[0] + mfy * d[1]) + (b[0] + b[1]), 6.0,
+                      out=work[1:])
+            np.add.accumulate(work, out=work)
+            theta = np.add.accumulate(theta[:end + 1], out=theta[:end + 1])
+            lever = (state[:2] - self.center) * state[3:1:-1]   # (x - cx) py, (y - cy) px
+        X, Y = state[0], state[1]
+        for k in _chart_changes(row).tolist():
+            self.transitions.append(_log_transition(
+                atlas, self.ps, atlas.ids[row[k - 1]], atlas.ids[row[k]],
+                (float(X[k - 1]), float(Y[k - 1])), (float(X[k]), float(Y[k])),
+                (done + k) * self.cfg.h, self.cfg.h,
             ))
+        first = 0 if self.theta is None else 1     # row 0 is booked already
+        self.blocks.append((state[:4, first:], row[first:], theta[first:], work[first:],
+                            lever[0, first:] - lever[1, first:]))
+        self.steps, self.theta, self.work = done + end, theta[-1], work[-1]
+        return cause
 
-        qx[filled], qy[filled] = nx, ny
-        px[filled], py[filled] = npx, npy
-        chart[filled] = new_chart
-        work_acc[filled] = work_acc[filled - 1] + dw
-        p_theta[filled] = (nx - cx) * npy - (ny - cy) * npx
-        filled += 1
-        x, y, vx, vy, fx, fy = nx, ny, npx, npy, nfx, nfy
+    def _angles(self, xs, ys):
+        """The angle of each state (coordinates in the lists xs, ys) about
+        each singular point, less its predecessor's (row 0: the angle kept
+        last, or the first one), by math.atan2 and math.remainder as the
+        scalar rule takes them; and (step, point, angle) of the first step
+        that sweeps STEP_ANGLE_GUARD or more, or None.  A difference under
+        3 < pi is its own principal value: only larger ones need remainder."""
+        theta = np.empty((len(xs), len(self.points)))
+        for j, (sx, sy) in enumerate(self.points):
+            theta[:, j] = np.fromiter(map(math.atan2, map(sub, ys, repeat(sy)),
+                                          map(sub, xs, repeat(sx))), float, len(xs))
+        d = theta[1:]
+        d -= theta[:-1]
+        if self.theta is not None:
+            theta[0] = self.theta
+        big = np.abs(d) >= STEP_ANGLE_GUARD
+        if np.count_nonzero(big):
+            steps, points = big.nonzero()
+            for i, j in zip(steps.tolist(), points.tolist()):
+                d[i, j] = r = math.remainder(d[i, j], TAU)
+                if abs(r) >= STEP_ANGLE_GUARD:
+                    return theta, (i, j, r)
+        return theta, None
 
-    n = filled
-    t = h * np.arange(n)
-    Tkin = (px[:n] ** 2 + py[:n] ** 2) / (2.0 * m)
-    # V from each state's chart basepoint, independent of work_acc
-    row = np.searchsorted(ps.atlas.ids, chart[:n])   # the ids are sorted
-    base = np.array([ch.basepoint for ch in ps.atlas.charts.values()])[row]
-    gauge = np.array([ps.gauges[c] for c in ps.atlas.ids])[row]
-    V = gauge - segment_integrals(field, base, np.column_stack([qx[:n], qy[:n]]))
-    arrays = {
-        "t": t, "qx": qx[:n], "qy": qy[:n], "px": px[:n], "py": py[:n],
-        "chart": chart[:n], "theta": theta[:n], "V": V, "Tkin": Tkin,
-        "E_local": Tkin + V, "p_theta": p_theta[:n], "work_acc": work_acc[:n],
-    }
-    return Trajectory(cfg, arrays, transitions, status, reason)
+    def trajectory(self, cause, reason):
+        """The Trajectory of the kept states, with V from one segment
+        kernel call, from each state's chart basepoint."""
+        cfg, ps = self.cfg, self.ps
+        q, row, theta, work_acc, p_theta = (
+            p[0] if len(p) == 1 else np.concatenate(p, axis=-1 if k == 0 else 0)
+            for k, p in enumerate(zip(*self.blocks)))
+        self.blocks = None      # free the chunks before the post-pass
+        qx, qy, px, py = q
+        Tkin = (px ** 2 + py ** 2) / (2.0 * cfg.m)
+        # independent of work_acc; ps.atlas has cfg.atlas's ids, so its rows
+        V = ps.gauge_array[row] - segment_integrals(cfg.field, ps.basepoints[row], q[:2].T)
+        arrays = {
+            "t": cfg.h * np.arange(len(qx)), "qx": qx, "qy": qy, "px": px, "py": py,
+            "chart": np.array(cfg.atlas.ids)[row], "theta": theta, "V": V, "Tkin": Tkin,
+            "E_local": Tkin + V, "p_theta": p_theta, "work_acc": work_acc,
+        }
+        status = "completed" if cause is None else "aborted-" + cause.guard
+        return Trajectory(cfg, arrays, self.transitions, status, reason, cause)
+
+
+def _midpoint_forces(field, mx, my):
+    """The field at the midpoints by one strict eval_array call; if that
+    raises, eval_at at each in turn up to the first that fails, whose
+    exception gives the reason.  Returns the forces before any failure and
+    (its index, the exception) or None."""
+    if not len(mx):
+        return mx, my, None
+    try:
+        return *field.eval_array(mx, my, strict=True), None
+    except (DomainEvalError, NonFiniteError, SingularityError):
+        pass
+    fx, fy = [], []
+    for i, (x, y) in enumerate(zip(mx.tolist(), my.tolist())):
+        try:
+            vx, vy = field.eval_at(x, y)
+        except (DomainEvalError, NonFiniteError, SingularityError) as exc:
+            return np.array(fx), np.array(fy), (i, exc)
+        fx.append(vx)
+        fy.append(vy)
+    return np.array(fx), np.array(fy), None
+
+
+def _chart_changes(chart):
+    """The indices k >= 1 where chart[k] differs from chart[k - 1]."""
+    return (chart[1:] != chart[:-1]).nonzero()[0] + 1
 
 
 def _leapfrog_step(x, y, vx, vy, fx, fy, h, m, force):
@@ -358,9 +440,7 @@ def energy_ledger(tr, ps, cc=None, closure_tol=1e-6):
     if cc is None:
         cc = build_cocycle(ps)
     segments = []
-    boundaries = [0] + [
-        k for k in range(1, tr.n_states) if tr.chart[k] != tr.chart[k - 1]
-    ] + [tr.n_states]
+    boundaries = [0, *_chart_changes(tr.chart).tolist(), tr.n_states]
     for a, b in zip(boundaries[:-1], boundaries[1:]):
         seg = tr.E_local[a:b]
         segments.append(ChartSegment(

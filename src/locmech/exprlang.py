@@ -311,6 +311,17 @@ _MATH_FUNCS = {f: "abs" if f == "abs" else f"math.{f}" for f in FUNCTIONS}
 _NP_FUNCS = {f: "np.arctan2" if f == "atan2" else f"np.{f}" for f in FUNCTIONS}
 
 
+QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
+
+def at_shape(out, args):
+    """An array closure's result, a constant's scalar broadcast to the
+    shape of the first argument."""
+    if type(out) is np.ndarray or not args or np.ndim(out):
+        return out
+    return np.full(np.shape(args[0]), float(out))
+
+
 class ScalarExpr:
     """Immutable expression tree with interpreted and compiled evaluation.
 
@@ -320,12 +331,13 @@ class ScalarExpr:
     inf/nan screening to the caller.
     """
 
-    __slots__ = ("root", "variables", "_scalar_fn", "_array_fn", "_diffs")
+    __slots__ = ("root", "variables", "_scalar_fn", "_array_raw", "_array_fn", "_diffs")
 
     def __init__(self, root, variables=("x", "y")):
         self.root = root
         self.variables = tuple(variables)
         self._scalar_fn = None
+        self._array_raw = None
         self._array_fn = None
         self._diffs = {}
 
@@ -362,16 +374,20 @@ class ScalarExpr:
         return self._scalar_fn
 
     @property
+    def array_raw(self):
+        """The compiled numpy closure alone: under np.errstate(**QUIET) it
+        gives IEEE inf and nan silently, and a constant comes back as a
+        scalar (see at_shape)."""
+        if self._array_raw is None:
+            self._array_raw = self._compile(_NP_FUNCS, {"np": np})
+        return self._array_raw
+
+    @property
     def array_fn(self):
         if self._array_fn is None:
-            raw = self._compile(_NP_FUNCS, {"np": np})
-            def wrapped(*args, _raw=raw):
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    out = _raw(*args)
-                # constant expressions collapse to scalars; broadcast back
-                if args and np.ndim(out) == 0:
-                    out = np.full(np.shape(args[0]), float(out))
-                return out
+            def wrapped(*args, _raw=self.array_raw):
+                with np.errstate(**QUIET):
+                    return at_shape(_raw(*args), args)
             self._array_fn = wrapped
         return self._array_fn
 

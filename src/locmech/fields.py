@@ -33,7 +33,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .exprlang import Call, Num, ScalarExpr, Var, fold, parse_expr
+from .exprlang import QUIET, Call, Num, ScalarExpr, Var, at_shape, fold, parse_expr
 
 TAU = math.tau
 R_MIN_EVAL = 1e-9
@@ -44,6 +44,7 @@ PATH_CLOSE_TOL = 1e-12
 _THETA_MAX = math.pi / 2
 _MAX_REFINE_DEPTH = 48          # halvings of an angle step; bisection rounds of a panel
 MAX_SEGMENT_LENGTH = 1e5
+_IEEE_RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_S = 0.5 * (_GL_X + 1.0)     # the Gauss-Legendre nodes moved to [0, 1]
 _GL_H = 0.5 * _GL_W             # weights on [0, 1]; they sum to 1, so only an
@@ -82,7 +83,11 @@ class FieldOneForm:
     name: str = ""
 
     def eval_at(self, x, y, r_min=R_MIN_EVAL):
-        self._guard_point(x, y, r_min)
+        for sx, sy in self.singular_points:
+            if math.hypot(x - sx, y - sy) < r_min:
+                raise SingularityError(
+                    f"evaluation within r_min={r_min} of singular point ({sx}, {sy})"
+                )
         try:
             vx = self.fx.scalar_fn(x, y)
             vy = self.fy.scalar_fn(x, y)
@@ -92,17 +97,27 @@ class FieldOneForm:
             raise NonFiniteError(f"non-finite field value at ({x}, {y})")
         return vx, vy
 
-    def eval_array(self, xs, ys, r_min=R_MIN_EVAL):
-        # r_min = 0 skips the distance pass, for nodes kept away already
+    def eval_array(self, xs, ys, r_min=R_MIN_EVAL, strict=False):
+        """The field at the points of the arrays xs, ys.  r_min = 0 skips the
+        distance pass, for nodes kept away already.  numpy carries inf and
+        nan through a division by zero, an invalid operation or an overflow,
+        and may absorb them (1/(1/x) at x = 0); strict=True refuses those
+        steps with DomainEvalError wherever eval_at's math would raise."""
         for sx, sy in self.singular_points if r_min else ():
-            d2 = (xs - sx) ** 2 + (ys - sy) ** 2
-            if d2.size and float(np.min(d2)) < r_min * r_min:
+            dx, dy = xs - sx, ys - sy
+            if np.count_nonzero(dx * dx + dy * dy < r_min * r_min):
                 raise SingularityError(
                     f"evaluation within r_min={r_min} of singular point ({sx}, {sy})"
                 )
-        vx = self.fx.array_fn(xs, ys)
-        vy = self.fy.array_fn(xs, ys)
-        if not (np.isfinite(vx).all() and np.isfinite(vy).all()):
+        fx, fy = self.fx.array_raw, self.fy.array_raw
+        with np.errstate(**(_IEEE_RAISE if strict else QUIET)):
+            try:
+                vx, vy = at_shape(fx(xs, ys), (xs,)), at_shape(fy(xs, ys), (xs,))
+            except FloatingPointError as exc:
+                raise DomainEvalError(f"bulk field evaluation failed: {exc}") from None
+        finite = np.isfinite(vx)
+        finite &= np.isfinite(vy)
+        if np.count_nonzero(finite) < finite.size:
             raise NonFiniteError("non-finite field value in bulk evaluation")
         return vx, vy
 
@@ -111,13 +126,6 @@ class FieldOneForm:
         """Where polar views, lifts and p_theta are taken about: the first
         singular point, or the origin when there is none."""
         return self.singular_points[0] if self.singular_points else (0.0, 0.0)
-
-    def _guard_point(self, x, y, r_min):
-        for sx, sy in self.singular_points:
-            if math.hypot(x - sx, y - sy) < r_min:
-                raise SingularityError(
-                    f"evaluation within r_min={r_min} of singular point ({sx}, {sy})"
-                )
 
 
 def from_components(fx_source, fy_source, singular_points=(), name=""):

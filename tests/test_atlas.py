@@ -56,6 +56,33 @@ def test_quadrant_atlas_covers_everything_but_the_origin():
     assert report.missing == ((0.0, 0.0),)
 
 
+@pytest.mark.parametrize("punctures", [((0.0, 0.0),), ((0.0, 0.0), (2.0, 0.5))])
+def test_locate_agrees_with_chart_for_everywhere(punctures):
+    # On every wall, a hair either side of it and at the tolerance, at
+    # the punctures, at non-finite points and at random ones, the bulk test
+    # names the same chart as the scalar one, or none where it names none.
+    at = atlas_for(punctures)
+    rng = np.random.default_rng(7)
+    tol = atlas._CONSTRAINT_TOL
+    pts = [rng.uniform(-4.0, 4.0, (500, 2))]
+    for ch in at.charts.values():
+        for a, b, c in ch.constraints:
+            along = rng.uniform(-4.0, 4.0, (40, 1)) * (-b, a)
+            for off in (0.0, tol / 2, -tol / 2, tol, -tol, 2 * tol, -2 * tol, 1e-3, -1e-3):
+                pts.append((c + off) * np.array([a, b]) + along)
+    bad = [math.nan, math.inf, -math.inf, 0.0, 1.0]
+    pts.append(np.array(punctures))
+    pts.append(np.array([(x, y) for x in bad for y in bad if not (math.isfinite(x)
+                                                                   and math.isfinite(y))]))
+    pts = np.concatenate(pts)
+    got = at.locate(pts[:, 0], pts[:, 1])
+    want = [at.chart_for(p) for p in pts.tolist()]
+    assert [(at.ids + (None,))[k] for k in got.tolist()] == want
+    assert want.count(None) >= len(punctures) + 16
+    missing = at.covers(pts).missing
+    np.testing.assert_array_equal(missing, [p for p, w in zip(pts, want) if w is None])
+
+
 def test_overlap_samples_live_on_the_open_half_axes():
     at = quadrant_atlas()
     pts = at.overlap_samples(1, 2)

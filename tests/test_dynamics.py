@@ -1,6 +1,7 @@
 """Leapfrog runs across charts: invariants, ledgers, and abort paths."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from locmech.dynamics import (
     polar_diagnostics,
     simulate,
 )
-from locmech.errors import ValidationError
+from locmech.errors import DomainEvalError, NonFiniteError, SingularityError, ValidationError
 from locmech.fields import from_components, vortex, zero_field
 
 TAU = math.tau
@@ -204,41 +205,195 @@ def test_singularity_abort_keeps_a_clean_partial_run():
     assert float(np.min(np.hypot(tr.qx, tr.qy))) >= cfg.r_min
 
 
-# fixed runs for the three guards no other test reaches; each pins the
-# abort's step through the state count and its reason text
+# fixed runs, one per guard; each pins the abort's step through the state
+# count, its reason text and its cause: the step, the guard and the
+# distance or angle that tripped it
 ABORT_RUNS = {
+    "aborted-singularity": (
+        lambda: vortex_cfg(q0=(0.002, 0.0), p0=(-1.0, 0.0), h=1e-5, T=0.01),
+        105, "step 105 came within r_min=0.001 of (0.0, 0.0)", 9.940441431893043e-4),
     "aborted-step-guard": (
         lambda: SimConfig(field=from_components("0", "0", singular_points=((0, 0),)),
                           atlas=atlas_for(((0, 0),)), q0=(-0.5, 0.01), p0=(1, 0), h=1, T=2),
-        1, "step 1 swept -3.102 rad about (0.0, 0.0); reduce h"),
+        1, "step 1 swept -3.102 rad about (0.0, 0.0); reduce h", -3.101597985643492),
     "aborted-coverage": (     # one chart, x >= -0.5, about the vortex
         lambda: SimConfig(field=vortex(), atlas=Atlas([Chart(1, [(1, 0, -0.5)], (1, 0),
                                                              singular_points=((0, 0),))]),
                           q0=(1, 0), p0=(0, 1), h=1e-3, T=5),
-        2820, "step 2820 left the atlas at (-0.5007245332121646, 4.7132613922124404)"),
+        2820, "step 2820 left the atlas at (-0.5007245332121646, 4.7132613922124404)", None),
     "aborted-evaluation": (   # log(0) at the midpoint of the step across x = 0
         lambda: SimConfig(field=from_components("0*log(abs(x))", "0"), atlas=atlas_for(()),
                           q0=(-0.875, 0.5), p0=(1, 0), h=0.25, T=2),
-        4, "field evaluation failed at (0.0, 0.5): math domain error"),
+        4, "field evaluation failed at (0.0, 0.5): math domain error", None),
 }
 
 
 @pytest.mark.parametrize("status", sorted(ABORT_RUNS))
 def test_abort_runs_stop_at_a_fixed_state_with_a_fixed_reason(status):
-    make, n_states, reason = ABORT_RUNS[status]
+    make, n_states, reason, value = ABORT_RUNS[status]
     tr = simulate(make())
     assert (tr.status, tr.n_states, tr.abort_reason) == (status, n_states, reason)
+    # the state after the last one kept is the step that failed
+    assert (tr.abort.step, tr.abort.guard) == (n_states, status.removeprefix("aborted-"))
+    assert tr.abort.value == (None if value is None else pytest.approx(value, rel=1e-12))
     # every logged hop leads to a kept state
     assert all(t.t <= tr.t[-1] for t in tr.transitions)
     assert len(tr.transitions) == int(np.count_nonzero(np.diff(tr.chart)))
 
 
 def test_a_dropped_state_logs_no_chart_hop():
-    make, _, _ = ABORT_RUNS["aborted-evaluation"]
-    tr = simulate(make())
+    tr = simulate(ABORT_RUNS["aborted-evaluation"][0]())
     # the step into chart 1 is dropped when its midpoint force fails
     assert tr.chart.tolist() == [2, 2, 2, 2]
     assert tr.transitions == ()
+
+
+def _reference_run(cfg, ps):
+    """The per-step loop simulate replaced, kept as a reference: every guard
+    and every logged value taken one step at a time, in the same order
+    (stepping, r_min, step angle, coverage, midpoint force).  Returns the
+    status, the reason, the logged columns and the transitions."""
+    field, atlas, h, m = cfg.field, cfg.atlas, cfg.h, cfg.m
+    singulars, (cx, cy) = field.singular_points, field.center
+    step = dynamics._leapfrog_step if cfg.integrator == "leapfrog" else dynamics._rk4_step
+    x, y, vx, vy = *map(float, cfg.q0), *map(float, cfg.p0)
+    fx, fy = field.eval_at(x, y)
+    rows = [(x, y, vx, vy, atlas.chart_for((x, y)),
+             tuple(math.atan2(y - sy, x - sx) for sx, sy in singulars),
+             0.0, (x - cx) * vy - (y - cy) * vx)]
+    transitions, status, reason = [], "completed", None
+    for k in range(1, int(round(cfg.T / h)) + 1):
+        try:
+            nx, ny, npx, npy, nfx, nfy = step(x, y, vx, vy, fx, fy, h, m, field.eval_at)
+        except (DomainEvalError, NonFiniteError, SingularityError) as exc:
+            status, reason = "aborted-evaluation", str(exc)
+            break
+        near = [p for p in singulars if math.hypot(nx - p[0], ny - p[1]) < cfg.r_min]
+        if near:
+            status = "aborted-singularity"
+            reason = f"step {k} came within r_min={cfg.r_min} of {near[0]}"
+            break
+        d = [math.remainder(math.atan2(ny - sy, nx - sx) - math.atan2(y - sy, x - sx), TAU)
+             for sx, sy in singulars]
+        swept = [(v, p) for v, p in zip(d, singulars) if abs(v) >= dynamics.STEP_ANGLE_GUARD]
+        if swept:
+            status = "aborted-step-guard"
+            reason = f"step {k} swept {swept[0][0]:.3f} rad about {swept[0][1]}; reduce h"
+            break
+        chart = atlas.chart_for((nx, ny))
+        if chart is None:
+            status, reason = "aborted-coverage", f"step {k} left the atlas at ({nx}, {ny})"
+            break
+        try:
+            mfx, mfy = field.eval_at(0.5 * (x + nx), 0.5 * (y + ny))
+        except (DomainEvalError, NonFiniteError, SingularityError) as exc:
+            status, reason = "aborted-evaluation", str(exc)
+            break
+        dx, dy = nx - x, ny - y
+        dw = ((fx * dx + fy * dy) + 4.0 * (mfx * dx + mfy * dy) + (nfx * dx + nfy * dy)) / 6.0
+        if chart != rows[-1][4]:
+            transitions.append(dynamics._log_transition(
+                atlas, ps, rows[-1][4], chart, (x, y), (nx, ny), k * h, h))
+        rows.append((nx, ny, npx, npy, chart,
+                     tuple(a + b for a, b in zip(rows[-1][5], d)),
+                     rows[-1][6] + dw, (nx - cx) * npy - (ny - cy) * npx))
+        x, y, vx, vy, fx, fy = nx, ny, npx, npy, nfx, nfy
+    qx, qy, px, py, chart, theta, work_acc, p_theta = map(np.array, zip(*rows))
+    V = np.empty(len(rows))
+    for cid in set(chart.tolist()):
+        mine = chart == cid
+        V[mine] = ps.values(cid, np.column_stack([qx[mine], qy[mine]]))
+    Tkin = (px ** 2 + py ** 2) / (2.0 * m)
+    columns = {"t": h * np.arange(len(rows)), "qx": qx, "qy": qy, "px": px, "py": py,
+               "chart": chart, "theta": theta.reshape(len(rows), len(singulars)), "V": V,
+               "Tkin": Tkin, "E_local": Tkin + V, "p_theta": p_theta, "work_acc": work_acc}
+    return status, reason, columns, tuple(transitions)
+
+
+def _spring(vortices):
+    """Unit vortices at the points, plus a spring to the origin that keeps
+    orbits bounded, so they wind about the punctures and hop charts often."""
+    fx = " ".join(f"- y/((x-{a})^2+(y-{b})^2)" for a, b in vortices)
+    fy = " ".join(f"+ (x-{a})/((x-{a})^2+(y-{b})^2)" for a, b in vortices)
+    return SimConfig(field=from_components(f"-x {fx}", f"-y {fy}", singular_points=vortices),
+                     atlas=atlas_for(vortices), q0=(1.0, 0.0), p0=(1.0, 1.0))
+
+
+def _assert_matches_reference(cfg):
+    ps = PotentialSet.from_field(cfg.field, cfg.atlas)
+    status, reason, columns, transitions = _reference_run(cfg, ps)
+    tr = simulate(cfg, ps)
+    assert (tr.status, tr.abort_reason) == (status, reason)
+    assert tr.transitions == transitions
+    assert np.array_equal(tr.chart, columns.pop("chart"))
+    for name, want in columns.items():
+        np.testing.assert_allclose(getattr(tr, name), want, rtol=0, atol=1e-12, err_msg=name)
+    return tr
+
+
+# runs against 7-step chunks: the first three hop charts at steps 5 and 7,
+# the last state of the first chunk
+SEAM_RUNS = {
+    f"{steps} steps": (lambda steps=steps: vortex_cfg(q0=(0.3, 0.3), p0=(-1.0, -1.2), h=0.05,
+                                                      T=0.05 * steps))
+    for steps in (7, 14, 15)
+}
+SEAM_RUNS.update({
+    "leapfrog, many hops": lambda: replace(_spring(((0.0, 0.0),)), h=0.05, T=7.6),
+    "rk4, many hops": lambda: replace(_spring(((0.0, 0.0),)), h=0.05, T=7.6, integrator="rk4"),
+    "two punctures": lambda: replace(_spring(((0.0, 0.0), (2.0, 0.0))), q0=(1.0, -1.5),
+                                     p0=(1.5, 0.5), h=0.02, T=6.0),
+})
+# each abort kind in the second 7-step chunk (steps 8 to 14): at its first
+# step, inside it, and at its last
+SEAM_ABORTS = {
+    "aborted-singularity": (lambda: vortex_cfg(q0=(0.002, 0.0), p0=(-1.0, 0.0), h=1.25e-4,
+                                               T=0.01), 9),
+    "aborted-step-guard": (lambda: SimConfig(
+        field=from_components("0", "0", singular_points=((0, 0),)), atlas=atlas_for(((0, 0),)),
+        q0=(-7.5, 0.01), p0=(1, 0), h=1, T=12), 8),
+    "aborted-coverage": (lambda: SimConfig(
+        field=zero_field(), atlas=Atlas([Chart(1, [(1, 0, -0.5)], (1, 0))]),
+        q0=(0.5, 0.0), p0=(-0.075, 0.0), h=1, T=20), 14),
+    "aborted-evaluation": (lambda: SimConfig(
+        field=from_components("0*log(abs(x))", "0"), atlas=atlas_for(()),
+        q0=(-2.875, 0.5), p0=(1, 0), h=0.25, T=4), 12),
+}
+
+
+@pytest.mark.parametrize("chunk", [dynamics._CHUNK, 7])
+@pytest.mark.parametrize("integrator", ["leapfrog", "rk4"])
+def test_chunked_bookkeeping_matches_the_per_step_reference(monkeypatch, integrator, chunk):
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    tr = _assert_matches_reference(vortex_cfg(integrator=integrator, T=4.0))
+    assert tr.completed and tr.abort is None and tr.transitions
+
+
+@pytest.mark.parametrize("name", sorted(SEAM_RUNS))
+def test_chunk_seams_match_the_per_step_reference(monkeypatch, name):
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    tr = _assert_matches_reference(SEAM_RUNS[name]())
+    assert tr.completed and tr.transitions
+
+
+@pytest.mark.parametrize("status", sorted(SEAM_ABORTS))
+def test_aborts_in_a_later_chunk_match_the_per_step_reference(monkeypatch, status):
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    make, step = SEAM_ABORTS[status]
+    tr = _assert_matches_reference(make())
+    assert tr.status == status
+    assert tr.abort.step == tr.n_states == step
+
+
+@pytest.mark.parametrize("fx", ["1/(1/x)*0", "0*atan2(1, 1/x)", "0*exp(-1/(x*x))"])
+def test_a_midpoint_force_numpy_would_absorb_is_refused_as_eval_at_refuses(monkeypatch, fx):
+    # numpy turns 1/0 into inf and then into a finite value; the scalar
+    # rule raises there, and the bulk midpoint pass must stop where it does
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    make, step = SEAM_ABORTS["aborted-evaluation"]
+    tr = _assert_matches_reference(replace(make(), field=from_components(fx, "0")))
+    assert (tr.status, tr.n_states) == ("aborted-evaluation", step)
+    assert tr.abort_reason == "field evaluation failed at (0.0, 0.5): float division by zero"
 
 
 def test_config_validation():
