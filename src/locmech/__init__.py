@@ -12,39 +12,29 @@ from .atlas import (
     Chart,
     PotentialSet,
     atlas_for,
-    check_star_shaped,
     cocycle,
     exactness_test,
     gauge_shift,
-    potential_gradient_report,
     quadrant_atlas,
 )
 from .bundle import (
-    BundlePoint,
     TransitionSystem,
-    canonical_point,
     holonomy,
     is_trivial,
     transitions,
 )
 from .cover import (
-    LiftState,
     LogGerm,
     continue_log,
     cover_energy,
     lift_path,
     lift_trajectory,
     monodromy_log,
-    sheet_of,
 )
 from .dynamics import (
     SimConfig,
     Trajectory,
     energy_ledger,
-    hamiltonian,
-    lagrangian,
-    legendre_check,
-    polar_diagnostics,
     simulate,
 )
 from .exprlang import parse_expr

@@ -3,7 +3,9 @@
 Charts are conjunctions of closed half-planes (a*x + b*y >= c) minus the
 field's singular points, each with an interior basepoint.  A potential on
 a chart is gauge - (segment integral of the field from the basepoint),
-which the Poincare lemma makes well defined on star-shaped charts.
+which the Poincare lemma makes well defined on star-shaped charts.  A
+convex chart is star-shaped unless a singular point lies strictly inside
+it, so Atlas and PotentialSet.from_field refuse that case (ValidationError).
 atlas_for builds such a cover for any finite set of punctures, and
 overlaps are computed exactly from the charts' half-planes.
 
@@ -98,17 +100,28 @@ class Chart:
         return f"Chart({self.id}, {self.label or len(self.constraints)})"
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    covered: bool
-    missing: tuple
+def _refuse_inner_punctures(charts, points):
+    """Refuse a chart with one of the points strictly inside it: a segment
+    from its basepoint could then cross the puncture, so the chart is not
+    star-shaped and its potential is not single-valued.  A point on the
+    boundary is kept: segments from the basepoint of a convex chart meet
+    its boundary only at their ends."""
+    for ch in charts:
+        for s in points:
+            if all(a * s[0] + b * s[1] - c > _CONSTRAINT_TOL for a, b, c in ch.constraints):
+                raise ValidationError(f"atlas fault: singular point {s} lies inside "
+                                      f"chart {ch.id}, which is then not star-shaped")
 
 
 class Atlas:
     def __init__(self, charts):
+        """Refuses a chart that holds, strictly inside, a singular point
+        that any of the charts lists."""
         ids = [ch.id for ch in charts]
         if len(set(ids)) != len(ids):
             raise ValidationError("chart ids must be unique")
+        self._holes = sorted(set().union(*(ch.singular_points for ch in charts)))
+        _refuse_inner_punctures(charts, self._holes)
         self.charts = {ch.id: ch for ch in sorted(charts, key=lambda ch: ch.id)}
         self._overlap_cache = {}
 
@@ -132,7 +145,7 @@ class Atlas:
         for no chart."""
         charts = list(self.charts.values())
         planes = [abc for ch in charts for abc in ch.constraints] + [(0.0, 0.0, 0.0)]
-        holes = sorted(set().union(*(ch.singular_points for ch in charts)))
+        holes = self._holes
         owner = np.repeat(np.arange(len(charts)), [len(ch.constraints) for ch in charts])
         rules_out = np.zeros((len(charts) + 1, len(planes) + len(holes)))
         rules_out[owner, np.arange(len(owner))] = 1.0
@@ -155,12 +168,6 @@ class Atlas:
             fails = np.concatenate([fails, hole & (ys == hy)])
         # rules failed per chart, a small whole number; the first chart with none
         return (rules_out[:, :len(fails)] @ fails).argmin(0)
-
-    def covers(self, points, tol=_CONSTRAINT_TOL):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        found = self.locate(pts[:, 0], pts[:, 1], tol) < len(self.charts)
-        missing = tuple(map(tuple, pts[~found].tolist()))
-        return CoverageReport(not missing, missing)
 
     def overlap_samples(self, i, j, k=DEFAULT_OVERLAP_SAMPLES):
         """k deterministic points in the overlap of charts i and j, or an
@@ -210,17 +217,17 @@ def _shape(poly):
     return np.array([a, b]) if off.max() <= _CONSTRAINT_TOL else v
 
 
-def _splits(s, shape, constraints):
+def _splits(s, shape):
     """Whether the singular point s lies in the relative interior of a
-    segment or polygon region (never of a point)."""
-    if len(shape) == 2:
-        a, b = shape
-        e, d = (b - a) / math.hypot(*(b - a)), np.subtract(s, a)
-        along = e @ d
-        return (abs(e[0] * d[1] - e[1] * d[0]) <= _CONSTRAINT_TOL
-                and _CONSTRAINT_TOL < along < math.hypot(*(b - a)) - _CONSTRAINT_TOL)
-    return len(shape) > 2 and all(a * s[0] + b * s[1] - c > _CONSTRAINT_TOL
-                                  for a, b, c in constraints)
+    segment region.  (One inside a polygon region is strictly inside
+    each of its charts, which Atlas refuses.)"""
+    if len(shape) != 2:
+        return False
+    a, b = shape
+    e, d = (b - a) / math.hypot(*(b - a)), np.subtract(s, a)
+    along = e @ d
+    return (abs(e[0] * d[1] - e[1] * d[0]) <= _CONSTRAINT_TOL
+            and _CONSTRAINT_TOL < along < math.hypot(*(b - a)) - _CONSTRAINT_TOL)
 
 
 def _meet(charts, k):
@@ -229,8 +236,8 @@ def _meet(charts, k):
     Their half-planes cut a box holding every vertex of their arrangement
     and a point of each wall, so the cut is empty just when the charts do
     not meet; a point region that is a singular point counts as empty.  A
-    singular point inside a segment region splits it, and one inside a
-    polygon region spoils star-shapedness: an atlas fault, ValidationError.
+    singular point inside a segment region splits it: an atlas fault,
+    ValidationError.
     The samples are C + t*(S - C), t in (0, 1/2), for the corners S of the
     region's part in the box around the basepoints and singular points
     (widened by 1, then grown until it meets the region) and C their mean:
@@ -247,7 +254,7 @@ def _meet(charts, k):
     far_lo, far_hi = np.min(corners, 0) - 1.0, np.max(corners, 0) + 1.0
     region = _shape(_clip(cons, far_lo, far_hi))
     for s in singular:
-        if _splits(s, region, cons):
+        if _splits(s, region):
             raise ValidationError(f"atlas fault: singular point {s} lies inside the "
                                   f"overlap of charts {tuple(ch.id for ch in charts)}")
     if len(region) == 0 or len(region) == 1 and any(
@@ -344,25 +351,6 @@ def quadrant_atlas(singular_points=((0.0, 0.0),)):
 
 
 # ---------------------------------------------------------------------------
-# star-shape checking
-
-@dataclass(frozen=True)
-class StarShapeReport:
-    passed: bool
-    violation: tuple | None   # a singular point strictly inside the chart
-
-
-def check_star_shaped(chart):
-    """Whether every segment from the basepoint to a point of the chart
-    stays in it, exactly: the chart is convex, so only a singular point
-    strictly inside can be crossed, never one on the boundary."""
-    for s in chart.singular_points:
-        if all(a * s[0] + b * s[1] - c > _CONSTRAINT_TOL for a, b, c in chart.constraints):
-            return StarShapeReport(False, s)
-    return StarShapeReport(True, None)
-
-
-# ---------------------------------------------------------------------------
 # potentials
 
 class PotentialEvaluator:
@@ -431,6 +419,9 @@ class PotentialSet:
 
     @classmethod
     def from_field(cls, field, atlas, gauges=None):
+        """Zero-gauge potentials (or the given gauges) on every chart;
+        refuses a chart that holds one of the field's singular points
+        strictly inside, which the charts need not list."""
         ids = atlas.ids
         if gauges is None:
             gauges = {cid: 0.0 for cid in ids}
@@ -438,6 +429,7 @@ class PotentialSet:
             gauges = dict(zip(ids, gauges))
         if set(gauges) != set(ids):
             raise ValidationError("gauges must cover exactly the chart ids")
+        _refuse_inner_punctures(atlas.charts.values(), field.singular_points)
         evals = {cid: PotentialEvaluator(field, atlas.charts[cid]) for cid in ids}
         return cls(field, atlas, evals, {cid: float(gauges[cid]) for cid in ids})
 
@@ -600,36 +592,3 @@ def exactness_test(cc, tol=COCYCLE_SPREAD_TOL):
     exact = all(abs(p.period) <= tol for p in periods)
     return ExactnessResult(exact, offsets, tuple(periods), tol)
 
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-@dataclass(frozen=True)
-class GradientReport:
-    max_error: float
-    checked: int
-    h: float
-
-
-def potential_gradient_report(ps, h=1e-5, samples=100, margin=0.05,
-                              box_radius=3.0):
-    """Max over interior samples of |finite-difference grad V_i + field|,
-    drawn (seeded) from the box of the given radius about each chart's
-    basepoint, at least margin inside the chart and from singular points."""
-    worst = 0.0
-    checked = 0
-    rng = np.random.default_rng(0)
-    for cid, ch in ps.atlas.charts.items():
-        pts = ch.basepoint + box_radius * rng.uniform(-1.0, 1.0, (200 * samples, 2))
-        ok = np.ones(len(pts), dtype=bool)
-        for a, b, c in ch.constraints:
-            ok &= pts @ (a, b) - c >= margin
-        for s in ch.singular_points:
-            ok &= np.hypot(*(pts - s).T) >= margin
-        for x, y in pts[ok][:samples].tolist():
-            checked += 1
-            gx = (ps.value(cid, (x + h, y)) - ps.value(cid, (x - h, y))) / (2 * h)
-            gy = (ps.value(cid, (x, y + h)) - ps.value(cid, (x, y - h))) / (2 * h)
-            fx, fy = ps.field.eval_at(x, y)
-            worst = max(worst, math.hypot(gx + fx, gy + fy))
-    return GradientReport(worst, checked, h)

@@ -1,7 +1,7 @@
 """Principal R-bundle data exponentiated from the offset cocycle.
 
 Transition factors are t_ij = exp(c_ij).  All products (holonomies,
-triviality, fiber transport) are computed as sums of c entries first and
+triviality gauges) are computed as sums of c entries first and
 exponentiated once, so inverses and cycle cancellations are exact in the
 additive domain instead of accumulating multiplicative rounding.
 
@@ -13,11 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .atlas import exactness_test
-from .errors import (
-    ChartMembershipError,
-    TransitionOverflowError,
-    ValidationError,
-)
+from .errors import TransitionOverflowError, ValidationError
 
 _EXP_OVERFLOW = 700.0
 
@@ -91,33 +87,3 @@ def is_trivial(ts, tol=1e-7):
     worst = max(result.periods, key=lambda p: abs(p.period))
     return TrivialityReport(False, None, worst.cycle, holonomy(ts, worst.cycle))
 
-
-@dataclass(frozen=True)
-class BundlePoint:
-    chart: int
-    base: tuple
-    fiber: float
-
-
-def canonical_point(ts, chart, q, fiber):
-    """Canonical representative of a bundle point: the lowest-id chart
-    containing q, with the fiber carried over in one exp step.
-
-    Keeping the representative chart minimal makes the map idempotent;
-    a second call is an exact no-op.
-    """
-    if chart not in ts.atlas.charts:
-        raise ValidationError(f"unknown chart {chart}")
-    q = (float(q[0]), float(q[1]))
-    if not ts.atlas.charts[chart].contains(q):
-        raise ChartMembershipError(f"{q} is not in chart {chart}")
-    target = ts.atlas.chart_for(q)
-    if target == chart:
-        return BundlePoint(chart, q, float(fiber))
-    c = ts.cocycle.value(target, chart)
-    return BundlePoint(target, q, float(fiber) * math.exp(c))
-
-
-def equivalent_fiber(ts, from_chart, to_chart, fiber):
-    """Fiber coordinate of the same bundle point in another chart."""
-    return float(fiber) * math.exp(ts.cocycle.value(to_chart, from_chart))

@@ -23,6 +23,7 @@ import argparse
 import concurrent.futures
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -285,7 +286,18 @@ def _emit_json(obj, deterministic):
     if not deterministic:
         obj = dict(obj)
         obj["generated_at"] = _generated_at()
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(json.dumps(_finite_or_null(obj), sort_keys=True, indent=2))
+
+
+def _finite_or_null(obj):
+    """obj with every non-finite float made None: JSON has no inf or nan."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 def _write_csv(path, header, columns, deterministic):

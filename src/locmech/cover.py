@@ -25,30 +25,6 @@ _SHEET_RESIDUAL_TOL = 1e-6
 _ANCHOR_MATCH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LiftState:
-    u: float
-    v: float
-
-    @property
-    def z(self):
-        return cmath.exp(complex(self.u, self.v))
-
-
-def sheet_of(state):
-    """Sheet index of a lift point: round((v - Arg(exp(u+iv)))/2pi)."""
-    if isinstance(state, LiftState):
-        v = state.v
-    else:
-        v = float(state[1])
-    principal = math.atan2(math.sin(v), math.cos(v))
-    raw = (v - principal) / TAU
-    n = int(round(raw))
-    if abs(raw - n) > _SHEET_RESIDUAL_TOL:
-        raise NumericError(f"sheet index off-integer by {abs(raw - n):.3e}")
-    return n
-
-
 class LiftTrajectory:
     """Arrays (t, u, v) of a run lifted about a center, plus per-state sheet
     indices."""

@@ -34,12 +34,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .fields import (
-    TAU,
-    circulation,
-    segment_integrals,
-    unwrapped_angle,
-)
+from .fields import TAU, circulation, segment_integrals
 
 SIM_R_MIN = 1e-3
 STEP_ANGLE_GUARD = 3.0   # radians per step; < pi so unwrapping stays unambiguous
@@ -290,7 +285,8 @@ class _Books:
             for k, p in enumerate(zip(*self.blocks)))
         self.blocks = None      # free the chunks before the post-pass
         qx, qy, px, py = q
-        Tkin = (px ** 2 + py ** 2) / (2.0 * cfg.m)
+        with np.errstate(over="ignore"):    # momenta past 1e154 square to inf
+            Tkin = (px ** 2 + py ** 2) / (2.0 * cfg.m)
         # independent of work_acc; ps.atlas has cfg.atlas's ids, so its rows
         V = ps.gauge_array[row] - segment_integrals(cfg.field, ps.basepoints[row], q[:2].T)
         arrays = {
@@ -375,28 +371,7 @@ def _log_transition(atlas, ps, old_chart, new_chart, q_old, q_new, t, h):
 
 
 # ---------------------------------------------------------------------------
-# chart-local energy functions
-
-def hamiltonian(cid, q, p, ps, m):
-    """Kinetic energy plus the chart potential; q must lie in chart cid."""
-    return (p[0] ** 2 + p[1] ** 2) / (2.0 * m) + ps.value(cid, q)
-
-
-def lagrangian(cid, q, qdot, ps, m):
-    return 0.5 * m * (qdot[0] ** 2 + qdot[1] ** 2) - ps.value(cid, q)
-
-
-def legendre_check(cid, q, qdot, ps, m):
-    """|p . qdot - L - H| with p = m qdot; identically zero in exact
-    arithmetic and at rounding level in floats."""
-    p = (m * qdot[0], m * qdot[1])
-    lag = lagrangian(cid, q, qdot, ps, m)
-    ham = hamiltonian(cid, q, p, ps, m)
-    return abs(p[0] * qdot[0] + p[1] * qdot[1] - lag - ham)
-
-
-# ---------------------------------------------------------------------------
-# ledgers and diagnostics
+# ledgers
 
 @dataclass(frozen=True)
 class ChartSegment:
@@ -468,30 +443,3 @@ def energy_ledger(tr, ps, cc=None, closure_tol=1e-6):
     max_drift = max(s.max_drift for s in segments)
     return EnergyLedger(tuple(segments), max_drift, tuple(checks), loop)
 
-
-@dataclass(frozen=True)
-class PolarSeries:
-    t: np.ndarray
-    r: np.ndarray
-    theta: np.ndarray
-    p_r: np.ndarray
-    p_theta: np.ndarray
-
-
-def polar_diagnostics(tr, about=None):
-    """Polar view of a trajectory: r, continuous angle, p_r, p_theta."""
-    if about is None:
-        about = tr.field.center
-    ax, ay = float(about[0]), float(about[1])
-    dx = tr.qx - ax
-    dy = tr.qy - ay
-    r = np.hypot(dx, dy)
-    if float(np.min(r)) <= 0.0:
-        raise SingularityError("trajectory touches the reference point")
-    if (ax, ay) in tr.field.singular_points:
-        theta = tr.theta[:, tr.field.singular_points.index((ax, ay))].copy()
-    else:
-        theta = unwrapped_angle(tr.positions(), (ax, ay))
-    p_theta = dx * tr.py - dy * tr.px
-    p_r = (dx * tr.px + dy * tr.py) / r
-    return PolarSeries(tr.t.copy(), r, theta, p_r, p_theta)

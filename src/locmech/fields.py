@@ -123,7 +123,7 @@ class FieldOneForm:
 
     @property
     def center(self):
-        """Where polar views, lifts and p_theta are taken about: the first
+        """Where lifts and p_theta are taken about: the first
         singular point, or the origin when there is none."""
         return self.singular_points[0] if self.singular_points else (0.0, 0.0)
 

@@ -6,13 +6,11 @@ import pytest
 
 from locmech.atlas import PotentialSet, cocycle, quadrant_atlas
 from locmech.bundle import (
-    canonical_point,
-    equivalent_fiber,
     holonomy,
     is_trivial,
     transitions,
 )
-from locmech.errors import ChartMembershipError, ValidationError
+from locmech.errors import ValidationError
 from locmech.fields import from_components, vortex
 
 TAU = math.tau
@@ -70,34 +68,3 @@ def test_exact_bundle_is_trivial_with_splitting_gauges():
     for i, j in ts.edges():
         assert ts.factor(i, j) == pytest.approx(s[i] / s[j], rel=1e-9)
 
-
-def test_canonical_point_moves_to_lowest_chart():
-    ts = vortex_ts()
-    # (0, 2) lies on the overlap of charts 1 and 2; chart 1 is canonical.
-    p = canonical_point(ts, 2, (0.0, 2.0), 1.0)
-    assert p.chart == 1
-    assert p.fiber == pytest.approx(math.exp(ts.cocycle.value(1, 2)), rel=1e-12)
-    # Idempotent, and an exact no-op when already canonical.
-    again = canonical_point(ts, p.chart, p.base, p.fiber)
-    assert again == p
-    q = canonical_point(ts, 1, (2.0, 3.0), 0.7)
-    assert q.chart == 1 and q.fiber == 0.7
-
-
-def test_canonical_point_membership_guard():
-    ts = vortex_ts()
-    with pytest.raises(ChartMembershipError):
-        canonical_point(ts, 1, (-1.0, -1.0), 1.0)
-    with pytest.raises(ValidationError):
-        canonical_point(ts, 9, (1.0, 1.0), 1.0)
-
-
-def test_equivalent_fiber_round_trip():
-    ts = vortex_ts()
-    a = 1.7
-    b = equivalent_fiber(ts, 1, 2, a)
-    assert b == pytest.approx(a * math.exp(ts.cocycle.value(2, 1)), rel=1e-12)
-    back = equivalent_fiber(ts, 2, 1, b)
-    # One exp each way; the product of the two factors is exp(0) only up
-    # to rounding, so the round trip is close but not bitwise.
-    assert back == pytest.approx(a, rel=1e-12)

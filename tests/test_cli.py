@@ -513,6 +513,35 @@ def test_a_puncture_on_a_custom_chart_wall_is_an_atlas_fault(tmp_path, capsys):
     assert "singular point (2.0, 0.0) lies inside the overlap of charts (1, 4)" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "cocycle", "potentials", "simulate"])
+def test_a_chart_holding_the_vortex_exits_1(tmp_path, capsys, command):
+    # x >= -5 holds the puncture, so no potential on it is single-valued;
+    # this atlas once classified the vortex as exact
+    cfg_path = os.path.join(tmp_path, "one_chart.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"field": "vortex", "atlas": {"charts": [
+            {"id": 1, "halfplanes": [[1, 0, -5]], "basepoint": [1, 1]}]}}, fh)
+    run_flags = ("--q0", "1,0", "--p0", "0,1") if command == "simulate" else ()
+    code, out, err = invoke(capsys, command, "--config", cfg_path, *run_flags)
+    assert code == 1 and out == ""
+    assert "singular point (0.0, 0.0) lies inside chart 1" in err
+
+
+def test_momenta_past_the_double_range_report_a_null_energy(capsys):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # the kinetic energy overflows quietly
+        code, out, err = invoke(capsys, "simulate", "--field", "vortex", "--q0", "1,0",
+                                "--p0", "1e200,1e200", "--h", "1e-3", "--T", "0.01",
+                                "--deterministic")
+    assert code == 2
+    doc = json.loads(out, parse_constant=refuse)
+    assert doc["status"] == "aborted-evaluation" and doc["E_local_final"] is None
+    assert err.startswith("aborted: field evaluation failed at (1e+197, 1e+197)")
+
+
 def test_work_near_the_double_range_is_finite_or_exits_2(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no overflow on the way to a finite answer

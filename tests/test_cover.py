@@ -8,14 +8,12 @@ import pytest
 
 from locmech.atlas import quadrant_atlas
 from locmech.cover import (
-    LiftState,
     LogGerm,
     continue_log,
     cover_energy,
     lift_path,
     lift_trajectory,
     monodromy_log,
-    sheet_of,
 )
 from locmech.dynamics import SimConfig, simulate
 from locmech.errors import ValidationError
@@ -37,13 +35,6 @@ def test_lift_reprojects_to_the_original_positions():
     assert float(np.max(gap)) < 1e-12
     # u is log r along the run.
     assert np.allclose(np.exp(lift.u), np.hypot(tr.qx, tr.qy), rtol=1e-13)
-
-
-def test_sheet_of_single_states():
-    assert sheet_of(LiftState(0.0, 0.3)) == 0
-    assert sheet_of(LiftState(0.0, 0.3 + TAU)) == 1
-    assert sheet_of(LiftState(1.2, 0.3 - 3 * TAU)) == -3
-    assert sheet_of((0.0, math.pi - 1e-9)) == 0
 
 
 def test_lifted_circle_sheets_count_the_winding():

@@ -20,10 +20,6 @@ from locmech.cover import cover_energy, lift_trajectory
 from locmech.dynamics import (
     SimConfig,
     energy_ledger,
-    hamiltonian,
-    lagrangian,
-    legendre_check,
-    polar_diagnostics,
     simulate,
 )
 from locmech.errors import DomainEvalError, NonFiniteError, SingularityError, ValidationError
@@ -85,19 +81,6 @@ def test_dynamics_ignore_gauge_choices_bitwise():
     assert float(np.max(np.abs((tr1.E_local - tr0.E_local) - shift))) < 1e-12
 
 
-def test_legendre_transform_round_trip():
-    ps = PotentialSet.from_field(vortex(), quadrant_atlas())
-    rng = np.random.default_rng(5150)
-    for _ in range(20):
-        q = tuple(rng.uniform(0.2, 2.0, size=2))
-        qdot = tuple(rng.uniform(-2.0, 2.0, size=2))
-        m = float(rng.uniform(0.5, 3.0))
-        assert legendre_check(1, q, qdot, ps, m) < 1e-12
-        p = (m * qdot[0], m * qdot[1])
-        assert hamiltonian(1, q, p, ps, m) + lagrangian(1, q, qdot, ps, m) == \
-            pytest.approx(p[0] * qdot[0] + p[1] * qdot[1], abs=1e-12)
-
-
 def test_single_chart_energy_drift_scales_as_h_squared():
     ps = PotentialSet.from_field(vortex(), quadrant_atlas())
     cc = cocycle(ps)
@@ -148,38 +131,33 @@ def test_post_pass_is_one_kernel_call_per_run(count_rows):
 def test_radial_equation_of_motion():
     # Purely azimuthal force: m r'' = p_theta^2 / (m r^3).
     tr = simulate(vortex_cfg())
-    polar = polar_diagnostics(tr)
-    h = tr.h
-    dpr = (polar.p_r[2:] - polar.p_r[:-2]) / (2.0 * h)
-    rhs = polar.p_theta[1:-1] ** 2 / (tr.m * polar.r[1:-1] ** 3)
+    r = np.hypot(tr.qx, tr.qy)
+    p_r = (tr.qx * tr.px + tr.qy * tr.py) / r
+    dpr = (p_r[2:] - p_r[:-2]) / (2.0 * tr.h)
+    rhs = tr.p_theta[1:-1] ** 2 / (tr.m * r[1:-1] ** 3)
     assert float(np.max(np.abs(dpr - rhs))) < 1e-4
 
 
 def test_polar_diagnostics_consistency():
     tr = simulate(vortex_cfg())
-    polar = polar_diagnostics(tr)
-    assert np.array_equal(polar.p_theta, tr.p_theta)
-    assert np.array_equal(polar.theta, tr.theta[:, 0])
     # The accumulated angle moves continuously: no step swallows a jump.
-    assert float(np.max(np.abs(np.diff(polar.theta)))) < math.pi / 2
-    assert float(np.min(polar.r)) > 0.5
+    assert float(np.max(np.abs(np.diff(tr.theta[:, 0])))) < math.pi / 2
+    assert float(np.min(np.hypot(tr.qx, tr.qy))) > 0.5
 
 
 def test_polar_and_lift_follow_the_angle_without_a_theta_column():
     # The exact field has no punctures, so no logged angle column exists
-    # and both views unwrap the positions themselves.
+    # and the lift unwraps the positions itself.
     field = from_components("2*x", "2*y")
     tr = simulate(SimConfig(field=field, atlas=quadrant_atlas(), q0=(1.0, 0.2),
                             p0=(-2.0, 0.0), h=1e-3, T=1.0))
     assert tr.completed and tr.theta.shape == (tr.n_states, 0)
-    polar = polar_diagnostics(tr, about=(0.5, 0.0))
-    lift = lift_trajectory(tr)
-    for theta, (ax, ay) in ((polar.theta, (0.5, 0.0)), (lift.v, (0.0, 0.0))):
-        r = np.hypot(tr.qx - ax, tr.qy - ay)
-        assert np.allclose(r * np.cos(theta), tr.qx - ax, rtol=0, atol=1e-12)
-        assert np.allclose(r * np.sin(theta), tr.qy - ay, rtol=0, atol=1e-12)
-        assert float(np.max(np.abs(np.diff(theta)))) < 0.1
-        assert theta[-1] - theta[0] > math.pi / 2
+    theta = lift_trajectory(tr).v
+    r = np.hypot(tr.qx, tr.qy)
+    assert np.allclose(r * np.cos(theta), tr.qx, rtol=0, atol=1e-12)
+    assert np.allclose(r * np.sin(theta), tr.qy, rtol=0, atol=1e-12)
+    assert float(np.max(np.abs(np.diff(theta)))) < 0.1
+    assert theta[-1] - theta[0] > math.pi / 2
 
 
 def test_rk4_cross_check():
@@ -216,11 +194,11 @@ ABORT_RUNS = {
         lambda: SimConfig(field=from_components("0", "0", singular_points=((0, 0),)),
                           atlas=atlas_for(((0, 0),)), q0=(-0.5, 0.01), p0=(1, 0), h=1, T=2),
         1, "step 1 swept -3.102 rad about (0.0, 0.0); reduce h", -3.101597985643492),
-    "aborted-coverage": (     # one chart, x >= -0.5, about the vortex
-        lambda: SimConfig(field=vortex(), atlas=Atlas([Chart(1, [(1, 0, -0.5)], (1, 0),
+    "aborted-coverage": (     # one chart, x >= 0, with the vortex on its wall
+        lambda: SimConfig(field=vortex(), atlas=Atlas([Chart(1, [(1, 0, 0)], (1, 0),
                                                              singular_points=((0, 0),))]),
                           q0=(1, 0), p0=(0, 1), h=1e-3, T=5),
-        2820, "step 2820 left the atlas at (-0.5007245332121646, 4.7132613922124404)", None),
+        2290, "step 2290 left the atlas at (-0.00010964679950198136, 3.741803875114206)", None),
     "aborted-evaluation": (   # log(0) at the midpoint of the step across x = 0
         lambda: SimConfig(field=from_components("0*log(abs(x))", "0"), atlas=atlas_for(()),
                           q0=(-0.875, 0.5), p0=(1, 0), h=0.25, T=2),
@@ -476,4 +454,4 @@ def test_an_off_origin_vortex_is_viewed_about_its_puncture():
     report = cover_energy(tr, lift)
     assert report.strength == pytest.approx(1.0, abs=1e-7)
     assert report.drift < 1e-4
-    assert np.array_equal(polar_diagnostics(tr).p_theta, tr.p_theta)
+    assert np.array_equal((tr.qx - 2.0) * tr.py - tr.qy * tr.px, tr.p_theta)
