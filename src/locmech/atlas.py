@@ -36,7 +36,8 @@ _SINGULAR_MARGIN = 1e-6
 _PARALLEL_TOL = 1e-9    # |sin| of the angle below which two chart walls count as parallel
 DEFAULT_OVERLAP_SAMPLES = 32
 MAX_OVERLAP_SAMPLES = 10_000    # samples per overlap, each a potential evaluation per chart
-COCYCLE_SPREAD_TOL = 1e-7
+COCYCLE_SPREAD_TOL = 1e-7     # spread of V_i - V_j over an overlap; also the period tolerance
+TRIANGLE_TOL = 1e-9           # |c_ij + c_jk - c_ik| on an inhabited triple overlap
 
 
 class Chart:
@@ -81,16 +82,16 @@ class Chart:
                 return False
         return True
 
-    def first_exit(self, p0, p1, tol=_CONSTRAINT_TOL):
+    def first_exit(self, p0, p1):
         """Smallest s in (0, 1] where the segment p0 -> p1 leaves the chart,
         or None if p1 is still inside; linear constraints are crossed exactly."""
-        if self.contains(p1, tol):
+        if self.contains(p1):
             return None
         best = None
         for a, b, c in self.constraints:
             g0 = a * p0[0] + b * p0[1] - c
             g1 = a * p1[0] + b * p1[1] - c
-            if g1 < -tol and g0 > g1:
+            if g1 < -_CONSTRAINT_TOL and g0 > g1:
                 s = g0 / (g0 - g1)
                 if 0.0 <= s <= 1.0 and (best is None or s < best):
                     best = s
@@ -129,10 +130,10 @@ class Atlas:
     def ids(self):
         return tuple(self.charts)
 
-    def chart_for(self, p, tol=_CONSTRAINT_TOL):
+    def chart_for(self, p):
         """Lowest-id chart containing p, or None."""
         for cid in self.ids:
-            if self.charts[cid].contains(p, tol):
+            if self.charts[cid].contains(p):
                 return cid
         return None
 
@@ -155,14 +156,14 @@ class Atlas:
         return (*np.array(planes).T[:, :, None], *np.reshape(holes, (-1, 2)).T[:, :, None],
                 rules_out)
 
-    def locate(self, xs, ys, tol=_CONSTRAINT_TOL):
+    def locate(self, xs, ys):
         """chart_for at every point of the 1-d arrays xs, ys at once: the
         index in ids of the lowest-id chart containing each point, or
         len(ids) where none does.  Each constraint value is the
         a*x + b*y - c of Chart.contains, so the two agree point for point."""
         a, b, c, hx, hy, rules_out = self._rules
         with np.errstate(invalid="ignore", over="ignore"):
-            fails = ~(a * xs + b * ys - c >= -tol)   # NaN fails
+            fails = ~(a * xs + b * ys - c >= -_CONSTRAINT_TOL)   # NaN fails
         hole = xs == hx
         if np.count_nonzero(hole):      # rare: only then test y too
             fails = np.concatenate([fails, hole & (ys == hy)])
@@ -344,26 +345,25 @@ def atlas_for(punctures):
     return Atlas(charts)
 
 
-def quadrant_atlas(singular_points=((0.0, 0.0),)):
-    """atlas_for the singular points: by default the four closed quadrants
-    about a puncture at the origin."""
-    return atlas_for(singular_points)
+def quadrant_atlas():
+    """The four closed quadrants about a puncture at the origin."""
+    return atlas_for(((0.0, 0.0),))
 
 
 # ---------------------------------------------------------------------------
 # potentials
 
 class PotentialEvaluator:
-    """V(q) = gauge - integral of the field along basepoint -> q.
+    """-(integral of the field along basepoint -> q), a chart's potential
+    up to its gauge, which PotentialSet keeps.
 
     Values are memoized by exact coordinates; CPython's GIL makes the
     cache safe for concurrent readers with serialized writers.
     """
 
-    def __init__(self, field, chart, gauge=0.0):
+    def __init__(self, field, chart):
         self.field = field
         self.chart = chart
-        self.gauge = float(gauge)
         self._cache = {}
 
     def raw(self, q):
@@ -389,9 +389,6 @@ class PotentialEvaluator:
         if not self.chart.contains(key):
             raise ChartMembershipError(f"point {key} is outside chart {self.chart.id}")
         return key
-
-    def __call__(self, q):
-        return self.gauge + self.raw(q)
 
 
 class PotentialSet:
@@ -425,8 +422,6 @@ class PotentialSet:
         ids = atlas.ids
         if gauges is None:
             gauges = {cid: 0.0 for cid in ids}
-        elif not isinstance(gauges, dict):
-            gauges = dict(zip(ids, gauges))
         if set(gauges) != set(ids):
             raise ValidationError("gauges must cover exactly the chart ids")
         _refuse_inner_punctures(atlas.charts.values(), field.singular_points)
@@ -443,8 +438,6 @@ class PotentialSet:
 def gauge_shift(ps, offsets):
     """New PotentialSet with V_i replaced by V_i + a_i; the underlying
     integrals (and their caches) are shared, not recomputed."""
-    if not isinstance(offsets, dict):
-        offsets = dict(zip(ps.atlas.ids, offsets))
     if set(offsets) != set(ps.atlas.ids):
         raise ValidationError("offsets must cover exactly the chart ids")
     gauges = {cid: ps.gauges[cid] + float(offsets[cid]) for cid in ps.atlas.ids}
@@ -457,12 +450,10 @@ def gauge_shift(ps, offsets):
 class CechCocycle:
     """Constant overlap differences c_ij = V_i - V_j on the overlap graph."""
 
-    def __init__(self, entries, spreads, atlas, samples, tol):
+    def __init__(self, entries, spreads, atlas):
         self.entries = dict(entries)      # canonical (i < j) -> c_ij
         self.spreads = dict(spreads)
         self.atlas = atlas
-        self.samples = samples
-        self.tol = tol
 
     def value(self, i, j):
         if i == j:
@@ -481,17 +472,17 @@ class CechCocycle:
         return sum(self.value(a, b) for a, b in zip(cycle[:-1], cycle[1:]))
 
 
-def cocycle(ps, atlas=None, samples=DEFAULT_OVERLAP_SAMPLES,
-            tol=COCYCLE_SPREAD_TOL, triangle_tol=1e-9):
-    """Sample V_i - V_j on every nonempty overlap and average.
+def cocycle(ps, samples=DEFAULT_OVERLAP_SAMPLES):
+    """Sample V_i - V_j on every nonempty overlap of ps.atlas and average.
 
-    The spread over the samples must stay below tol, otherwise the field
-    is not closed across that overlap and the difference is meaningless.
-    Triangle identities are verified on every inhabited triple overlap.
+    The spread over the samples must stay below COCYCLE_SPREAD_TOL,
+    otherwise the field is not closed across that overlap and the
+    difference is meaningless.  Triangle identities are verified to
+    TRIANGLE_TOL on every inhabited triple overlap.
     """
     if not 1 <= samples <= MAX_OVERLAP_SAMPLES:
         raise ValidationError(f"samples must be in [1, {MAX_OVERLAP_SAMPLES}], got {samples}")
-    at = atlas or ps.atlas
+    at = ps.atlas
     ids = at.ids
     entries, spreads = {}, {}
     for a in range(len(ids)):
@@ -502,21 +493,21 @@ def cocycle(ps, atlas=None, samples=DEFAULT_OVERLAP_SAMPLES,
                 continue
             diffs = ps.values(i, pts) - ps.values(j, pts)
             spread = float(np.max(diffs) - np.min(diffs))
-            if spread > tol:
+            if spread > COCYCLE_SPREAD_TOL:
                 raise CocycleConstancyError(
                     f"V_{i} - V_{j} varies by {spread:.3e} on overlap "
-                    f"({i},{j}); tolerance {tol:.1e}"
+                    f"({i},{j}); tolerance {COCYCLE_SPREAD_TOL:.1e}"
                 )
             entries[(i, j)] = float(np.mean(diffs))
             spreads[(i, j)] = spread
-    cc = CechCocycle(entries, spreads, at, samples, tol)
+    cc = CechCocycle(entries, spreads, at)
     for (i, j) in cc.pairs():
         for k in ids:
             if k <= j or (j, k) not in cc.entries or (i, k) not in cc.entries:
                 continue
             if at.triple_overlap_nonempty(i, j, k):
                 resid = abs(cc.value(i, j) + cc.value(j, k) - cc.value(i, k))
-                if resid > triangle_tol:
+                if resid > TRIANGLE_TOL:
                     raise CocycleConstancyError(
                         f"triangle identity fails on ({i},{j},{k}): {resid:.3e}"
                     )
@@ -534,14 +525,14 @@ class ExactnessResult:
     exact: bool
     offsets: dict
     periods: tuple
-    tol: float
 
 
-def exactness_test(cc, tol=COCYCLE_SPREAD_TOL):
+def exactness_test(cc):
     """Solve c_ij = a_i - a_j on a spanning tree of the overlap graph.
 
     Residuals on the non-tree edges are the periods of the independent
-    nerve cycles; the cocycle is exact iff they all vanish.  When exact,
+    nerve cycles; the cocycle is exact iff they all vanish (to within
+    COCYCLE_SPREAD_TOL, the noise an entry may carry).  When exact,
     shifting gauges by -a_i zeroes the cocycle.
     """
     ids = list(cc.atlas.ids)
@@ -589,6 +580,6 @@ def exactness_test(cc, tol=COCYCLE_SPREAD_TOL):
         cycle = tuple([u] + v_side + [lca] + u_side[::-1])
         periods.append(CyclePeriod(cycle, float(period)))
 
-    exact = all(abs(p.period) <= tol for p in periods)
-    return ExactnessResult(exact, offsets, tuple(periods), tol)
+    exact = all(abs(p.period) <= COCYCLE_SPREAD_TOL for p in periods)
+    return ExactnessResult(exact, offsets, tuple(periods))
 

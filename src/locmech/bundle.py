@@ -70,13 +70,13 @@ class TrivialityReport:
     witness_holonomy: float | None
 
 
-def is_trivial(ts, tol=1e-7):
+def is_trivial(ts):
     """Bundle triviality via the log-domain spanning-tree solve.
 
     Trivial means every independent nerve cycle has holonomy one; the
     returned positive fiber gauges then split every transition factor.
     """
-    result = exactness_test(ts.cocycle, tol)
+    result = exactness_test(ts.cocycle)
     if result.exact:
         gauges = {}
         for cid, a in result.offsets.items():

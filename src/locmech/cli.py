@@ -174,7 +174,7 @@ def _parse_field(spec, singular):
         return zero_field()
     if isinstance(spec, str) and ";" in spec:
         fx, fy = spec.split(";", 1)
-        return from_components(fx, fy, singular_points=singular, name="cli")
+        return from_components(fx, fy, singular_points=singular)
     raise ValidationError(
         f"field must be 'vortex', 'zero', or 'fx;fy' expressions, got {spec!r}"
     )
@@ -485,7 +485,7 @@ def _cocycle_report(cc):
 def _cmd_cocycle(ns, doc):
     field, atlas = _field_and_atlas(doc)
     ps = PotentialSet.from_field(field, atlas)
-    cc = cocycle(ps, atlas, samples=ns.samples)
+    cc = cocycle(ps, samples=ns.samples)
     _emit_json(_cocycle_report(cc), ns.deterministic)
     return 0
 
@@ -499,7 +499,7 @@ def _cmd_classify(ns, doc):
 def _cmd_bundle(ns, doc):
     field, atlas = _field_and_atlas(doc)
     ps = PotentialSet.from_field(field, atlas)
-    cc = cocycle(ps, atlas)
+    cc = cocycle(ps)
     ts = transitions(cc)
     exact = exactness_test(cc)
     if ns.cycle:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, SingularityError, ValidationError
+from .errors import NonFiniteError, NumericError, SingularityError, ValidationError
 from .fields import TAU, angle_change, circulation, unwrapped_angle
 
 _SHEET_RESIDUAL_TOL = 1e-6
@@ -34,10 +34,6 @@ class LiftTrajectory:
         self.u = u
         self.v = v
         self.center = center
-
-    @property
-    def n_states(self):
-        return len(self.t)
 
     def sheets(self):
         principal = np.arctan2(np.sin(self.v), np.cos(self.v))
@@ -92,20 +88,26 @@ class CoverEnergyReport:
     strength: float
 
 
-def cover_energy(tr, lift, m=None, strength=None):
-    """Energy on the cover: kinetic part minus strength * v, the strength
-    being the circulation about the lift's center over 2*pi.
+def cover_energy(tr, lift):
+    """Energy on the cover: the logged kinetic energy minus strength * v,
+    the strength being the circulation about the lift's center over 2*pi.
 
     For the unit vortex the cover potential is -v and the result is
     T - v; for a field with no puncture the strength is zero and this
-    reduces to the kinetic energy alone.
+    reduces to the kinetic energy alone.  With n > 1 punctures the cover
+    potential is -sum_i s_i v_i, one angle v_i per puncture, which the
+    one-angle lift cannot give: ValidationError.  An energy past the
+    double range is refused with NonFiniteError.
     """
-    if m is None:
-        m = tr.m
-    if strength is None:
-        strength = circulation(tr.field, 0) / TAU if tr.field.singular_points else 0.0
-    Tkin = (tr.px ** 2 + tr.py ** 2) / (2.0 * m)
-    energy = Tkin - strength * lift.v
+    points = tr.field.singular_points
+    if len(points) > 1:
+        raise ValidationError(
+            f"cover energy for {len(points)} punctures needs T - sum_i s_i v_i, one angle "
+            "per puncture; it is computed for at most one puncture")
+    strength = circulation(tr.field, 0) / TAU if points else 0.0
+    energy = tr.Tkin - strength * lift.v
+    if not np.isfinite(energy).all():
+        raise NonFiniteError("non-finite cover energy: the momenta left the double range")
     drift = float(np.max(np.abs(energy - energy[0])))
     return CoverEnergyReport(tr.t.copy(), energy, drift, strength)
 

@@ -41,6 +41,7 @@ STEP_ANGLE_GUARD = 3.0   # radians per step; < pi so unwrapping stays unambiguou
 MAX_STEPS = 1_000_000    # ~100 MB of logged columns and about half a minute of stepping
 INTEGRATORS = ("leapfrog", "rk4")
 _CHUNK = 4096            # steps per bookkeeping pass: ~1 MB of floats in flight
+LOOP_CLOSURE_TOL = 1e-6  # a run whose end is this near its start gets the loop check
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,20 @@ def _validate_config(cfg, ps):
         raise ValidationError(f"integrator must be one of {INTEGRATORS}")
     if cfg.r_min <= 0:
         raise ValidationError("r_min must be positive")
-    if ps is not None and ps.atlas is not cfg.atlas:
-        if set(ps.atlas.ids) != set(cfg.atlas.ids):
-            raise ValidationError("potential set does not match the atlas")
+    if ps is not None and ps.atlas is not cfg.atlas and _charts(ps.atlas) != _charts(cfg.atlas):
+        raise ValidationError("potential set does not match the atlas: its charts differ "
+                              "in id, walls, basepoint or singular points")
     for sx, sy in cfg.field.singular_points:
         if math.hypot(cfg.q0[0] - sx, cfg.q0[1] - sy) < cfg.r_min:
             raise ValidationError("q0 starts within r_min of a singular point")
     if cfg.atlas.chart_for(cfg.q0) is None:
         raise ValidationError("q0 is not covered by the atlas")
+
+
+def _charts(atlas):
+    """What a chart's potential depends on, chart by chart in id order."""
+    return [(cid, ch.constraints, ch.basepoint, ch.singular_points)
+            for cid, ch in atlas.charts.items()]
 
 
 def simulate(cfg, potentials=None):
@@ -287,7 +294,7 @@ class _Books:
         qx, qy, px, py = q
         with np.errstate(over="ignore"):    # momenta past 1e154 square to inf
             Tkin = (px ** 2 + py ** 2) / (2.0 * cfg.m)
-        # independent of work_acc; ps.atlas has cfg.atlas's ids, so its rows
+        # independent of work_acc; ps.atlas has cfg.atlas's charts, so its rows
         V = ps.gauge_array[row] - segment_integrals(cfg.field, ps.basepoints[row], q[:2].T)
         arrays = {
             "t": cfg.h * np.arange(len(qx)), "qx": qx, "qy": qy, "px": px, "py": py,
@@ -408,10 +415,11 @@ class EnergyLedger:
     loop: LoopCheck | None
 
 
-def energy_ledger(tr, ps, cc=None, closure_tol=1e-6):
+def energy_ledger(tr, ps, cc=None):
     """Per-chart-segment energy drift, transition-jump audit, and, for
-    trajectories that nearly close in position, the kinetic energy gained
-    against the sum over singular points of circulation times winding."""
+    trajectories that end within LOOP_CLOSURE_TOL of their start, the
+    kinetic energy gained against the sum over singular points of
+    circulation times winding."""
     if cc is None:
         cc = build_cocycle(ps)
     segments = []
@@ -435,7 +443,7 @@ def energy_ledger(tr, ps, cc=None, closure_tol=1e-6):
     gap = math.hypot(
         float(tr.qx[-1] - tr.qx[0]), float(tr.qy[-1] - tr.qy[0])
     )
-    if gap <= closure_tol and tr.n_states > 2:
+    if gap <= LOOP_CLOSURE_TOL and tr.n_states > 2:
         delta_T = float(tr.Tkin[-1] - tr.Tkin[0])
         winding = tuple(int(w) for w in np.rint((tr.theta[-1] - tr.theta[0]) / TAU))
         expected = sum((circulation(tr.field, i) * w for i, w in enumerate(winding) if w), 0.0)

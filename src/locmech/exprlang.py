@@ -404,23 +404,6 @@ class ScalarExpr:
             self._diffs[var] = ScalarExpr(_diff(self.root, var), self.variables)
         return self._diffs[var]
 
-    def substitute(self, name, replacement):
-        """Replace a variable with another tree (used to reverse parametric
-        paths); returns a new ScalarExpr over the same variable tuple."""
-        def walk(node):
-            if isinstance(node, Var):
-                return replacement.root if node.name == name else node
-            if isinstance(node, Neg):
-                return Neg(walk(node.operand))
-            if isinstance(node, BinOp):
-                return BinOp(node.op, walk(node.left), walk(node.right))
-            if isinstance(node, Pow):
-                return Pow(walk(node.base), node.exponent)
-            if isinstance(node, Call):
-                return Call(node.func, tuple(walk(a) for a in node.args))
-            return node
-        return ScalarExpr(walk(self.root), self.variables)
-
 
 _ZERO, _ONE = Num(0.0), Num(1.0)
 _ARITH = dict(zip("+-*/", (operator.add, operator.sub, operator.mul, operator.truediv)))

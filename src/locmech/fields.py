@@ -41,6 +41,7 @@ DEFAULT_SEGMENTS = 2000
 MAX_PATH_SEGMENTS = 100_000    # parameter segments of a ParametricPath
 MAX_CLOSEDNESS_GRID = 1000     # nodes per side of the closedness grid
 PATH_CLOSE_TOL = 1e-12
+PROBE_REGION = (0.5, 0.5, 2.0, 2.0)    # where classify tests closedness
 _THETA_MAX = math.pi / 2
 _MAX_REFINE_DEPTH = 48          # halvings of an angle step; bisection rounds of a panel
 MAX_SEGMENT_LENGTH = 1e5
@@ -80,7 +81,6 @@ class FieldOneForm:
     fx: ScalarExpr
     fy: ScalarExpr
     singular_points: tuple = ()
-    name: str = ""
 
     def eval_at(self, x, y, r_min=R_MIN_EVAL):
         for sx, sy in self.singular_points:
@@ -128,22 +128,20 @@ class FieldOneForm:
         return self.singular_points[0] if self.singular_points else (0.0, 0.0)
 
 
-def from_components(fx_source, fy_source, singular_points=(), name=""):
+def from_components(fx_source, fy_source, singular_points=()):
     points = tuple((float(a), float(b)) for a, b in singular_points)
     if not all(map(math.isfinite, chain.from_iterable(points))):
         raise ValidationError("singular points must be finite")
-    return FieldOneForm(parse_expr(fx_source), parse_expr(fy_source), points, name)
+    return FieldOneForm(parse_expr(fx_source), parse_expr(fy_source), points)
 
 
 def vortex():
     """The closed, non-exact unit-circulation field on the punctured plane."""
-    return from_components(
-        "-y/(x^2+y^2)", "x/(x^2+y^2)", singular_points=((0.0, 0.0),), name="vortex"
-    )
+    return from_components("-y/(x^2+y^2)", "x/(x^2+y^2)", singular_points=((0.0, 0.0),))
 
 
 def zero_field():
-    return from_components("0", "0", name="zero")
+    return from_components("0", "0")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +172,7 @@ class PolylinePath:
     def edges(self):
         return zip(self.vertices[:-1], self.vertices[1:])
 
-    def sample(self, n=None):
+    def sample(self):
         return np.asarray(self.vertices, dtype=float)
 
     def reversed(self):
@@ -185,7 +183,7 @@ class PolylinePath:
 
 
 class ParametricPath:
-    """t -> (x(t), y(t)) over [t0, t1], sampled at n segments by default."""
+    """t -> (x(t), y(t)) over [t0, t1], sampled at n parameter segments."""
 
     def __init__(self, x_expr, y_expr, t0, t1, n=DEFAULT_SEGMENTS):
         if isinstance(x_expr, str):
@@ -223,20 +221,9 @@ class ParametricPath:
         (x0, y0), (x1, y1) = self.start, self.end
         return math.hypot(x1 - x0, y1 - y0) <= PATH_CLOSE_TOL
 
-    def sample(self, n=None):
-        ts = np.linspace(self.t0, self.t1, (n or self.n) + 1)
-        xs, ys = self.point_array(ts)
-        return np.column_stack([xs, ys])
-
-    def reversed(self):
-        flip = ScalarExpr(fold("-", fold("+", Num(self.t0), Num(self.t1)), Var("t")), ("t",))
-        return ParametricPath(
-            self.x_expr.substitute("t", flip),
-            self.y_expr.substitute("t", flip),
-            self.t0,
-            self.t1,
-            self.n,
-        )
+    def sample(self):
+        ts = np.linspace(self.t0, self.t1, self.n + 1)
+        return np.column_stack(self.point_array(ts))
 
     def __repr__(self):
         return (
@@ -430,7 +417,7 @@ def _finite(values, what):
     return values
 
 
-def segment_integrals(field, a, bs, r_min=R_MIN_EVAL):
+def segment_integrals(field, a, bs):
     """Line integrals along the segments a -> b for the rows b of the (n, 2)
     array bs, from one start point a (shape (2,) or (1, 2)) or from row i
     of an (n, 2) array a: _batch_cuts panels refined by _row_sums,
@@ -442,7 +429,7 @@ def segment_integrals(field, a, bs, r_min=R_MIN_EVAL):
         step = max(1, _BLOCK_STATES // max(1, len(field.singular_points)))
         for i in range(0, len(bs), step):
             a_j, b_j = (starts[i:i + step] if len(starts) > 1 else starts).T, bs[i:i + step].T
-            lo, width, owner, d = _batch_cuts(a_j, b_j, field.singular_points, r_min)
+            lo, width, owner, d = _batch_cuts(a_j, b_j, field.singular_points, R_MIN_EVAL)
             d, pan = d.take(owner, 1), np.empty((2, 2, len(owner)))
             np.multiply(lo, d, out=pan[0])    # then x0 = ax + lo dx, ...
             pan[0] += a_j.take(owner, 1) if len(starts) > 1 else a_j
@@ -451,11 +438,11 @@ def segment_integrals(field, a, bs, r_min=R_MIN_EVAL):
     return _finite(out, "segment integral")
 
 
-def segment_work(field, a, b, r_min=R_MIN_EVAL):
+def segment_work(field, a, b):
     """Line integral of the field along the straight segment a -> b: the
     one-segment case of segment_integrals, with the same cuts and panels
     but no batch bookkeeping."""
-    cuts = _cuts(a, b, field.singular_points, r_min)
+    cuts = _cuts(a, b, field.singular_points, R_MIN_EVAL)
     (ax, ay), dx, dy = a, b[0] - a[0], b[1] - a[1]
     pan = np.array([[[lo * dx + ax, lo * dy + ay], [(hi - lo) * dx, (hi - lo) * dy]]
                     for lo, hi in zip(cuts, cuts[1:])]).reshape(-1, 2, 2).transpose(1, 2, 0)
@@ -464,7 +451,7 @@ def segment_work(field, a, b, r_min=R_MIN_EVAL):
                        "segment integral")
 
 
-def work(field, path, quad="simpson", r_min=R_MIN_EVAL):
+def work(field, path, quad="simpson"):
     """Work integral of the field along the path.
 
     Parametric paths are pulled back to t by the composite rule quad, with
@@ -475,11 +462,11 @@ def work(field, path, quad="simpson", r_min=R_MIN_EVAL):
     rule, order = _parse_rule(quad)
     if isinstance(path, PolylinePath):
         v = np.array(path.vertices)
-        return float(segment_integrals(field, v[:-1], v[1:], r_min).sum())
+        return float(segment_integrals(field, v[:-1], v[1:]).sum())
     ts, ws = _nodes_weights(rule, order, path.t0, path.t1, path.n)
     xs, ys = path.point_array(ts)
     dxdt, dydt = path.x_expr.diff("t").array_fn(ts), path.y_expr.diff("t").array_fn(ts)
-    vx, vy = field.eval_array(xs, ys, r_min)
+    vx, vy = field.eval_array(xs, ys)
     for d in (dxdt, dydt):
         _finite(d, "path tangent")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -630,21 +617,21 @@ def is_closed(field, region, grid=20, tol=1e-4):
     return ClosednessReport(mr < tol, mr, tol, grid, (x0, y0, x1, y1), worst)
 
 
-def classify(field, atlas=None, region=(0.5, 0.5, 2.0, 2.0), tol=1e-4):
+def classify(field, atlas=None):
     """Label a field exact, closed-not-exact, or not-closed.
 
     Closedness comes from the exact-derivative residual of is_closed on
-    the probe region; the exact/closed-not-exact split is decided by the chart
+    PROBE_REGION; the exact/closed-not-exact split is decided by the chart
     machinery (potentials, cocycle, spanning-tree periods).
     """
     from . import atlas as atlas_mod
 
-    report = is_closed(field, region, tol=tol)
+    report = is_closed(field, PROBE_REGION)
     if not report.passed:
         return "not-closed"
     if atlas is None:
         atlas = atlas_mod.atlas_for(field.singular_points)
     potentials = atlas_mod.PotentialSet.from_field(field, atlas)
-    cocycle = atlas_mod.cocycle(potentials, atlas)
+    cocycle = atlas_mod.cocycle(potentials)
     result = atlas_mod.exactness_test(cocycle)
     return "exact" if result.exact else "closed-not-exact"

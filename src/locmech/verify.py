@@ -110,17 +110,17 @@ class _Bench:
     @property
     def cc(self):
         if self._cc is None:
-            self._cc = cocycle(self.ps, self.atlas)
+            self._cc = cocycle(self.ps)
         return self._cc
 
     def exact_control(self):
         """A globally conservative field over the same atlas, with
         deliberately uneven chart gauges so its cocycle is nonzero."""
         if self._exact is None:
-            g = from_components("2*x", "2*y", name="radial-exact")
+            g = from_components("2*x", "2*y")
             gauges = {1: 0.3, 2: -1.1, 3: 0.0, 4: 2.5}
             ps = PotentialSet.from_field(g, self.atlas, gauges=gauges)
-            self._exact = (g, ps, cocycle(ps, self.atlas))
+            self._exact = (g, ps, cocycle(ps))
         return self._exact
 
     def run(self, h=BENCH_H):
@@ -212,7 +212,7 @@ def _check_work_winding(bench):
 def _check_closedness(bench):
     region = (0.5, 0.5, 2.0, 2.0)
     rep = is_closed(bench.field, region)
-    ctrl = is_closed(from_components("0", "x", name="x-dy"), region)
+    ctrl = is_closed(from_components("0", "x"), region)
     passed = (
         rep.passed
         and rep.max_residual < 1e-12
@@ -243,7 +243,7 @@ def _check_cocycle(bench):
     recovered = math.inf
     if res.exact:
         shifted = gauge_shift(ps_exact, {i: -res.offsets[i] for i in ids})
-        cc0 = cocycle(shifted, bench.atlas)
+        cc0 = cocycle(shifted)
         recovered = max(abs(cc0.value(i, j)) for (i, j) in cc0.pairs())
     passed = (
         sym_ok

@@ -388,6 +388,23 @@ def test_config_validation():
                            h=1e-3, T=1e-9))
 
 
+def test_a_potential_set_on_relabelled_charts_is_refused():
+    # the quadrant charts relabelled 1 -> III, 2 -> IV, 3 -> I, 4 -> II share
+    # the ids of quadrant_atlas() but not its charts; a run with them reported
+    # "completed" with V off by pi
+    quadrants = quadrant_atlas().charts
+    relabel = {1: 3, 2: 4, 3: 1, 4: 2}
+    relabelled = Atlas([Chart(cid, quadrants[old].constraints, quadrants[old].basepoint,
+                              singular_points=quadrants[old].singular_points)
+                        for cid, old in relabel.items()])
+    cfg = vortex_cfg(q0=(1.0, 0.2), T=0.5)
+    with pytest.raises(ValidationError, match="does not match the atlas"):
+        simulate(cfg, PotentialSet.from_field(cfg.field, relabelled))
+    # an equal atlas built a second time is accepted, and gives the same V
+    rebuilt = simulate(cfg, PotentialSet.from_field(cfg.field, quadrant_atlas()))
+    assert rebuilt.completed and np.array_equal(rebuilt.V, simulate(cfg).V)
+
+
 @pytest.mark.parametrize("override", [
     {"h": math.nan}, {"T": math.inf}, {"m": math.inf}, {"r_min": math.nan},
     {"q0": (math.nan, 0.0)}, {"p0": (math.nan, 1.0)},
@@ -416,7 +433,7 @@ def test_closed_loop_ledger_on_a_spring_vortex_orbit():
     for singular, winding in ((((0.0, 0.0),), (1,)), (((10.0, 0.0), (0.0, 0.0)), (0, 1))):
         field = from_components(
             "-y/(x^2+y^2) - 4*x", "x/(x^2+y^2) - 4*y",
-            singular_points=singular, name="spring-vortex",
+            singular_points=singular,
         )
         at = atlas_for(singular)
         cfg = SimConfig(
@@ -455,3 +472,26 @@ def test_an_off_origin_vortex_is_viewed_about_its_puncture():
     assert report.strength == pytest.approx(1.0, abs=1e-7)
     assert report.drift < 1e-4
     assert np.array_equal((tr.qx - 2.0) * tr.py - tr.qy * tr.px, tr.p_theta)
+
+
+def test_cover_energy_refuses_more_than_one_puncture():
+    # Two unit vortices: T - (theta_1 + theta_2) is conserved, but one lift
+    # about the first puncture alone read a drift of 2.31.
+    field = from_components("-y/(x^2+y^2) - y/((x-0.5)^2+y^2)",
+                            "x/(x^2+y^2) + (x-0.5)/((x-0.5)^2+y^2)",
+                            singular_points=((0.0, 0.0), (0.5, 0.0)))
+    tr = simulate(SimConfig(field=field, atlas=atlas_for(field.singular_points),
+                            q0=(2.0, 0.0), p0=(0.0, 1.2), h=1e-3, T=20.0))
+    assert tr.completed
+    energy = tr.Tkin - tr.theta.sum(axis=1)
+    assert float(np.max(np.abs(energy - energy[0]))) < 1e-6
+    with pytest.raises(ValidationError, match="one angle per puncture"):
+        cover_energy(tr, lift_trajectory(tr))
+
+
+def test_cover_energy_refuses_a_non_finite_energy():
+    # momenta of 1e200 square past the double range: Tkin is inf from the start
+    tr = simulate(vortex_cfg(p0=(1e200, 1e200), T=0.01))
+    assert np.isinf(tr.Tkin[0])
+    with pytest.raises(NonFiniteError):
+        cover_energy(tr, lift_trajectory(tr))

@@ -230,12 +230,6 @@ def test_array_backend_broadcasts_constants():
     assert np.all(out == math.pi)
 
 
-def test_substitute_replaces_variable():
-    e = parse_expr("t^2", variables=("t",))
-    shifted = e.substitute("t", parse_expr("1.0-t", variables=("t",)))
-    assert shifted.evaluate(0.25) == (1.0 - 0.25) ** 2
-
-
 def test_tree_nodes_compare_structurally():
     a = parse_expr("x+sin(y)")
     b = parse_expr("x + sin( y )")
