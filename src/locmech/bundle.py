@@ -66,8 +66,6 @@ def holonomy(ts, cycle):
 class TrivialityReport:
     trivial: bool
     gauges: dict | None          # chart id -> s_i > 0 with t_ij = s_i / s_j
-    witness_cycle: tuple | None
-    witness_holonomy: float | None
 
 
 def is_trivial(ts):
@@ -83,7 +81,6 @@ def is_trivial(ts):
             if abs(a) > _EXP_OVERFLOW:
                 raise TransitionOverflowError("fiber gauge exponent overflows")
             gauges[cid] = math.exp(a)
-        return TrivialityReport(True, gauges, None, None)
-    worst = max(result.periods, key=lambda p: abs(p.period))
-    return TrivialityReport(False, None, worst.cycle, holonomy(ts, worst.cycle))
+        return TrivialityReport(True, gauges)
+    return TrivialityReport(False, None)
 

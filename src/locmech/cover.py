@@ -26,27 +26,31 @@ _ANCHOR_MATCH_TOL = 1e-9
 
 
 class LiftTrajectory:
-    """Arrays (t, u, v) of a run lifted about a center, plus per-state sheet
-    indices."""
+    """Arrays u = log r and v (the continued angle) of a run or path lifted
+    about a center, from the offsets dx, dy of its points; plus per-state
+    sheet indices."""
 
-    def __init__(self, t, u, v, center=(0.0, 0.0)):
-        self.t = t
-        self.u = u
+    def __init__(self, dx, dy, v):
+        r = np.hypot(dx, dy)
+        if float(np.min(r)) <= 0.0:
+            raise SingularityError("the lifted points touch the center; no lift")
+        self.u = np.log(r)
         self.v = v
-        self.center = center
 
     def sheets(self):
-        principal = np.arctan2(np.sin(self.v), np.cos(self.v))
-        raw = (self.v - principal) / TAU
-        n = np.rint(raw).astype(np.int64)
-        if float(np.max(np.abs(raw - n))) > _SHEET_RESIDUAL_TOL:
-            raise NumericError("sheet index off-integer in lift")
-        return n
+        return _sheets(self.v, np.arctan2(np.sin(self.v), np.cos(self.v)))
 
-    def reprojected(self):
-        r = np.exp(self.u)
-        return np.column_stack([self.center[0] + r * np.cos(self.v),
-                                self.center[1] + r * np.sin(self.v)])
+
+def _sheets(continued, principal):
+    """The integers n with continued = principal + 2*pi*n, elementwise;
+    NumericError if a continued angle misses its sheet by more than
+    _SHEET_RESIDUAL_TOL turns."""
+    raw = (continued - principal) / TAU
+    n = np.rint(raw)
+    miss = abs(raw - n)
+    if np.count_nonzero(miss > _SHEET_RESIDUAL_TOL):
+        raise NumericError(f"continued angle misses a sheet by {np.max(miss):.3e}")
+    return n.astype(np.int64)
 
 
 def lift_trajectory(tr):
@@ -57,15 +61,11 @@ def lift_trajectory(tr):
     projection c + exp(u)(cos v, sin v) reproduces the positions.
     """
     cx, cy = tr.field.center
-    r = np.hypot(tr.qx - cx, tr.qy - cy)
-    if float(np.min(r)) <= 0.0:
-        raise SingularityError("trajectory touches the center; no lift")
-    u = np.log(r)
     if tr.field.singular_points:
         v = tr.theta[:, 0].copy()
     else:
         v = unwrapped_angle(tr.positions())
-    return LiftTrajectory(tr.t.copy(), u, v, (cx, cy))
+    return LiftTrajectory(tr.qx - cx, tr.qy - cy, v)
 
 
 def lift_path(path):
@@ -73,16 +73,11 @@ def lift_path(path):
     along its samples.  path is anything fields.unwrapped_angle takes,
     including an (n, 2) array of points."""
     pts = path.sample() if hasattr(path, "sample") else np.asarray(path, dtype=float)
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    if float(np.min(r)) <= 0.0:
-        raise SingularityError("path touches the origin; no lift")
-    v = unwrapped_angle(path)
-    return LiftTrajectory(np.arange(len(pts), dtype=float), np.log(r), v)
+    return LiftTrajectory(pts[:, 0], pts[:, 1], unwrapped_angle(path))
 
 
 @dataclass(frozen=True)
 class CoverEnergyReport:
-    t: np.ndarray
     energy: np.ndarray
     drift: float
     strength: float
@@ -109,7 +104,7 @@ def cover_energy(tr, lift):
     if not np.isfinite(energy).all():
         raise NonFiniteError("non-finite cover energy: the momenta left the double range")
     drift = float(np.max(np.abs(energy - energy[0])))
-    return CoverEnergyReport(tr.t.copy(), energy, drift, strength)
+    return CoverEnergyReport(energy, drift, strength)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +146,7 @@ def continue_log(germ, path):
     end = path.end
     anchor_end = complex(end[0], end[1])
     continued = cmath.phase(germ.anchor) + TAU * germ.sheet + sweep
-    raw = (continued - cmath.phase(anchor_end)) / TAU
-    sheet = int(round(raw))
-    if abs(raw - sheet) > _SHEET_RESIDUAL_TOL:
-        raise NumericError(
-            f"continued angle misses a sheet by {abs(raw - sheet):.3e}"
-        )
+    sheet = int(_sheets(continued, cmath.phase(anchor_end)))
     return LogGerm(anchor_end, sheet)
 
 

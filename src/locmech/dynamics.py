@@ -21,8 +21,6 @@ log is the same; an abort's cause is kept as tr.abort.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import sub
 
 import numpy as np
 
@@ -80,12 +78,9 @@ class Trajectory:
     """Column-oriented log of a run: one array per logged quantity."""
 
     def __init__(self, cfg, arrays, transitions, status, abort_reason=None, abort=None):
-        self.config = cfg
         self.field = cfg.field
-        self.atlas = cfg.atlas
         self.m = cfg.m
         self.h = cfg.h
-        self.integrator = cfg.integrator
         for name, arr in arrays.items():
             setattr(self, name, arr)
         self.transitions = tuple(transitions)
@@ -122,6 +117,8 @@ def _validate_config(cfg, ps):
     if ps is not None and ps.atlas is not cfg.atlas and _charts(ps.atlas) != _charts(cfg.atlas):
         raise ValidationError("potential set does not match the atlas: its charts differ "
                               "in id, walls, basepoint or singular points")
+    if ps is not None and ps.field is not cfg.field and ps.field != cfg.field:
+        raise ValidationError("potential set was built for another field")
     for sx, sy in cfg.field.singular_points:
         if math.hypot(cfg.q0[0] - sx, cfg.q0[1] - sy) < cfg.r_min:
             raise ValidationError("q0 starts within r_min of a singular point")
@@ -201,6 +198,7 @@ class _Books:
     def __init__(self, cfg, ps):
         self.cfg, self.ps = cfg, ps
         self.points = cfg.field.singular_points
+        self.sx, self.sy = np.reshape(np.array(self.points, float), (-1, 2)).T
         self.center = np.reshape(cfg.field.center, (2, 1))
         self.steps = 0          # steps kept so far
         self.theta = None       # the angles and the work at the last state kept
@@ -218,7 +216,7 @@ class _Books:
         end, cause = state.shape[1] - 1, None   # steps kept; why the next one is not
         row = atlas.locate(state[0], state[1])  # each state's chart, as its index in ids
         with np.errstate(over="ignore", invalid="ignore"):
-            theta, swept = self._angles(flat[0::6], flat[1::6])
+            theta, swept = self._angles(state[0], state[1])
             if swept is not None:
                 end, j, r = swept
                 sx, sy = self.points[j]
@@ -259,28 +257,22 @@ class _Books:
         self.steps, self.theta, self.work = done + end, theta[-1], work[-1]
         return cause
 
-    def _angles(self, xs, ys):
-        """The angle of each state (coordinates in the lists xs, ys) about
-        each singular point, less its predecessor's (row 0: the angle kept
-        last, or the first one), by math.atan2 and math.remainder as the
-        scalar rule takes them; and (step, point, angle) of the first step
-        that sweeps STEP_ANGLE_GUARD or more, or None.  A difference under
-        3 < pi is its own principal value: only larger ones need remainder."""
-        theta = np.empty((len(xs), len(self.points)))
-        for j, (sx, sy) in enumerate(self.points):
-            theta[:, j] = np.fromiter(map(math.atan2, map(sub, ys, repeat(sy)),
-                                          map(sub, xs, repeat(sx))), float, len(xs))
+    def _angles(self, x, y):
+        """The angle of each state (coordinates x, y) about each singular
+        point, less its predecessor's and wrapped to [-pi, pi] as
+        fields.unwrapped_angle wraps path steps (row 0: the angle kept last,
+        or the first one); and (step, point, angle) of the first step that
+        sweeps STEP_ANGLE_GUARD or more, or None."""
+        theta = np.arctan2(y[:, None] - self.sy, x[:, None] - self.sx)
         d = theta[1:]
         d -= theta[:-1]
+        d -= TAU * np.rint(d / TAU)
         if self.theta is not None:
             theta[0] = self.theta
         big = np.abs(d) >= STEP_ANGLE_GUARD
-        if np.count_nonzero(big):
-            steps, points = big.nonzero()
-            for i, j in zip(steps.tolist(), points.tolist()):
-                d[i, j] = r = math.remainder(d[i, j], TAU)
-                if abs(r) >= STEP_ANGLE_GUARD:
-                    return theta, (i, j, r)
+        if big.any():
+            i, j = np.argwhere(big)[0].tolist()
+            return theta, (i, j, float(d[i, j]))
         return theta, None
 
     def trajectory(self, cause, reason):

@@ -147,7 +147,16 @@ def zero_field():
 # ---------------------------------------------------------------------------
 # paths
 
-class PolylinePath:
+class _Path:
+    """A path closes when its ends lie within PATH_CLOSE_TOL."""
+
+    @property
+    def is_closed(self):
+        (x0, y0), (x1, y1) = self.start, self.end
+        return math.hypot(x1 - x0, y1 - y0) <= PATH_CLOSE_TOL
+
+
+class PolylinePath(_Path):
     """Straight segments through an ordered vertex list."""
 
     def __init__(self, vertices):
@@ -164,11 +173,6 @@ class PolylinePath:
     def end(self):
         return self.vertices[-1]
 
-    @property
-    def is_closed(self):
-        (x0, y0), (x1, y1) = self.start, self.end
-        return math.hypot(x1 - x0, y1 - y0) <= PATH_CLOSE_TOL
-
     def edges(self):
         return zip(self.vertices[:-1], self.vertices[1:])
 
@@ -182,7 +186,7 @@ class PolylinePath:
         return f"PolylinePath({len(self.vertices)} vertices)"
 
 
-class ParametricPath:
+class ParametricPath(_Path):
     """t -> (x(t), y(t)) over [t0, t1], sampled at n parameter segments."""
 
     def __init__(self, x_expr, y_expr, t0, t1, n=DEFAULT_SEGMENTS):
@@ -215,11 +219,6 @@ class ParametricPath:
     @property
     def end(self):
         return self.point(self.t1)
-
-    @property
-    def is_closed(self):
-        (x0, y0), (x1, y1) = self.start, self.end
-        return math.hypot(x1 - x0, y1 - y0) <= PATH_CLOSE_TOL
 
     def sample(self):
         ts = np.linspace(self.t0, self.t1, self.n + 1)
@@ -486,11 +485,6 @@ def circulation(field, which):
 # ---------------------------------------------------------------------------
 # winding
 
-def principal_angle_diff(a1, a0):
-    """Difference a1 - a0 wrapped to [-pi, pi]."""
-    return math.remainder(a1 - a0, TAU)
-
-
 def _angle_about(p, about):
     dx, dy = p[0] - about[0], p[1] - about[1]
     if dx == 0.0 and dy == 0.0:
@@ -537,7 +531,7 @@ def unwrapped_angle(path, about=(0.0, 0.0)):
 
 
 def _refined_step(point_at, about, s0, a0, s1, a1, depth):
-    d = principal_angle_diff(a1, a0)
+    d = math.remainder(a1 - a0, TAU)
     if abs(d) <= _THETA_MAX:
         return d
     if depth <= 0:

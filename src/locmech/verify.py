@@ -9,8 +9,8 @@ artifacts.
 
 Detail strings carry only run-independent quantities (residuals,
 ratios, counts), so a rendered report is byte-identical between runs
-of the same build; wall-clock budgets are enforced in the verdicts but
-never printed.
+of the same build; the wall-clock budgets in BUDGETS are enforced in
+the verdicts, and only a check that overruns its budget names it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import tempfile
 import time
 from contextlib import redirect_stdout
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,39 +90,38 @@ def _loop_polyline(ring, n):
     return PolylinePath(cycle * abs(n) + [cycle[0]])
 
 
+def _loops(n):
+    """The unit circle and the square _SQUARE, each winding n times about
+    the origin; for n = 0, each once about (3, 0)."""
+    if n:
+        return circle_path(0.0, 0.0, 1.0, turns=n), _loop_polyline(_SQUARE, n)
+    return circle_path(3.0, 0.0, 1.0), _loop_polyline([(x + 3.0, y) for x, y in _SQUARE], 1)
+
+
 class _Bench:
     """Vortex benchmark artifacts, built once and shared across checks."""
 
     def __init__(self):
         self.field = vortex()
         self.atlas = quadrant_atlas()
-        self._ps = None
-        self._cc = None
-        self._exact = None
         self._runs = {}
         self._ledgers = {}
 
-    @property
+    @cached_property
     def ps(self):
-        if self._ps is None:
-            self._ps = PotentialSet.from_field(self.field, self.atlas)
-        return self._ps
+        return PotentialSet.from_field(self.field, self.atlas)
 
-    @property
+    @cached_property
     def cc(self):
-        if self._cc is None:
-            self._cc = cocycle(self.ps)
-        return self._cc
+        return cocycle(self.ps)
 
+    @cached_property
     def exact_control(self):
         """A globally conservative field over the same atlas, with
         deliberately uneven chart gauges so its cocycle is nonzero."""
-        if self._exact is None:
-            g = from_components("2*x", "2*y")
-            gauges = {1: 0.3, 2: -1.1, 3: 0.0, 4: 2.5}
-            ps = PotentialSet.from_field(g, self.atlas, gauges=gauges)
-            self._exact = (g, ps, cocycle(ps))
-        return self._exact
+        gauges = {1: 0.3, 2: -1.1, 3: 0.0, 4: 2.5}
+        ps = PotentialSet.from_field(from_components("2*x", "2*y"), self.atlas, gauges=gauges)
+        return ps, cocycle(ps)
 
     def run(self, h=BENCH_H):
         if h not in self._runs:
@@ -177,35 +177,20 @@ class VerifyReport:
 
 
 def _check_work_winding(bench):
-    t0 = time.perf_counter()
     f = bench.field
     worst = 0.0
     windings_ok = True
     cases = 0
     for n in (-2, -1, 0, 1, 2):
-        if n == 0:
-            loops = [
-                circle_path(3.0, 0.0, 1.0),
-                PolylinePath([(4.0, 1.0), (2.0, 1.0), (2.0, -1.0),
-                              (4.0, -1.0), (4.0, 1.0)]),
-            ]
-        else:
-            loops = [
-                circle_path(0.0, 0.0, 1.0, turns=n),
-                _loop_polyline(_SQUARE, n),
-            ]
-        for path in loops:
+        for path in _loops(n):
             worst = max(worst, abs(work(f, path) - TAU * n))
             if winding_number(path).number != n:
                 windings_ok = False
             cases += 1
-    elapsed = time.perf_counter() - t0
-    passed = worst < 1e-12 and windings_ok and elapsed < 1.0
+    passed = worst < 1e-12 and windings_ok
     detail = f"{cases} loops, max |work - 2*pi*n| = {worst:.3e}"
     if not windings_ok:
         detail += "; winding mismatch"
-    if elapsed >= 1.0:
-        detail += "; runtime over 1 s budget"
     return passed, detail
 
 
@@ -238,7 +223,7 @@ def _check_cocycle(bench):
     sum_ok = abs(csum + TAU) < 1e-6 and abs(csum + circ) < 1e-6
     non_exact = not exactness_test(cc).exact
 
-    _, ps_exact, cc_exact = bench.exact_control()
+    ps_exact, cc_exact = bench.exact_control
     res = exactness_test(cc_exact)
     recovered = math.inf
     if res.exact:
@@ -265,14 +250,13 @@ def _check_cocycle(bench):
 
 
 def _check_holonomy(bench):
-    t0 = time.perf_counter()
     ts = transitions(bench.cc)
     hol = holonomy(ts, (1, 2, 3, 4, 1))
     expected = math.exp(-TAU)
     rel = abs(hol - expected) / expected
     vortex_rep = is_trivial(ts)
 
-    _, _, cc_exact = bench.exact_control()
+    _, cc_exact = bench.exact_control
     ts_exact = transitions(cc_exact)
     ctrl_rep = is_trivial(ts_exact)
     gauge_err = math.inf
@@ -282,13 +266,11 @@ def _check_holonomy(bench):
             abs(ts_exact.factor(i, j) - s[i] / s[j]) / ts_exact.factor(i, j)
             for (i, j) in ts_exact.edges()
         )
-    elapsed = time.perf_counter() - t0
     passed = (
         rel < 1e-12
         and not vortex_rep.trivial
         and ctrl_rep.trivial
         and gauge_err < 1e-7
-        and elapsed < 1.0
     )
     detail = (
         f"cycle product rel err {rel:.3e} vs exp(-2*pi), "
@@ -296,8 +278,6 @@ def _check_holonomy(bench):
     )
     if vortex_rep.trivial:
         detail += "; vortex misreported trivial"
-    if elapsed >= 1.0:
-        detail += "; runtime over 1 s budget"
     return passed, detail
 
 
@@ -306,27 +286,22 @@ def _ptheta_error(tr):
 
 
 def _check_angular_momentum(bench):
-    t0 = time.perf_counter()
     tr1 = bench.run(BENCH_H)
     tr2 = bench.run(BENCH_H / 2)
     e1 = _ptheta_error(tr1)
     e2 = _ptheta_error(tr2)
     ratio = bench.ledger(BENCH_H).max_drift / bench.ledger(BENCH_H / 2).max_drift
-    elapsed = time.perf_counter() - t0
     passed = (
         tr1.completed
         and tr2.completed
         and e1 < 1e-4
         and e2 < 1e-4
         and 3.0 <= ratio <= 5.0
-        and elapsed < 5.0
     )
     detail = (
         f"max |p_theta(t)-p_theta(0)-t| = {e1:.3e} (h), {e2:.3e} (h/2); "
         f"energy-drift halving ratio {ratio:.3f}"
     )
-    if elapsed >= 5.0:
-        detail += "; runtime over 5 s budget"
     return passed, detail
 
 
@@ -360,10 +335,7 @@ def _check_cover_energy(bench):
     ratio = ce1.drift / ce2.drift
     sheets_ok = True
     for n in (-2, -1, 0, 1, 2):
-        if n == 0:
-            path = circle_path(3.0, 0.0, 1.0)
-        else:
-            path = circle_path(0.0, 0.0, 1.0, turns=n)
+        path = _loops(n)[0]
         sh = lift_path(path).sheets()
         if int(sh[-1] - sh[0]) != n or winding_number(path).number != n:
             sheets_ok = False
@@ -535,6 +507,8 @@ CHECKS = (
     (9, "forms-identities", _check_forms),
     (10, "determinism", _check_determinism),
 )
+# wall-clock seconds a check may take, timed by run_all
+BUDGETS = {1: 1.0, 4: 1.0, 5: 5.0}
 
 
 def run_all(numbers=None):
@@ -544,9 +518,13 @@ def run_all(numbers=None):
     for number, name, fn in CHECKS:
         if numbers is not None and number not in numbers:
             continue
+        t0 = time.perf_counter()
         try:
             passed, detail = fn(bench)
         except Exception as exc:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        budget = BUDGETS.get(number, math.inf)
+        if time.perf_counter() - t0 >= budget:
+            passed, detail = False, f"{detail}; runtime over {budget:g} s budget"
         results.append(CheckResult(number, name, passed, detail))
     return VerifyReport(tuple(results))

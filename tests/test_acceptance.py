@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from locmech import verify
 from locmech.verify import CHECKS, run_all
 
 EXPECTED = [
@@ -58,6 +59,14 @@ def test_full_report_renders_green(report):
     assert report.passed
     assert rendered.splitlines()[-1] == "all checks passed"
     assert len(report.results) == 10
+
+
+def test_a_check_over_its_budget_fails(monkeypatch):
+    monkeypatch.setitem(verify.BUDGETS, 2, 0.0)
+    results = {r.number: r for r in run_all().results}
+    assert not results[2].passed
+    assert results[2].detail.endswith("; runtime over 0 s budget")
+    assert all(r.passed for number, r in results.items() if number != 2)
 
 
 def run_verify_cli():

@@ -55,8 +55,6 @@ def test_vortex_bundle_is_nontrivial():
     report = is_trivial(vortex_ts())
     assert not report.trivial
     assert report.gauges is None
-    assert report.witness_holonomy == pytest.approx(math.exp(-TAU), rel=1e-6)
-    assert report.witness_cycle[0] == report.witness_cycle[-1]
 
 
 def test_exact_bundle_is_trivial_with_splitting_gauges():

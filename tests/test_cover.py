@@ -18,6 +18,7 @@ from locmech.cover import (
 from locmech.dynamics import SimConfig, simulate
 from locmech.errors import ValidationError
 from locmech.fields import PolylinePath, circle_path, vortex, zero_field
+from locmech.verify import _DIAMOND, _loop_polyline
 
 TAU = math.tau
 
@@ -31,7 +32,8 @@ def bench_run(T=5.0):
 def test_lift_reprojects_to_the_original_positions():
     tr = bench_run(T=2.0)
     lift = lift_trajectory(tr)
-    gap = np.abs(lift.reprojected() - tr.positions())
+    r = np.exp(lift.u)
+    gap = np.abs(np.column_stack([r * np.cos(lift.v), r * np.sin(lift.v)]) - tr.positions())
     assert float(np.max(gap)) < 1e-12
     # u is log r along the run.
     assert np.allclose(np.exp(lift.u), np.hypot(tr.qx, tr.qy), rtol=1e-13)
@@ -119,6 +121,16 @@ def test_out_and_back_keeps_the_branch():
     there = continue_log(g0, out)
     again = continue_log(there, out.reversed())
     assert again == g0
+
+
+def test_continued_sheet_is_the_lifted_sheet():
+    # continue_log and LiftTrajectory.sheets round a continued angle to its
+    # sheet by one rule
+    paths = [_loop_polyline(_DIAMOND, n) for n in (-3, -2, -1, 1, 2, 3)]
+    paths.append(PolylinePath([(1.0, 0.0), (2.0, 1.0), (1.0, 0.0)]))
+    for path in paths:
+        germ = LogGerm(complex(*path.start), 0)
+        assert continue_log(germ, path).sheet == lift_path(path).sheets()[-1]
 
 
 def test_monodromy_log_values():

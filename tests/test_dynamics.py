@@ -405,6 +405,17 @@ def test_a_potential_set_on_relabelled_charts_is_refused():
     assert rebuilt.completed and np.array_equal(rebuilt.V, simulate(cfg).V)
 
 
+def test_a_potential_set_for_another_field_is_refused():
+    # a vortex run with the potentials of grad(x^2 + y^2) on the same atlas
+    # completed with delta_e 0.0 where the vortex's own potentials give pi/2
+    cfg = vortex_cfg(q0=(1.0, 0.2), T=3.0)
+    with pytest.raises(ValidationError, match="another field"):
+        simulate(cfg, PotentialSet.from_field(from_components("2*x", "2*y"), cfg.atlas))
+    # an equal field built a second time is accepted, and gives the same V
+    rebuilt = simulate(cfg, PotentialSet.from_field(vortex(), cfg.atlas))
+    assert rebuilt.completed and np.array_equal(rebuilt.V, simulate(cfg).V)
+
+
 @pytest.mark.parametrize("override", [
     {"h": math.nan}, {"T": math.inf}, {"m": math.inf}, {"r_min": math.nan},
     {"q0": (math.nan, 0.0)}, {"p0": (math.nan, 1.0)},
@@ -467,7 +478,9 @@ def test_an_off_origin_vortex_is_viewed_about_its_puncture():
     assert tr.completed
     assert float(np.max(np.abs(tr.p_theta - tr.p_theta[0] - tr.t))) < 1e-6
     lift = lift_trajectory(tr)
-    assert float(np.max(np.abs(lift.reprojected() - tr.positions()))) < 1e-12
+    r = np.exp(lift.u)
+    reprojected = np.column_stack([2.0 + r * np.cos(lift.v), r * np.sin(lift.v)])
+    assert float(np.max(np.abs(reprojected - tr.positions()))) < 1e-12
     report = cover_energy(tr, lift)
     assert report.strength == pytest.approx(1.0, abs=1e-7)
     assert report.drift < 1e-4
