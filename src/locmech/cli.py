@@ -343,9 +343,9 @@ def _write_sidecar(tr, out):
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_svg(points, singular_points, fname, size=640):
-    xs = [p[0] for p in points] + [s[0] for s in singular_points]
-    ys = [p[1] for p in points] + [s[1] for s in singular_points]
+def _write_svg(X, Y, singular_points, fname, size=640):
+    xs = [float(X.min()), float(X.max())] + [p[0] for p in singular_points]
+    ys = [float(Y.min()), float(Y.max())] + [p[1] for p in singular_points]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, 1e-6)
@@ -353,17 +353,17 @@ def _write_svg(points, singular_points, fname, size=640):
     xmin, xmax = xmin - pad, xmin - pad + span + 2 * pad
     ymin, ymax = ymin - pad, ymin - pad + span + 2 * pad
 
-    def sx(x):
+    def sx(x):      # a float or an array
         return (x - xmin) / (xmax - xmin) * size
 
     def sy(y):
         return size - (y - ymin) / (ymax - ymin) * size
 
-    stride = max(1, len(points) // 4000)
-    sampled = list(points[::stride])
-    if tuple(points[-1]) != tuple(sampled[-1]):
-        sampled.append(points[-1])
-    poly = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in sampled)
+    stride = max(1, len(X) // 4000)
+    px, py = X[::stride], Y[::stride]
+    if (X[-1], Y[-1]) != (px[-1], py[-1]):
+        px, py = np.append(px, X[-1]), np.append(py, Y[-1])
+    poly = " ".join("%.3f,%.3f" % p for p in zip(sx(px).tolist(), sy(py).tolist()))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{size}" viewBox="0 0 {size} {size}">',
@@ -539,7 +539,7 @@ def _run_scenario(doc, deterministic):
         _write_traj_csv(tr, out, deterministic)
         _write_sidecar(tr, out)
     if svg:
-        _write_svg(list(zip(tr.qx.tolist(), tr.qy.tolist())), field.singular_points, svg)
+        _write_svg(tr.qx, tr.qy, field.singular_points, svg)
     last = tr.n_states - 1
     return {
         "status": tr.status,

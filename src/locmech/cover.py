@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, NumericError, SingularityError, ValidationError
-from .fields import TAU, angle_change, circulation, unwrapped_angle
+from .fields import TAU, angle_change, angle_samples, unwrapped_angle
 
 _SHEET_RESIDUAL_TOL = 1e-6
 _ANCHOR_MATCH_TOL = 1e-9
@@ -72,8 +72,8 @@ def lift_path(path):
     """Lift a plain path (no dynamics): arrays u, v and sheet indices
     along its samples.  path is anything fields.unwrapped_angle takes,
     including an (n, 2) array of points."""
-    pts = path.sample() if hasattr(path, "sample") else np.asarray(path, dtype=float)
-    return LiftTrajectory(pts[:, 0], pts[:, 1], unwrapped_angle(path))
+    pts, v = angle_samples(path)
+    return LiftTrajectory(pts[:, 0], pts[:, 1], v)
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def cover_energy(tr, lift):
         raise ValidationError(
             f"cover energy for {len(points)} punctures needs T - sum_i s_i v_i, one angle "
             "per puncture; it is computed for at most one puncture")
-    strength = circulation(tr.field, 0) / TAU if points else 0.0
+    strength = tr.field.circulations[0] / TAU if points else 0.0
     energy = tr.Tkin - strength * lift.v
     if not np.isfinite(energy).all():
         raise NonFiniteError("non-finite cover energy: the momenta left the double range")

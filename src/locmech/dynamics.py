@@ -10,17 +10,18 @@ Leapfrog (kick-drift-kick) is the primary integrator: symplectic,
 time-reversible, O(h^2).  A classical RK4 integrator is kept alongside
 as a cross-check reference, not as the default.
 
-simulate steps in a bare loop that keeps only the state and the r_min
-guard, and books everything else in numpy once per chunk of steps:
-the angles about each singular point and the step-angle guard, the
-chart of each state (Atlas.locate), the Simpson midpoint forces, work,
-p_theta and the chart hops.  The run is cut at the first step that
-fails any guard, in the order a step-by-step loop checks them, so the
-log is the same; an abort's cause is kept as tr.abort.
+simulate steps in a bare loop (for leapfrog, compiled per field) that
+keeps only the state and the r_min guard, and books everything else in
+numpy once per chunk of steps: the angles about each singular point and
+the step-angle guard, the chart of each state (Atlas.locate), the Simpson
+midpoint forces, work, p_theta and the chart hops.  The run is cut at the
+first step that fails any guard, in the order a step-by-step loop checks
+them, so the log is the same; an abort's cause is kept as tr.abort.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .fields import TAU, circulation, segment_integrals
+from .exprlang import PYTHON_GLOBALS
+from .fields import MATH_ERRORS, R_MIN_EVAL, TAU, segment_integrals
 
 SIM_R_MIN = 1e-3
 STEP_ANGLE_GUARD = 3.0   # radians per step; < pi so unwrapping stays unambiguous
@@ -40,6 +42,7 @@ MAX_STEPS = 1_000_000    # ~100 MB of logged columns and about half a minute of 
 INTEGRATORS = ("leapfrog", "rk4")
 _CHUNK = 4096            # steps per bookkeeping pass: ~1 MB of floats in flight
 LOOP_CLOSURE_TOL = 1e-6  # a run whose end is this near its start gets the loop check
+_EVAL_ERRORS = (DomainEvalError, NonFiniteError, SingularityError)
 
 
 @dataclass(frozen=True)
@@ -139,13 +142,13 @@ def simulate(cfg, potentials=None):
     aborted-coverage, aborted-evaluation; tr.abort is the cause of an abort
     (an Abort) and None for a completed run.
 
-    The step loop keeps only what feeds back into the state: the stepper,
-    with its force calls, and the r_min guard.  After every _CHUNK steps
-    one numpy pass books the rest (the angles and the step-angle guard, the
-    charts and coverage, the Simpson midpoint forces, work_acc, p_theta and
-    the chart hops) and cuts the run at the first step that fails a guard.
-    A run so steps up to one chunk past its abort, but logs what stepping
-    and booking one step at a time would log.
+    The step loop (leapfrog_loop or _rk4_loop) keeps only what feeds back
+    into the state, and stops where _refusal gives the cause.  After every
+    _CHUNK steps one numpy pass books the rest (the angles and the step-angle
+    guard, the charts and coverage, the Simpson midpoint forces, work_acc,
+    p_theta and the chart hops) and cuts the run at the first step that fails
+    a guard.  A run so steps up to one chunk past its abort, but logs what
+    stepping and booking one step at a time would log.
     """
     _validate_config(cfg, potentials)
     ps = potentials or PotentialSet.from_field(cfg.field, cfg.atlas)
@@ -153,43 +156,99 @@ def simulate(cfg, potentials=None):
     n_steps = int(round(cfg.T / h))
     if n_steps < 1:
         raise ValidationError("T too small for the step size")
-    singulars = field.singular_points
 
     x, y = float(cfg.q0[0]), float(cfg.q0[1])
     vx, vy = float(cfg.p0[0]), float(cfg.p0[1])
-    force = field.eval_at
     try:
-        fx, fy = force(x, y)
-    except (DomainEvalError, NonFiniteError, SingularityError) as exc:
+        fx, fy = field.eval_at(x, y)
+    except _EVAL_ERRORS as exc:
         raise ValidationError(f"force undefined at q0: {exc}") from None
-    stepper = _leapfrog_step if cfg.integrator == "leapfrog" else _rk4_step
+    loop = field.leapfrog_loop if cfg.integrator == "leapfrog" else partial(_rk4_loop, field)
+    near = max(r_min, R_MIN_EVAL)
 
     book = _Books(cfg, ps)
     cause = None
     while book.steps < n_steps and cause is None:
         flat = [x, y, vx, vy, fx, fy]     # the last state kept, then one per step
-        extend = flat.extend
-        for k in range(book.steps + 1, min(book.steps + _CHUNK, n_steps) + 1):
-            try:
-                s = stepper(x, y, vx, vy, fx, fy, h, m, force)
-            except (DomainEvalError, NonFiniteError, SingularityError) as exc:
-                cause = Abort(k, "evaluation", None), str(exc)
-                break
-            x, y, vx, vy, fx, fy = s
-            for sx, sy in singulars:
-                dist = math.hypot(x - sx, y - sy)
-                if dist < r_min:
-                    break
-            else:
-                extend(s)
-                continue
-            cause = (Abort(k, "singularity", dist),
-                     f"step {k} came within r_min={r_min} of ({sx}, {sy})")
-            break
+        first, n = book.steps + 1, min(_CHUNK, n_steps - book.steps)
+        try:
+            kept, x, y = loop(x, y, vx, vy, fx, fy, h, m, near, n, flat.extend)
+            cause = _refusal(field, first + kept, x, y, r_min) if kept < n else None
+        except _EVAL_ERRORS as exc:     # eval_at refused a stage of an RK4 step
+            cause = Abort(first + len(flat) // 6 - 1, "evaluation", None), str(exc)
         cause = book.chunk(flat) or cause
         x, y, vx, vy, fx, fy = flat[-6:]
-    del flat, extend    # up to a megabyte of floats: free before the post-pass
+    del flat    # up to a megabyte of floats: free before the post-pass
     return book.trajectory(*cause or (None, None))
+
+
+# The one leapfrog (kick-drift-kick) text; leapfrog_loop fills in the field.
+_LEAPFROG = """\
+def loop(x, y, vx, vy, fx, fy, h, m, near, n, extend):
+    hh = 0.5 * h
+    for k in range(n):
+        hx, hy = vx + hh * fx, vy + hh * fy
+        x, y = x + h * hx / m, y + h * hy / m
+        try:
+            fx, fy = {fx}, {fy}
+        except math_errors:
+            return k, x, y
+        if {near} or not (isfinite(fx) and isfinite(fy)):
+            return k, x, y
+        vx, vy = hx + hh * fx, hy + hh * fy
+        extend((x, y, vx, vy, fx, fy))
+    return n, x, y
+"""
+
+
+def leapfrog_loop(field):
+    """loop(x, y, vx, vy, fx, fy, h, m, near, n, extend), field.leapfrog_loop:
+    up to n steps, each new state passed to extend; returns how many it kept
+    and where the last one taken ends.  It stops where a step ends within
+    near of a singular point or its force (as scalar_fn's) raises or is not finite."""
+    near = " or ".join(f"hypot(x - {sx!r}, y - {sy!r}) < near"
+                       for sx, sy in field.singular_points)
+    names = {**PYTHON_GLOBALS, "range": range, "hypot": math.hypot,
+             "isfinite": math.isfinite, "math_errors": MATH_ERRORS}
+    exec(_LEAPFROG.format(near=near or "False", fx=field.fx.python_source(),
+                          fy=field.fy.python_source()), names)
+    return names["loop"]
+
+
+def _rk4_loop(field, x, y, vx, vy, fx, fy, h, m, near, n, extend):
+    """Classical RK4 steps under the contract of leapfrog_loop, with the field
+    first, except that where eval_at refuses a stage of a step, it raises."""
+    force = field.eval_at
+    for k in range(n):
+        k1qx, k1qy = vx / m, vy / m
+        f2 = force(x + 0.5 * h * k1qx, y + 0.5 * h * k1qy)
+        k2qx, k2qy = (vx + 0.5 * h * fx) / m, (vy + 0.5 * h * fy) / m
+        f3 = force(x + 0.5 * h * k2qx, y + 0.5 * h * k2qy)
+        k3qx, k3qy = (vx + 0.5 * h * f2[0]) / m, (vy + 0.5 * h * f2[1]) / m
+        f4 = force(x + h * k3qx, y + h * k3qy)
+        x = x + (h / 6.0) * (k1qx + 2 * k2qx + 2 * k3qx + (vx + h * f3[0]) / m)
+        y = y + (h / 6.0) * (k1qy + 2 * k2qy + 2 * k3qy + (vy + h * f3[1]) / m)
+        vx = vx + (h / 6.0) * (fx + 2 * f2[0] + 2 * f3[0] + f4[0])
+        vy = vy + (h / 6.0) * (fy + 2 * f2[1] + 2 * f3[1] + f4[1])
+        fx, fy = force(x, y)
+        if any(math.hypot(x - sx, y - sy) < near for sx, sy in field.singular_points):
+            return k, x, y
+        extend((x, y, vx, vy, fx, fy))
+    return n, x, y
+
+
+def _refusal(field, k, x, y, r_min):
+    """Why step k, ending at (x, y) where a loop stopped, is not kept: eval_at
+    refuses (x, y), or else the r_min guard does (near >= r_min, R_MIN_EVAL)."""
+    try:
+        field.eval_at(x, y)
+    except _EVAL_ERRORS as exc:
+        return Abort(k, "evaluation", None), str(exc)
+    for sx, sy in field.singular_points:
+        dist = math.hypot(x - sx, y - sy)
+        if dist < r_min:
+            return (Abort(k, "singularity", dist),
+                    f"step {k} came within r_min={r_min} of ({sx}, {sy})")
 
 
 class _Books:
@@ -205,6 +264,7 @@ class _Books:
         self.work = 0.0
         self.blocks = []
         self.transitions = []
+        self.anchors = []       # the first state of each chunk and each chart entry
 
     def chunk(self, flat):
         """Book the states of flat, six numbers each (x, y, px, py, fx, fy):
@@ -245,13 +305,15 @@ class _Books:
             theta = np.add.accumulate(theta[:end + 1], out=theta[:end + 1])
             lever = (state[:2] - self.center) * state[3:1:-1]   # (x - cx) py, (y - cy) px
         X, Y = state[0], state[1]
-        for k in _chart_changes(row).tolist():
+        changes = _chart_changes(row).tolist()
+        for k in changes:
             self.transitions.append(_log_transition(
                 atlas, self.ps, atlas.ids[row[k - 1]], atlas.ids[row[k]],
                 (float(X[k - 1]), float(Y[k - 1])), (float(X[k]), float(Y[k])),
                 (done + k) * self.cfg.h, self.cfg.h,
             ))
         first = 0 if self.theta is None else 1     # row 0 is booked already
+        self.anchors += [done + k for k in sorted({first, *changes}) if k <= end]
         self.blocks.append((state[:4, first:], row[first:], theta[first:], work[first:],
                             lever[0, first:] - lever[1, first:]))
         self.steps, self.theta, self.work = done + end, theta[-1], work[-1]
@@ -276,8 +338,9 @@ class _Books:
         return theta, None
 
     def trajectory(self, cause, reason):
-        """The Trajectory of the kept states, with V from one segment
-        kernel call, from each state's chart basepoint."""
+        """The Trajectory of the kept states, V from one segment kernel call:
+        from the basepoint at each anchor and along the step chords after it
+        (in a chart, the potential does not depend on the path)."""
         cfg, ps = self.cfg, self.ps
         q, row, theta, work_acc, p_theta = (
             p[0] if len(p) == 1 else np.concatenate(p, axis=-1 if k == 0 else 0)
@@ -287,7 +350,12 @@ class _Books:
         with np.errstate(over="ignore"):    # momenta past 1e154 square to inf
             Tkin = (px ** 2 + py ** 2) / (2.0 * cfg.m)
         # independent of work_acc; ps.atlas has cfg.atlas's charts, so its rows
-        V = ps.gauge_array[row] - segment_integrals(cfg.field, ps.basepoints[row], q[:2].T)
+        starts, anchors = q[:2, np.arange(-1, len(qx) - 1)].T, self.anchors    # row k - 1
+        starts[anchors] = ps.basepoints[row[anchors]]
+        V = segment_integrals(cfg.field, starts, q[:2].T)
+        for a, b in zip(anchors, anchors[1:] + [len(V)]):
+            np.add.accumulate(V[a:b], out=V[a:b])
+        V = ps.gauge_array[row] - V
         arrays = {
             "t": cfg.h * np.arange(len(qx)), "qx": qx, "qy": qy, "px": px, "py": py,
             "chart": np.array(cfg.atlas.ids)[row], "theta": theta, "V": V, "Tkin": Tkin,
@@ -306,13 +374,13 @@ def _midpoint_forces(field, mx, my):
         return mx, my, None
     try:
         return *field.eval_array(mx, my, strict=True), None
-    except (DomainEvalError, NonFiniteError, SingularityError):
+    except _EVAL_ERRORS:
         pass
     fx, fy = [], []
     for i, (x, y) in enumerate(zip(mx.tolist(), my.tolist())):
         try:
             vx, vy = field.eval_at(x, y)
-        except (DomainEvalError, NonFiniteError, SingularityError) as exc:
+        except _EVAL_ERRORS as exc:
             return np.array(fx), np.array(fy), (i, exc)
         fx.append(vx)
         fy.append(vy)
@@ -322,32 +390,6 @@ def _midpoint_forces(field, mx, my):
 def _chart_changes(chart):
     """The indices k >= 1 where chart[k] differs from chart[k - 1]."""
     return (chart[1:] != chart[:-1]).nonzero()[0] + 1
-
-
-def _leapfrog_step(x, y, vx, vy, fx, fy, h, m, force):
-    hx = vx + 0.5 * h * fx
-    hy = vy + 0.5 * h * fy
-    nx = x + h * hx / m
-    ny = y + h * hy / m
-    nfx, nfy = force(nx, ny)
-    return nx, ny, hx + 0.5 * h * nfx, hy + 0.5 * h * nfy, nfx, nfy
-
-
-def _rk4_step(x, y, vx, vy, fx, fy, h, m, force):
-    k1qx, k1qy, k1px, k1py = vx / m, vy / m, fx, fy
-    f2 = force(x + 0.5 * h * k1qx, y + 0.5 * h * k1qy)
-    k2qx = (vx + 0.5 * h * k1px) / m
-    k2qy = (vy + 0.5 * h * k1py) / m
-    f3 = force(x + 0.5 * h * k2qx, y + 0.5 * h * k2qy)
-    k3qx = (vx + 0.5 * h * f2[0]) / m
-    k3qy = (vy + 0.5 * h * f2[1]) / m
-    f4 = force(x + h * k3qx, y + h * k3qy)
-    nx = x + (h / 6.0) * (k1qx + 2 * k2qx + 2 * k3qx + (vx + h * f3[0]) / m)
-    ny = y + (h / 6.0) * (k1qy + 2 * k2qy + 2 * k3qy + (vy + h * f3[1]) / m)
-    npx = vx + (h / 6.0) * (k1px + 2 * f2[0] + 2 * f3[0] + f4[0])
-    npy = vy + (h / 6.0) * (k1py + 2 * f2[1] + 2 * f3[1] + f4[1])
-    nfx, nfy = force(nx, ny)
-    return nx, ny, npx, npy, nfx, nfy
 
 
 def _log_transition(atlas, ps, old_chart, new_chart, q_old, q_new, t, h):
@@ -438,7 +480,7 @@ def energy_ledger(tr, ps, cc=None):
     if gap <= LOOP_CLOSURE_TOL and tr.n_states > 2:
         delta_T = float(tr.Tkin[-1] - tr.Tkin[0])
         winding = tuple(int(w) for w in np.rint((tr.theta[-1] - tr.theta[0]) / TAU))
-        expected = sum((circulation(tr.field, i) * w for i, w in enumerate(winding) if w), 0.0)
+        expected = sum((tr.field.circulations[i] * w for i, w in enumerate(winding) if w), 0.0)
         loop = LoopCheck(gap, winding, delta_T, expected, abs(delta_T - expected))
     max_drift = max(s.max_drift for s in segments)
     return EnergyLedger(tuple(segments), max_drift, tuple(checks), loop)

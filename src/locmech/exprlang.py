@@ -309,6 +309,7 @@ class _Parser:
 
 _MATH_FUNCS = {f: "abs" if f == "abs" else f"math.{f}" for f in FUNCTIONS}
 _NP_FUNCS = {f: "np.arctan2" if f == "atan2" else f"np.{f}" for f in FUNCTIONS}
+PYTHON_GLOBALS = {"__builtins__": {}, **CONSTANTS, "math": math, "abs": abs}
 
 
 QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
@@ -357,6 +358,10 @@ class ScalarExpr:
     def to_source(self):
         return _to_source(self.root)
 
+    def python_source(self):
+        """The text scalar_fn compiles, in the names of PYTHON_GLOBALS."""
+        return _to_source(self.root, 0, _MATH_FUNCS)
+
     def evaluate(self, *values):
         if len(values) != len(self.variables):
             raise ValidationError(
@@ -370,7 +375,7 @@ class ScalarExpr:
     @property
     def scalar_fn(self):
         if self._scalar_fn is None:
-            self._scalar_fn = self._compile(_MATH_FUNCS, {"math": math, "abs": abs})
+            self._scalar_fn = self._compile(_MATH_FUNCS, {})
         return self._scalar_fn
 
     @property
@@ -393,7 +398,7 @@ class ScalarExpr:
 
     def _compile(self, funcs, env):
         src = f"lambda {','.join(self.variables)}: {_to_source(self.root, 0, funcs)}"
-        return eval(src, {"__builtins__": {}, **CONSTANTS, **env})
+        return eval(src, {**PYTHON_GLOBALS, **env})
 
     def diff(self, var):
         """Exact partial derivative in var, over the same variables;

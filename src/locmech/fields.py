@@ -22,6 +22,7 @@ singular point; no derivative here is a finite difference.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -46,6 +47,7 @@ _THETA_MAX = math.pi / 2
 _MAX_REFINE_DEPTH = 48          # halvings of an angle step; bisection rounds of a panel
 MAX_SEGMENT_LENGTH = 1e5
 _IEEE_RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
+MATH_ERRORS = (ZeroDivisionError, ValueError, OverflowError)   # what math raises in scalar_fn
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_S = 0.5 * (_GL_X + 1.0)     # the Gauss-Legendre nodes moved to [0, 1]
 _GL_H = 0.5 * _GL_W             # weights on [0, 1]; they sum to 1, so only an
@@ -91,7 +93,7 @@ class FieldOneForm:
         try:
             vx = self.fx.scalar_fn(x, y)
             vy = self.fy.scalar_fn(x, y)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        except MATH_ERRORS as exc:
             raise DomainEvalError(f"field evaluation failed at ({x}, {y}): {exc}") from None
         if not (math.isfinite(vx) and math.isfinite(vy)):
             raise NonFiniteError(f"non-finite field value at ({x}, {y})")
@@ -126,6 +128,23 @@ class FieldOneForm:
         """Where lifts and p_theta are taken about: the first
         singular point, or the origin when there is none."""
         return self.singular_points[0] if self.singular_points else (0.0, 0.0)
+
+    @cached_property
+    def circulations(self):
+        """The work around a small circle about each singular point, in
+        order: radius 0.5, or half the distance to the nearest other one."""
+        out, pts = [], self.singular_points
+        for i, (sx, sy) in enumerate(pts):
+            others = pts[:i] + pts[i + 1:]
+            r = min([0.5] + [0.5 * math.hypot(ox - sx, oy - sy) for ox, oy in others])
+            out.append(work(self, circle_path(sx, sy, r, 1.0, 512)))
+        return tuple(out)
+
+    @cached_property
+    def leapfrog_loop(self):
+        """dynamics.leapfrog_loop(self), built once, like scalar_fn."""
+        from .dynamics import leapfrog_loop
+        return leapfrog_loop(self)
 
 
 def from_components(fx_source, fy_source, singular_points=()):
@@ -175,9 +194,6 @@ class PolylinePath(_Path):
 
     def edges(self):
         return zip(self.vertices[:-1], self.vertices[1:])
-
-    def sample(self):
-        return np.asarray(self.vertices, dtype=float)
 
     def reversed(self):
         return PolylinePath(self.vertices[::-1])
@@ -472,16 +488,6 @@ def work(field, path, quad="simpson"):
         return _finite(float(np.dot(ws, vx * dxdt + vy * dydt)), "work integral")
 
 
-def circulation(field, which):
-    """Work around a small circle about one singular point."""
-    sx, sy = field.singular_points[which]
-    r = 0.5
-    for j, (ox, oy) in enumerate(field.singular_points):
-        if j != which:
-            r = min(r, 0.5 * math.hypot(ox - sx, oy - sy))
-    return work(field, circle_path(sx, sy, r, 1.0, 512))
-
-
 # ---------------------------------------------------------------------------
 # winding
 
@@ -503,9 +509,13 @@ def unwrapped_angle(path, about=(0.0, 0.0)):
     otherwise) until every piece complies or the depth limit trips.
     Entry 0 is the principal angle of the first sample.
     """
+    return angle_samples(path, about)[1]
+
+
+def angle_samples(path, about=(0.0, 0.0)):
+    """The samples of path as an (n, 2) array, and unwrapped_angle there."""
     if isinstance(path, ParametricPath):
-        params = np.linspace(path.t0, path.t1, path.n + 1)
-        pts = np.column_stack(path.point_array(params))
+        params, pts = np.linspace(path.t0, path.t1, path.n + 1), path.sample()
         point_at = path.point
     else:
         vertices = path.vertices if isinstance(path, PolylinePath) else path
@@ -527,7 +537,7 @@ def unwrapped_angle(path, about=(0.0, 0.0)):
             point_at, about, params[k], raw[k], params[k + 1], raw[k + 1],
             _MAX_REFINE_DEPTH,
         )
-    return np.cumsum(np.concatenate([raw[:1], steps]))
+    return pts, np.cumsum(np.concatenate([raw[:1], steps]))
 
 
 def _refined_step(point_at, about, s0, a0, s1, a1, depth):

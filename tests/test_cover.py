@@ -17,7 +17,16 @@ from locmech.cover import (
 )
 from locmech.dynamics import SimConfig, simulate
 from locmech.errors import ValidationError
-from locmech.fields import PolylinePath, circle_path, vortex, zero_field
+from locmech.fields import (
+    ParametricPath,
+    PolylinePath,
+    circle_path,
+    from_components,
+    unwrapped_angle,
+    vortex,
+    work,
+    zero_field,
+)
 from locmech.verify import _DIAMOND, _loop_polyline
 
 TAU = math.tau
@@ -137,3 +146,27 @@ def test_monodromy_log_values():
     assert monodromy_log(0) == 0j
     assert monodromy_log(1) == complex(0.0, TAU)
     assert monodromy_log(-2) == complex(0.0, -2 * TAU)
+
+
+def test_lift_path_samples_a_parametric_path_once(monkeypatch):
+    sampled = []
+    point_array = ParametricPath.point_array
+    monkeypatch.setattr(ParametricPath, "point_array",
+                        lambda self, ts: sampled.append(len(ts)) or point_array(self, ts))
+    path = circle_path(0.5, 0.0, 2.0, 1.0, 3)    # steps of 2pi/3: each split at its t-midpoint
+    lifted = lift_path(path)
+    assert sampled == [4]
+    assert np.array_equal(lifted.v, unwrapped_angle(path))
+    assert lifted.v[-1] - lifted.v[0] == pytest.approx(TAU, abs=1e-12)
+
+
+def test_circulations_are_computed_once_per_field():
+    field = from_components("-y/(x^2+y^2) - 2*y/((x-3)^2+y^2)",
+                            "x/(x^2+y^2) + 2*(x-3)/((x-3)^2+y^2)",
+                            singular_points=((0.0, 0.0), (3.0, 0.0)))
+    # radius 0.5, or half the distance to the other puncture
+    assert field.circulations == (work(field, circle_path(0.0, 0.0, 0.5, 1.0, 512)),
+                                  work(field, circle_path(3.0, 0.0, 0.5, 1.0, 512)))
+    assert field.circulations is field.circulations
+    assert field.circulations == pytest.approx((TAU, 2 * TAU), abs=1e-9)
+    assert zero_field().circulations == ()

@@ -18,6 +18,7 @@ from locmech.atlas import (
 )
 from locmech.cover import cover_energy, lift_trajectory
 from locmech.dynamics import (
+    Abort,
     SimConfig,
     energy_ledger,
     simulate,
@@ -226,6 +227,35 @@ def test_a_dropped_state_logs_no_chart_hop():
     assert tr.transitions == ()
 
 
+def _leapfrog_step(x, y, vx, vy, fx, fy, h, m, force):
+    """Kick, drift, kick: the reference's own step, apart from the loops
+    simulate runs."""
+    hx = vx + 0.5 * h * fx
+    hy = vy + 0.5 * h * fy
+    nx = x + h * hx / m
+    ny = y + h * hy / m
+    nfx, nfy = force(nx, ny)
+    return nx, ny, hx + 0.5 * h * nfx, hy + 0.5 * h * nfy, nfx, nfy
+
+
+def _rk4_step(x, y, vx, vy, fx, fy, h, m, force):
+    """Classical RK4: the reference's own step."""
+    k1qx, k1qy, k1px, k1py = vx / m, vy / m, fx, fy
+    f2 = force(x + 0.5 * h * k1qx, y + 0.5 * h * k1qy)
+    k2qx = (vx + 0.5 * h * k1px) / m
+    k2qy = (vy + 0.5 * h * k1py) / m
+    f3 = force(x + 0.5 * h * k2qx, y + 0.5 * h * k2qy)
+    k3qx = (vx + 0.5 * h * f2[0]) / m
+    k3qy = (vy + 0.5 * h * f2[1]) / m
+    f4 = force(x + h * k3qx, y + h * k3qy)
+    nx = x + (h / 6.0) * (k1qx + 2 * k2qx + 2 * k3qx + (vx + h * f3[0]) / m)
+    ny = y + (h / 6.0) * (k1qy + 2 * k2qy + 2 * k3qy + (vy + h * f3[1]) / m)
+    npx = vx + (h / 6.0) * (k1px + 2 * f2[0] + 2 * f3[0] + f4[0])
+    npy = vy + (h / 6.0) * (k1py + 2 * f2[1] + 2 * f3[1] + f4[1])
+    nfx, nfy = force(nx, ny)
+    return nx, ny, npx, npy, nfx, nfy
+
+
 def _reference_run(cfg, ps):
     """The per-step loop simulate replaced, kept as a reference: every guard
     and every logged value taken one step at a time, in the same order
@@ -233,7 +263,7 @@ def _reference_run(cfg, ps):
     status, the reason, the logged columns and the transitions."""
     field, atlas, h, m = cfg.field, cfg.atlas, cfg.h, cfg.m
     singulars, (cx, cy) = field.singular_points, field.center
-    step = dynamics._leapfrog_step if cfg.integrator == "leapfrog" else dynamics._rk4_step
+    step = _leapfrog_step if cfg.integrator == "leapfrog" else _rk4_step
     x, y, vx, vy = *map(float, cfg.q0), *map(float, cfg.p0)
     fx, fy = field.eval_at(x, y)
     rows = [(x, y, vx, vy, atlas.chart_for((x, y)),
@@ -372,6 +402,106 @@ def test_a_midpoint_force_numpy_would_absorb_is_refused_as_eval_at_refuses(monke
     tr = _assert_matches_reference(replace(make(), field=from_components(fx, "0")))
     assert (tr.status, tr.n_states) == ("aborted-evaluation", step)
     assert tr.abort_reason == "field evaluation failed at (0.0, 0.5): float division by zero"
+
+
+# closed fields (each force component depends on one coordinate, or sums
+# vortices and a spring) for the loop simulate compiles per field, and RK4
+LOOP_RUNS = {
+    "no puncture": lambda: SimConfig(field=from_components("2*x", "2*y"), atlas=quadrant_atlas(),
+                                     q0=(1.0, 0.2), p0=(-2.0, 0.0), h=1e-3, T=1.0),
+    "two punctures": SEAM_RUNS["two punctures"],
+    "rk4, two punctures": lambda: replace(SEAM_RUNS["two punctures"](), m=1.7, integrator="rk4"),
+    "pi, every function and x^-2": lambda: SimConfig(
+        field=from_components(
+            "-x - 0.1*atan2(x, 2) + 0.05*abs(x) - 0.02*sqrt(x*x + 1) + 0.01*(x + 3)^-2"
+            " + 0.1*sin(x)",
+            "-y + pi*0.01 - 0.05*exp(-y*y) + 0.02*log(y*y + 2) - 0.1*cos(y)"),
+        atlas=atlas_for(()), q0=(1.0, 0.0), p0=(0.0, 1.0), m=1.7, h=1e-3, T=10.0),
+}
+
+
+def _assert_steps_as_the_reference(cfg, ps):
+    status, reason, columns, transitions = _reference_run(cfg, ps)
+    tr = simulate(cfg, ps)
+    assert (tr.status, tr.abort_reason, tr.transitions) == (status, reason, transitions)
+    for name in ("qx", "qy", "px", "py"):
+        assert np.array_equal(getattr(tr, name), columns[name]), name
+    return tr, columns
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_RUNS))
+def test_the_compiled_loop_steps_as_the_reference_bit_for_bit(name):
+    cfg = LOOP_RUNS[name]()
+    tr, columns = _assert_steps_as_the_reference(cfg, PotentialSet.from_field(cfg.field, cfg.atlas))
+    assert tr.completed and tr.transitions
+    assert float(np.max(np.abs(tr.V - columns["V"]))) <= 1e-12
+    assert cfg.field.leapfrog_loop is cfg.field.leapfrog_loop     # built once per field
+
+
+# where the compiled loop stops, eval_at and the r_min guard refuse the step
+# again: the cause is the one stepping with eval_at gives
+LOOP_STOPS = {
+    "R_MIN_EVAL": (     # r_min under eval_at's own 1e-9: eval_at refuses first
+        lambda: vortex_cfg(q0=(1e-8, 0.0), p0=(-10.0, 0.0), h=1e-10, T=5e-9, r_min=1e-12),
+        Abort(10, "evaluation", None),
+        "evaluation within r_min=1e-09 of singular point (0.0, 0.0)"),
+    "math error": (
+        lambda: SimConfig(field=from_components("0*x^-2", "0"), atlas=atlas_for(()),
+                          q0=(-0.5, 0.5), p0=(1, 0), h=0.25, T=2),
+        Abort(2, "evaluation", None),
+        "field evaluation failed at (0.0, 0.5): 0.0 cannot be raised to a negative power"),
+    "silent inf": (     # 1e308*0.2*10 overflows to inf without an exception
+        lambda: SimConfig(field=from_components("1e308*(x-1)*10*1e-310", "0"),
+                          atlas=atlas_for(()), q0=(1.0, 1.0), p0=(1, 0), h=0.05, T=2),
+        Abort(4, "evaluation", None), "non-finite field value at (1.2001250187507813, 1.0)"),
+    "r_min guard": (
+        ABORT_RUNS["aborted-singularity"][0],
+        Abort(105, "singularity", 9.940441431893043e-4),
+        "step 105 came within r_min=0.001 of (0.0, 0.0)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_STOPS))
+def test_each_stop_of_the_compiled_loop_keeps_its_cause(name):
+    make, abort, reason = LOOP_STOPS[name]
+    cfg = make()
+    tr, _ = _assert_steps_as_the_reference(cfg, PotentialSet.from_field(cfg.field, cfg.atlas))
+    assert (tr.abort_reason, tr.n_states) == (reason, abort.step)
+    assert (tr.abort.step, tr.abort.guard) == (abort.step, abort.guard)
+    assert tr.abort.value == (None if abort.value is None else pytest.approx(abort.value,
+                                                                             rel=1e-12))
+
+
+@pytest.mark.parametrize("cfg", [
+    vortex_cfg(T=100.0),        # 100 001 states: 25 chunks summed from their anchors
+    SimConfig(field=from_components("-4*x - y/(x^2+y^2)", "-4*y + x/(x^2+y^2)",
+                                    singular_points=((0.0, 0.0),)),
+              atlas=atlas_for(((0.0, 0.0),)), q0=(1.0, 0.0), p0=(0.0, 1.0), h=1e-3, T=20.0),
+], ids=["100 001 states", "spring, 25 hops"])
+def test_v_summed_along_the_chords_is_the_basepoint_potential(cfg):
+    ps = PotentialSet.from_field(cfg.field, cfg.atlas)
+    tr = simulate(cfg, ps)
+    assert tr.completed
+    for cid in set(tr.chart.tolist()):
+        mine = tr.chart == cid
+        want = ps.values(cid, np.column_stack([tr.qx[mine], tr.qy[mine]]))
+        assert float(np.max(np.abs(tr.V[mine] - want))) <= 1e-12
+
+
+def test_v_restarts_from_the_basepoint_at_each_chunk_and_chart_entry(monkeypatch):
+    # rounding in the sum along the chords adds up over one chunk at most
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    starts, kernel = [], dynamics.segment_integrals
+    monkeypatch.setattr(dynamics, "segment_integrals",
+                        lambda field, a, b: starts.append(np.array(a)) or kernel(field, a, b))
+    cfg = vortex_cfg(T=4.0)
+    ps = PotentialSet.from_field(cfg.field, cfg.atlas)
+    tr = simulate(cfg, ps)
+    entries = {0, *range(8, tr.n_states, 7), *(np.flatnonzero(np.diff(tr.chart)) + 1).tolist()}
+    want = np.column_stack([np.roll(tr.qx, 1), np.roll(tr.qy, 1)])
+    for k in entries:
+        want[k] = cfg.atlas.charts[int(tr.chart[k])].basepoint
+    assert tr.transitions and np.array_equal(starts[0], want)
 
 
 def test_config_validation():

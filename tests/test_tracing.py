@@ -39,5 +39,6 @@ def test_the_tracer_installs_counts_and_uninstalls():
     assert stats["fields.segment_work.calls"] == 1
     assert stats["dynamics.simulate.calls"] == 1
     assert stats["dynamics.states"] == tr.n_states == 11
-    assert stats["fields.eval_at.calls"] >= 10
+    # the leapfrog loop evaluates the force inline: eval_at checks q0 alone
+    assert stats["fields.eval_at.calls"] == 1
     assert all(vars(owner)[attr] is fn for owner, attr, fn in originals)
