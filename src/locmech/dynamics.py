@@ -33,7 +33,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .exprlang import PYTHON_GLOBALS
+from .exprlang import MATH_FUNCS, PYTHON_GLOBALS, to_text
 from .fields import MATH_ERRORS, R_MIN_EVAL, TAU, segment_integrals
 
 SIM_R_MIN = 1e-3
@@ -205,13 +205,13 @@ def leapfrog_loop(field):
     """loop(x, y, vx, vy, fx, fy, h, m, near, n, extend), field.leapfrog_loop:
     up to n steps, each new state passed to extend; returns how many it kept
     and where the last one taken ends.  It stops where a step ends within
-    near of a singular point or its force (as scalar_fn's) raises or is not finite."""
+    near of a singular point or its force (as eval_at's) raises or is not finite."""
     near = " or ".join(f"hypot(x - {sx!r}, y - {sy!r}) < near"
                        for sx, sy in field.singular_points)
     names = {**PYTHON_GLOBALS, "range": range, "hypot": math.hypot,
              "isfinite": math.isfinite, "math_errors": MATH_ERRORS}
-    exec(_LEAPFROG.format(near=near or "False", fx=field.fx.python_source(),
-                          fy=field.fy.python_source()), names)
+    fx, fy = to_text([field.fx.root, field.fy.root], MATH_FUNCS)
+    exec(_LEAPFROG.format(near=near or "False", fx=fx, fy=fy), names)
     return names["loop"]
 
 

@@ -24,12 +24,21 @@ by zero, log of a non-positive value and similar escapes raise
 DomainEvalError instead of returning inf or nan.  ScalarExpr.diff builds
 the exact partial derivative as another tree, with light constant
 folding (Griewank & Walther, Evaluating Derivatives, SIAM 2008).
+
+compile_tuple compiles trees over the same variables into one closure
+(math or numpy) for their values.  Its text (to_text) nests as the trees
+do and binds a repeated subtree by := where it is first evaluated, so it
+runs once (Aho, Lam, Sethi & Ullman, Compilers, 2nd ed., 6.1); Python's
+post-order keeps each value, bit for bit, and the first operation to raise.
 """
 
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -126,42 +135,55 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 _ATOM_PREC = 5
 
 
-def _prec(node):
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return 3
-    if isinstance(node, Pow):
-        return 4
-    if isinstance(node, Num) and math.copysign(1.0, node.value) < 0.0:
-        return 3    # a folded negative number prints like a unary minus
-    return _ATOM_PREC
+def to_text(roots, funcs=None):
+    """The text of each tree in roots with the least parentheses: source, or,
+    given funcs (function names to Python callees), Python in which a subtree
+    that occurs again is bound by := where it is first evaluated and read by
+    name after.  Subtrees are keyed by their leaves' reprs, so Num(0.0) and
+    Num(-0.0), equal as trees, differ."""
+    names, ops, bound = {}, {}, set()
 
+    def ref(node):      # a leaf's text, or the name of node's operation in ops
+        t = type(node)
+        if t is Num:
+            return repr(node.value)
+        if t is Var or t is Const:
+            return node.name
+        if t is BinOp:
+            key = (node.op, ref(node.left), ref(node.right))
+        elif t is Neg:
+            key = ("-", ref(node.operand))
+        elif t is Pow:
+            key = ("^", ref(node.base), node.exponent)
+        else:
+            key = (node.func, *map(ref, node.args))
+        name = names.setdefault(key, f"_{len(names)}")
+        ops[name] = key
+        return name
 
-def _to_source(node, ctx=0, funcs=None):
-    """Source text with minimal parentheses.  Given funcs, a table from
-    function names to Python callees, the text is Python instead: the two
-    grammars agree on precedence and associativity, and "^" becomes "**"."""
-    p = _prec(node)
-    if isinstance(node, Call):
-        name = funcs[node.func] if funcs else node.func
-        return f"{name}({','.join(_to_source(a, 1, funcs) for a in node.args)})"
-    if isinstance(node, Num):
-        body = repr(node.value)
-    elif isinstance(node, (Const, Var)):
-        body = node.name
-    elif isinstance(node, Neg):
-        body = "-" + _to_source(node.operand, 3, funcs)
-    elif isinstance(node, Pow):
-        power = "**" if funcs else "^"
-        body = f"{_to_source(node.base, _ATOM_PREC, funcs)}{power}{node.exponent}"
-    else:
-        body = (
-            _to_source(node.left, p, funcs)
-            + node.op
-            + _to_source(node.right, p + 1, funcs)
-        )
-    return f"({body})" if p < ctx else body
+    def render(r, ctx):     # binding: + - 1, * / 2, unary minus 3, power 4, atom 5
+        key = ops.get(r)
+        if key is None or r in bound:   # a leaf, whose minus binds as unary, or a name
+            return f"({r})" if ctx > 3 and r[0] == "-" else r
+        tag = key[0]
+        if len(key) == 3 and tag in _PREC:
+            p = _PREC[tag]
+            text = render(key[1], p) + tag + render(key[2], p + 1)
+        elif tag == "-":
+            p, text = 3, "-" + render(key[1], 3)
+        elif tag == "^":
+            p, text = 4, f"{render(key[1], _ATOM_PREC)}{'**' if funcs else '^'}{key[2]}"
+        else:
+            args = ",".join([render(a, 1) for a in key[1:]])
+            p, text = _ATOM_PREC, f"{funcs[tag] if funcs else tag}({args})"
+        if funcs and uses[r] > 1:
+            bound.add(r)
+            return f"({r}:={text})"
+        return f"({text})" if p < ctx else text
+
+    roots = [ref(root) for root in roots]
+    uses = Counter(chain(roots, *(key[1:] for key in ops.values())))
+    return [render(r, 0) for r in roots]
 
 
 class _Lexer:
@@ -307,9 +329,11 @@ class _Parser:
         self.fail(["a number", "an identifier", "'('", "'-'"])
 
 
-_MATH_FUNCS = {f: "abs" if f == "abs" else f"math.{f}" for f in FUNCTIONS}
+MATH_FUNCS = {f: "abs" if f == "abs" else f"math.{f}" for f in FUNCTIONS}
 _NP_FUNCS = {f: "np.arctan2" if f == "atan2" else f"np.{f}" for f in FUNCTIONS}
 PYTHON_GLOBALS = {"__builtins__": {}, **CONSTANTS, "math": math, "abs": abs}
+_BACKENDS = {"math": (MATH_FUNCS, PYTHON_GLOBALS),
+             "numpy": (_NP_FUNCS, {**PYTHON_GLOBALS, "np": np})}
 
 
 QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
@@ -323,23 +347,24 @@ def at_shape(out, args):
     return np.full(np.shape(args[0]), float(out))
 
 
+def compile_tuple(exprs, backend="math"):
+    """One closure over the variables of exprs giving their values, by
+    backend "math" or "numpy"; one expression gives its value alone."""
+    return exprs[0]._compile(backend, *exprs[1:])
+
+
 class ScalarExpr:
     """Immutable expression tree with interpreted and compiled evaluation.
 
     evaluate() walks the tree and raises DomainEvalError naming the
-    offending subexpression.  scalar_fn/array_fn are compiled closures
-    for tight loops and vectorized quadrature; the array form leaves
-    inf/nan screening to the caller.
+    offending subexpression.  scalar_fn/array_fn are its compiled math and
+    numpy closures, the one-tree case of compile_tuple; the array form
+    leaves inf/nan screening to the caller.
     """
-
-    __slots__ = ("root", "variables", "_scalar_fn", "_array_raw", "_array_fn", "_diffs")
 
     def __init__(self, root, variables=("x", "y")):
         self.root = root
         self.variables = tuple(variables)
-        self._scalar_fn = None
-        self._array_raw = None
-        self._array_fn = None
         self._diffs = {}
 
     def __eq__(self, other):
@@ -356,11 +381,7 @@ class ScalarExpr:
         return f"ScalarExpr({self.to_source()!r}, variables={self.variables})"
 
     def to_source(self):
-        return _to_source(self.root)
-
-    def python_source(self):
-        """The text scalar_fn compiles, in the names of PYTHON_GLOBALS."""
-        return _to_source(self.root, 0, _MATH_FUNCS)
+        return to_text([self.root])[0]
 
     def evaluate(self, *values):
         if len(values) != len(self.variables):
@@ -372,33 +393,23 @@ class ScalarExpr:
 
     __call__ = evaluate
 
-    @property
+    @cached_property
     def scalar_fn(self):
-        if self._scalar_fn is None:
-            self._scalar_fn = self._compile(_MATH_FUNCS, {})
-        return self._scalar_fn
+        return self._compile("math")
 
-    @property
-    def array_raw(self):
-        """The compiled numpy closure alone: under np.errstate(**QUIET) it
-        gives IEEE inf and nan silently, and a constant comes back as a
-        scalar (see at_shape)."""
-        if self._array_raw is None:
-            self._array_raw = self._compile(_NP_FUNCS, {"np": np})
-        return self._array_raw
-
-    @property
+    @cached_property
     def array_fn(self):
-        if self._array_fn is None:
-            def wrapped(*args, _raw=self.array_raw):
-                with np.errstate(**QUIET):
-                    return at_shape(_raw(*args), args)
-            self._array_fn = wrapped
-        return self._array_fn
+        """The numpy closure under QUIET; a constant at the first argument's shape."""
+        def wrapped(*args, _raw=self._compile("numpy")):
+            with np.errstate(**QUIET):
+                return at_shape(_raw(*args), args)
+        return wrapped
 
-    def _compile(self, funcs, env):
-        src = f"lambda {','.join(self.variables)}: {_to_source(self.root, 0, funcs)}"
-        return eval(src, {**PYTHON_GLOBALS, **env})
+    def _compile(self, backend, *others):
+        """The one compiler (see compile_tuple); alone, self's value."""
+        funcs, names = _BACKENDS[backend]
+        outs = to_text([e.root for e in (self, *others)], funcs)
+        return eval(f"lambda {','.join(self.variables)}: ({','.join(outs)})", names)
 
     def diff(self, var):
         """Exact partial derivative in var, over the same variables;
@@ -505,7 +516,7 @@ def _eval_node(node, env):
         else:
             if b == 0.0:
                 raise DomainEvalError(
-                    f"division by zero in '{_to_source(node)}'"
+                    f"division by zero in '{to_text([node])[0]}'"
                 )
             v = a / b
         return _require_finite(v, node)
@@ -515,7 +526,7 @@ def _eval_node(node, env):
             v = base ** node.exponent
         except (ZeroDivisionError, OverflowError) as exc:
             raise DomainEvalError(
-                f"domain error in '{_to_source(node)}': {exc}"
+                f"domain error in '{to_text([node])[0]}': {exc}"
             ) from None
         return _require_finite(v, node)
     if isinstance(node, Call):
@@ -527,7 +538,7 @@ def _eval_node(node, env):
             v = fn(args[0])
         except (ValueError, OverflowError) as exc:
             raise DomainEvalError(
-                f"domain error in '{_to_source(node)}': {exc}"
+                f"domain error in '{to_text([node])[0]}': {exc}"
             ) from None
         return _require_finite(v, node)
     raise TypeError(f"unexpected node {node!r}")
@@ -535,7 +546,7 @@ def _eval_node(node, env):
 
 def _require_finite(v, node):
     if not math.isfinite(v):
-        raise DomainEvalError(f"non-finite value in '{_to_source(node)}'")
+        raise DomainEvalError(f"non-finite value in '{to_text([node])[0]}'")
     return v
 
 

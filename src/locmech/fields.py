@@ -22,7 +22,7 @@ singular point; no derivative here is a finite difference.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .exprlang import QUIET, Call, Num, ScalarExpr, Var, at_shape, fold, parse_expr
+from .exprlang import QUIET, Call, Num, ScalarExpr, Var, at_shape, compile_tuple, fold, parse_expr
 
 TAU = math.tau
 R_MIN_EVAL = 1e-9
@@ -47,8 +47,18 @@ _THETA_MAX = math.pi / 2
 _MAX_REFINE_DEPTH = 48          # halvings of an angle step; bisection rounds of a panel
 MAX_SEGMENT_LENGTH = 1e5
 _IEEE_RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
-MATH_ERRORS = (ZeroDivisionError, ValueError, OverflowError)   # what math raises in scalar_fn
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+MATH_ERRORS = (ZeroDivisionError, ValueError, OverflowError)   # what math raises in pair_fn
+
+
+@cache
+def _gauss_rule(order):
+    """leggauss(order), one eigenproblem per order; read-only, as it is shared."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+_GL_X, _GL_W = _gauss_rule(16)
 _GL_S = 0.5 * (_GL_X + 1.0)     # the Gauss-Legendre nodes moved to [0, 1]
 _GL_H = 0.5 * _GL_W             # weights on [0, 1]; they sum to 1, so only an
                                 # integral past the double range overflows
@@ -91,8 +101,7 @@ class FieldOneForm:
                     f"evaluation within r_min={r_min} of singular point ({sx}, {sy})"
                 )
         try:
-            vx = self.fx.scalar_fn(x, y)
-            vy = self.fy.scalar_fn(x, y)
+            vx, vy = self.pair_fn(x, y)
         except MATH_ERRORS as exc:
             raise DomainEvalError(f"field evaluation failed at ({x}, {y}): {exc}") from None
         if not (math.isfinite(vx) and math.isfinite(vy)):
@@ -111,10 +120,9 @@ class FieldOneForm:
                 raise SingularityError(
                     f"evaluation within r_min={r_min} of singular point ({sx}, {sy})"
                 )
-        fx, fy = self.fx.array_raw, self.fy.array_raw
         with np.errstate(**(_IEEE_RAISE if strict else QUIET)):
             try:
-                vx, vy = at_shape(fx(xs, ys), (xs,)), at_shape(fy(xs, ys), (xs,))
+                vx, vy = (at_shape(v, (xs,)) for v in self.pair_array(xs, ys))
             except FloatingPointError as exc:
                 raise DomainEvalError(f"bulk field evaluation failed: {exc}") from None
         finite = np.isfinite(vx)
@@ -141,8 +149,18 @@ class FieldOneForm:
         return tuple(out)
 
     @cached_property
+    def pair_fn(self):
+        """(fx, fy) by one math closure, built on first use and kept."""
+        return compile_tuple((self.fx, self.fy))
+
+    @cached_property
+    def pair_array(self):
+        """(fx, fy) by one numpy closure: a constant comes back as a scalar."""
+        return compile_tuple((self.fx, self.fy), "numpy")
+
+    @cached_property
     def leapfrog_loop(self):
-        """dynamics.leapfrog_loop(self), built once, like scalar_fn."""
+        """dynamics.leapfrog_loop(self), built once, like pair_fn."""
         from .dynamics import leapfrog_loop
         return leapfrog_loop(self)
 
@@ -222,11 +240,21 @@ class ParametricPath(_Path):
         self.t1 = float(t1)
         self.n = int(n)
 
+    @cached_property
+    def _compiled(self):
+        x, y = self.x_expr, self.y_expr
+        return compile_tuple((x, y, x.diff("t"), y.diff("t")), "numpy")
+
+    def point_tangent_array(self, ts):
+        """x, y, dx/dt and dy/dt at the parameters ts, by one closure."""
+        with np.errstate(**QUIET):
+            return [at_shape(v, (ts,)) for v in self._compiled(ts)]
+
     def point(self, t):
-        return self.x_expr.scalar_fn(t), self.y_expr.scalar_fn(t)
+        return tuple(float(v[0]) for v in self.point_tangent_array(np.array([t]))[:2])
 
     def point_array(self, ts):
-        return self.x_expr.array_fn(ts), self.y_expr.array_fn(ts)
+        return self.point_tangent_array(ts)[:2]
 
     @property
     def start(self):
@@ -301,7 +329,7 @@ def _nodes_weights(rule, order, a, b, n):
         w = np.full(n + 1, 1.0)
         w[0] = w[-1] = 0.5
         return xs, w * ((b - a) / n)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_rule(order)
     h = (b - a) / n
     starts = a + h * np.arange(n)
     xs = (starts[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)).ravel()
@@ -479,8 +507,7 @@ def work(field, path, quad="simpson"):
         v = np.array(path.vertices)
         return float(segment_integrals(field, v[:-1], v[1:]).sum())
     ts, ws = _nodes_weights(rule, order, path.t0, path.t1, path.n)
-    xs, ys = path.point_array(ts)
-    dxdt, dydt = path.x_expr.diff("t").array_fn(ts), path.y_expr.diff("t").array_fn(ts)
+    xs, ys, dxdt, dydt = path.point_tangent_array(ts)
     vx, vy = field.eval_array(xs, ys)
     for d in (dxdt, dydt):
         _finite(d, "path tangent")
@@ -611,7 +638,8 @@ def is_closed(field, region, grid=20, tol=1e-4):
             raise SingularityError(
                 f"closedness grid within r_min={R_MIN_EVAL} of singular point ({sx}, {sy})"
             )
-    dfx, dfy = field.fx.diff("y").array_fn(X, Y), field.fy.diff("x").array_fn(X, Y)
+    with np.errstate(**QUIET):      # a constant partial broadcasts in resid
+        dfx, dfy = compile_tuple((field.fx.diff("y"), field.fy.diff("x")), "numpy")(X, Y)
     resid = np.abs(dfx - dfy) / np.maximum(1.0, np.abs(dfx) + np.abs(dfy))
     if not np.all(np.isfinite(resid)):
         raise NonFiniteError("non-finite derivative in closedness check")

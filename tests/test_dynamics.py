@@ -24,6 +24,7 @@ from locmech.dynamics import (
     simulate,
 )
 from locmech.errors import DomainEvalError, NonFiniteError, SingularityError, ValidationError
+from locmech.exprlang import ScalarExpr
 from locmech.fields import from_components, vortex, zero_field
 
 TAU = math.tau
@@ -417,6 +418,11 @@ LOOP_RUNS = {
             " + 0.1*sin(x)",
             "-y + pi*0.01 - 0.05*exp(-y*y) + 0.02*log(y*y + 2) - 0.1*cos(y)"),
         atlas=atlas_for(()), q0=(1.0, 0.0), p0=(0.0, 1.0), m=1.7, h=1e-3, T=10.0),
+    # the two components share x^2+y^2, evaluated once per step
+    "spring plus vortex": lambda: SimConfig(
+        field=from_components("-4*x-y/(x^2+y^2)", "-4*y+x/(x^2+y^2)",
+                              singular_points=((0.0, 0.0),)),
+        atlas=atlas_for(((0.0, 0.0),)), q0=(1.0, 0.0), p0=(0.0, 1.0), h=1e-3, T=2.0),
 }
 
 
@@ -438,6 +444,19 @@ def test_the_compiled_loop_steps_as_the_reference_bit_for_bit(name):
     assert cfg.field.leapfrog_loop is cfg.field.leapfrog_loop     # built once per field
 
 
+def test_a_run_compiles_each_closure_of_its_field_once(monkeypatch):
+    compiles, texts = [], []
+    compile_, to_text = ScalarExpr._compile, dynamics.to_text
+    monkeypatch.setattr(ScalarExpr, "_compile",
+                        lambda self, *args: compiles.append(args[0]) or compile_(self, *args))
+    monkeypatch.setattr(dynamics, "to_text", lambda *args: texts.append(args) or to_text(*args))
+    cfg = vortex_cfg(T=1.0)
+    for _ in range(2):
+        assert simulate(cfg).completed
+    # eval_at's pair, eval_array's pair (potentials, midpoints), the loop's text
+    assert sorted(compiles) == ["math", "numpy"] and len(texts) == 1
+
+
 # where the compiled loop stops, eval_at and the r_min guard refuse the step
 # again: the cause is the one stepping with eval_at gives
 LOOP_STOPS = {
@@ -454,6 +473,12 @@ LOOP_STOPS = {
         lambda: SimConfig(field=from_components("1e308*(x-1)*10*1e-310", "0"),
                           atlas=atlas_for(()), q0=(1.0, 1.0), p0=(1, 0), h=0.05, T=2),
         Abort(4, "evaluation", None), "non-finite field value at (1.2001250187507813, 1.0)"),
+    "shared subexpression raises": (      # log(x) of both components, once x < 0
+        lambda: SimConfig(field=from_components("(log(x)+y)/x", "log(x)"), atlas=atlas_for(()),
+                          q0=(1.5, -1.0), p0=(-0.5, 0.0), h=0.05, T=5.0),
+        Abort(28, "evaluation", None),
+        "field evaluation failed at (-0.23740821740128443, -0.884950070994813): "
+        "math domain error"),
     "r_min guard": (
         ABORT_RUNS["aborted-singularity"][0],
         Abort(105, "singularity", 9.940441431893043e-4),

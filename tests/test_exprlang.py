@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from locmech.errors import DomainEvalError, ValidationError
 from locmech.exprlang import (
+    MATH_FUNCS,
     MAX_EXPONENT,
+    QUIET,
     BinOp,
     Call,
     Const,
@@ -20,8 +22,12 @@ from locmech.exprlang import (
     ScalarExpr,
     UnknownIdentifierError,
     Var,
+    at_shape,
+    compile_tuple,
     parse_expr,
+    to_text,
 )
+from locmech.fields import from_components
 
 
 def ev(source, x=0.0, y=0.0):
@@ -366,3 +372,75 @@ def test_diff_matches_a_central_difference(root, x, y):
         if abs(fd[1] - fd[2]) > 0.5 * abs(fd[0] - fd[1]) + noise:
             continue
         assert abs(exact - fd[2]) <= abs(fd[1] - fd[2]) + noise
+
+
+# ---------------------------------------------------------------------------
+# one closure for a tuple of trees
+
+_RAISES = (ArithmeticError, ValueError)     # what math and Python float arithmetic raise
+
+
+def _one_by_one(exprs, backend, *args):
+    """The values of the trees compiled one by one, in order, up to the first
+    that raises; and that exception or None."""
+    out = []
+    for e in exprs:
+        try:
+            out.append(compile_tuple((e,), backend)(*args))
+        except _RAISES as exc:
+            return out, exc
+    return out, None
+
+
+def _assert_tuple_matches(exprs, x, y):
+    """Both backends: the same values, sign bits and nans included, or the
+    same first exception (a constant subtree is Python arithmetic under
+    numpy too, and may raise)."""
+    for backend, args in (("math", (x, y)), ("numpy", (np.array([x, -x]), np.array([y, 0.5])))):
+        with np.errstate(**QUIET):
+            want, exc = _one_by_one(exprs, backend, *args)
+            try:
+                got = compile_tuple(exprs, backend)(*args)
+            except _RAISES as raised:
+                assert exc is not None and (type(raised), str(raised)) == (type(exc), str(exc))
+                continue
+        assert exc is None
+        for a, b in zip(got, want):
+            a, b = at_shape(a, args), at_shape(b, args)
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@given(TREES, TREES, COORD, COORD)
+def test_a_pair_closure_gives_the_closures_one_by_one_bit_for_bit(a, b, x, y):
+    _assert_tuple_matches((ScalarExpr(a), ScalarExpr(b)), x, y)
+
+
+@settings(max_examples=60)
+@given(SMOOTH_TREES, TREES, COORD, COORD)
+def test_a_tree_with_its_own_partials_compiles_as_one_by_one(a, b, x, y):
+    # a tree shares most of its subtrees with its partials (u, u', f(u), ...)
+    e = ScalarExpr(a)
+    _assert_tuple_matches((e, e.diff("x"), ScalarExpr(b), e.diff("y")), x, y)
+
+
+def test_zero_and_negative_zero_stay_apart():
+    # Num(0.0) == Num(-0.0) as trees; x + 0.0 and x + -0.0 differ at x = -0.0
+    plus, minus = (ScalarExpr(BinOp("+", Var("x"), Num(z))) for z in (0.0, -0.0))
+    assert plus.root == minus.root
+    got = compile_tuple((plus, minus))(-0.0, 1.0)
+    assert [math.copysign(1.0, v) for v in got] == [1.0, -1.0]
+    arr = compile_tuple((plus, minus), "numpy")(np.array([-0.0]), np.array([1.0]))
+    assert [bool(np.signbit(v[0])) for v in arr] == [False, True]
+
+
+def test_repeated_subtrees_are_evaluated_once_in_post_order():
+    fx, fy = parse_expr("-y/(x^2+y^2)"), parse_expr("x/(x^2+y^2)")
+    assert to_text([fx.root, fy.root], MATH_FUNCS) == ["-y/(_3:=x**2+y**2)", "x/_3"]
+    # hoisting log(y) ahead of 1/(x-1) would raise "math domain error" instead
+    field = from_components("1/(x-1)+log(y)", "log(y)")
+    with pytest.raises(DomainEvalError, match="float division by zero"):
+        field.eval_at(1.0, -1.0)
+    with pytest.raises(ZeroDivisionError):
+        field.pair_fn(1.0, -1.0)
+    assert str(pytest.raises(ValueError, field.pair_fn, 2.0, -1.0).value) == "math domain error"

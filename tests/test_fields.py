@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locmech import fields
+from locmech.cover import lift_path
 from locmech.errors import (
     NonFiniteError,
     NumericError,
@@ -37,6 +38,7 @@ from locmech.fields import (
     work,
     zero_field,
 )
+from locmech.exprlang import ScalarExpr
 
 TAU = math.tau
 
@@ -372,6 +374,46 @@ def test_circle_paths_are_trees_with_the_spliced_source_values(cx, cy, r, turns)
         assert work(vortex(), built, quad) == work(vortex(), spliced, quad)
     ts = np.linspace(0.0, TAU, 7)
     assert np.array_equal(built.point_array(ts), spliced.point_array(ts))
+
+
+def _count_compiles(monkeypatch):
+    """The variables of every ScalarExpr._compile call from here on."""
+    calls, compile_ = [], ScalarExpr._compile
+    monkeypatch.setattr(ScalarExpr, "_compile",
+                        lambda self, *args: calls.append(self.variables) or compile_(self, *args))
+    return calls
+
+
+def test_a_fresh_circle_compiles_once_for_work_winding_and_lift(monkeypatch):
+    field = vortex()
+    field.eval_array(np.ones(1), np.ones(1))        # the field's own closure, first
+    calls = _count_compiles(monkeypatch)
+    path = circle_path(0.3, -0.2, 1.7, 2.0)
+    for quad in ("simpson", "trapezoid", "gauss(4)", "gauss(8)"):
+        assert work(field, path, quad) == pytest.approx(2 * TAU, abs=1e-6)
+    assert winding_number(path).number == 2
+    assert lift_path(path).sheets()[-1] == 2
+    assert calls == [("t",)]        # x, y, dx/dt and dy/dt in one closure
+
+
+def test_a_field_compiles_one_closure_per_backend_and_is_closed_one(monkeypatch):
+    calls = _count_compiles(monkeypatch)
+    field = vortex()
+    for _ in range(3):
+        field.eval_at(1.0, 0.5)
+        field.eval_array(np.ones(4), np.full(4, 0.5))
+    assert calls == [("x", "y")] * 2
+    assert is_closed(field, (0.5, 0.5, 2.0, 2.0)).passed
+    assert len(calls) == 3          # dfx/dy and dfy/dx share (x^2+y^2)^2 in one closure
+
+
+def test_gauss_rules_are_computed_once_per_order():
+    for k in (1, 2, 4, 8, 16, 64):
+        nodes, weights = fields._gauss_rule(k)
+        want = np.polynomial.legendre.leggauss(k)
+        assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
+        assert fields._gauss_rule(k) is fields._gauss_rule(k)
+        assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 def test_circle_path_refuses_non_finite_input():
