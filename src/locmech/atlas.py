@@ -372,20 +372,20 @@ class PotentialEvaluator:
         hit = self._cache.get(key)
         if hit is None:
             hit = self._cache[key] = -segment_work(self.field, self.chart.basepoint,
-                                                   self._member(key))
+                                                   self.member(key))
         return hit
 
     def raw_many(self, points):
         """raw at every row of points: memo hits, then every miss checked
         against the chart, then all distinct misses in one kernel call."""
         keys = [tuple(p) for p in np.asarray(points, dtype=float).reshape(-1, 2).tolist()]
-        misses = [self._member(k) for k in dict.fromkeys(keys) if k not in self._cache]
+        misses = [self.member(k) for k in dict.fromkeys(keys) if k not in self._cache]
         if misses:
             vals = -segment_integrals(self.field, self.chart.basepoint, misses)
             self._cache.update(zip(misses, vals.tolist()))
         return np.array([self._cache[k] for k in keys])
 
-    def _member(self, key):
+    def member(self, key):
         if not self.chart.contains(key):
             raise ChartMembershipError(f"point {key} is outside chart {self.chart.id}")
         return key

@@ -16,7 +16,8 @@ numpy once per chunk of steps: the angles about each singular point and
 the step-angle guard, the chart of each state (Atlas.locate), the Simpson
 midpoint forces, work, p_theta and the chart hops.  The run is cut at the
 first step that fails any guard, in the order a step-by-step loop checks
-them, so the log is the same; an abort's cause is kept as tr.abort.
+them, so the log is the same; an abort's cause is kept as tr.abort.  All
+potentials of a run, V and each hop's jump, are rows of one kernel call.
 """
 
 import math
@@ -252,18 +253,16 @@ def _refusal(field, k, x, y, r_min):
 
 
 class _Books:
-    """The logged columns of a run, booked a chunk of steps at a time."""
+    """The logged columns and the hops of a run, booked a chunk of steps at a time."""
 
     def __init__(self, cfg, ps):
         self.cfg, self.ps = cfg, ps
-        self.points = cfg.field.singular_points
-        self.sx, self.sy = np.reshape(np.array(self.points, float), (-1, 2)).T
-        self.center = np.reshape(cfg.field.center, (2, 1))
+        (self.sx, self.sy), self.center = cfg.field.columns
         self.steps = 0          # steps kept so far
         self.theta = None       # the angles and the work at the last state kept
         self.work = 0.0
         self.blocks = []
-        self.transitions = []
+        self.hops = []          # (t, old chart, new chart, crossing, in both charts)
         self.anchors = []       # the first state of each chunk and each chart entry
 
     def chunk(self, flat):
@@ -279,7 +278,7 @@ class _Books:
             theta, swept = self._angles(state[0], state[1])
             if swept is not None:
                 end, j, r = swept
-                sx, sy = self.points[j]
+                sx, sy = field.singular_points[j]
                 cause = (Abort(done + end + 1, "step-guard", r),
                          f"step {done + end + 1} swept {r:.3f} rad about ({sx}, {sy}); reduce h")
             k = int(row.argmax())
@@ -304,20 +303,29 @@ class _Books:
             np.add.accumulate(work, out=work)
             theta = np.add.accumulate(theta[:end + 1], out=theta[:end + 1])
             lever = (state[:2] - self.center) * state[3:1:-1]   # (x - cx) py, (y - cy) px
-        X, Y = state[0], state[1]
         changes = _chart_changes(row).tolist()
-        for k in changes:
-            self.transitions.append(_log_transition(
-                atlas, self.ps, atlas.ids[row[k - 1]], atlas.ids[row[k]],
-                (float(X[k - 1]), float(Y[k - 1])), (float(X[k]), float(Y[k])),
-                (done + k) * self.cfg.h, self.cfg.h,
-            ))
+        self.hops += [self._crossing(atlas.ids[row[k - 1]], atlas.ids[row[k]],
+                                     state[:2, k - 1:k + 1].T.tolist(), done + k) for k in changes]
         first = 0 if self.theta is None else 1     # row 0 is booked already
         self.anchors += [done + k for k in sorted({first, *changes}) if k <= end]
         self.blocks.append((state[:4, first:], row[first:], theta[first:], work[first:],
                             lever[0, first:] - lever[1, first:]))
         self.steps, self.theta, self.work = done + end, theta[-1], work[-1]
         return cause
+
+    def _crossing(self, old, new, q, k):
+        """(time, old, new, point, in both charts) where a hop from chart old
+        to chart new, on step k from q[0] to q[1], leaves the old chart; the
+        jump of the potential there is minus the cocycle entry."""
+        ch_old, ch_new, h = self.cfg.atlas.charts[old], self.cfg.atlas.charts[new], self.cfg.h
+        (x0, y0), (x1, y1) = q
+        s = ch_old.first_exit(q[0], q[1])
+        s = 0.5 if s is None else s
+        q_x = (x0 + s * (x1 - x0), y0 + s * (y1 - y0))
+        both = ch_new.contains(q_x, 1e-6) and ch_old.contains(q_x, 1e-6)
+        for cid in (new, old) if both else ():      # refuse as ps.value would
+            self.ps.evaluators[cid].member(q_x)
+        return k * h - (1.0 - s) * h, old, new, q_x, both
 
     def _angles(self, x, y):
         """The angle of each state (coordinates x, y) about each singular
@@ -338,22 +346,36 @@ class _Books:
         return theta, None
 
     def trajectory(self, cause, reason):
-        """The Trajectory of the kept states, V from one segment kernel call:
-        from the basepoint at each anchor and along the step chords after it
-        (in a chart, the potential does not depend on the path)."""
+        """The Trajectory of the kept states, with V and the hops' jumps from
+        one kernel call: V from the basepoint at each anchor and along the
+        chords after it (in a chart, the potential does not depend on the path)."""
         cfg, ps = self.cfg, self.ps
+        # two rows per hop inside both charts, from its new and its old chart's
+        # basepoint to its crossing; q holds the crossings after the states
+        hops = [(ps.atlas.charts[c].basepoint, q_x)
+                for _, a, b, q_x, inside in self.hops if inside for c in (b, a)]
+        self.blocks = [*zip(*self.blocks)]      # column by column
+        if hops:
+            self.blocks[0] += (np.transpose([(*q_x, 0.0, 0.0) for _, q_x in hops]),)
         q, row, theta, work_acc, p_theta = (
             p[0] if len(p) == 1 else np.concatenate(p, axis=-1 if k == 0 else 0)
-            for k, p in enumerate(zip(*self.blocks)))
+            for k, p in enumerate(self.blocks))
         self.blocks = None      # free the chunks before the post-pass
-        qx, qy, px, py = q
+        n, anchors = len(row), self.anchors
+        qx, qy, px, py = q[:, :n]
         with np.errstate(over="ignore"):    # momenta past 1e154 square to inf
             Tkin = (px ** 2 + py ** 2) / (2.0 * cfg.m)
         # independent of work_acc; ps.atlas has cfg.atlas's charts, so its rows
-        starts, anchors = q[:2, np.arange(-1, len(qx) - 1)].T, self.anchors    # row k - 1
+        starts = q[:2, np.arange(-1, q.shape[1] - 1)].T     # row k - 1
         starts[anchors] = ps.basepoints[row[anchors]]
+        if hops:
+            starts[n:] = [base for base, _ in hops]
         V = segment_integrals(cfg.field, starts, q[:2].T)
-        for a, b in zip(anchors, anchors[1:] + [len(V)]):
+        raw, gauge = iter((-V[n:]).tolist()), ps.gauges     # ps.value: gauge + raw
+        transitions = [Transition(t, a, b, q_x, (gauge[b] + next(raw)) - (gauge[a] + next(raw))
+                                  if inside else None) for t, a, b, q_x, inside in self.hops]
+        V = V[:n]
+        for a, b in zip(anchors, anchors[1:] + [n]):
             np.add.accumulate(V[a:b], out=V[a:b])
         V = ps.gauge_array[row] - V
         arrays = {
@@ -362,7 +384,7 @@ class _Books:
             "E_local": Tkin + V, "p_theta": p_theta, "work_acc": work_acc,
         }
         status = "completed" if cause is None else "aborted-" + cause.guard
-        return Trajectory(cfg, arrays, self.transitions, status, reason, cause)
+        return Trajectory(cfg, arrays, transitions, status, reason, cause)
 
 
 def _midpoint_forces(field, mx, my):
@@ -390,25 +412,6 @@ def _midpoint_forces(field, mx, my):
 def _chart_changes(chart):
     """The indices k >= 1 where chart[k] differs from chart[k - 1]."""
     return (chart[1:] != chart[:-1]).nonzero()[0] + 1
-
-
-def _log_transition(atlas, ps, old_chart, new_chart, q_old, q_new, t, h):
-    """Potential jump at the overlap crossing of a chart hop.
-
-    The crossing point of the leaving chart's boundary lies in both closed
-    charts, so both potentials are defined there and the jump is exactly
-    the (negated) cocycle entry up to quadrature noise.
-    """
-    ch_old = atlas.charts[old_chart]
-    s = ch_old.first_exit(q_old, q_new)
-    if s is None:
-        s = 0.5
-    q_x = (q_old[0] + s * (q_new[0] - q_old[0]),
-           q_old[1] + s * (q_new[1] - q_old[1]))
-    delta_e = None
-    if atlas.charts[new_chart].contains(q_x, 1e-6) and ch_old.contains(q_x, 1e-6):
-        delta_e = ps.value(new_chart, q_x) - ps.value(old_chart, q_x)
-    return Transition(t - (1.0 - s) * h, old_chart, new_chart, q_x, delta_e)
 
 
 # ---------------------------------------------------------------------------

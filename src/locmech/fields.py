@@ -77,7 +77,7 @@ _TAIL_TOL = np.finfo(float).eps ** 0.375
 # row's scale, about 20 halvings for a kink and 40 for a jump
 _ROW_TOL = np.finfo(float).eps ** 0.75
 _MAX_SEGMENT_PANELS = 4096      # bounds the work and memory of one segment
-_POW2 = np.ldexp([[-1.0], [1.0]], np.arange(1024))    # -2^j and 2^j, exact
+_POW2 = np.ldexp(np.tile([-1.0, 1.0], 1024), np.arange(2048) // 2)   # -+2^j, j = 0, 1, ...
 _H_MIN = np.finfo(float).tiny   # least first cut offset h: h 2^j passes 1 within _POW2
 _BLOCK_PANELS = 512             # panels per field evaluation (8 192 nodes)
 _BLOCK_STATES = 2048            # (segment, singular point) pairs cut at once
@@ -123,7 +123,7 @@ class FieldOneForm:
         with np.errstate(**(_IEEE_RAISE if strict else QUIET)):
             try:
                 vx, vy = (at_shape(v, (xs,)) for v in self.pair_array(xs, ys))
-            except FloatingPointError as exc:
+            except (FloatingPointError, *MATH_ERRORS) as exc:   # constants run in Python floats
                 raise DomainEvalError(f"bulk field evaluation failed: {exc}") from None
         finite = np.isfinite(vx)
         finite &= np.isfinite(vy)
@@ -147,6 +147,12 @@ class FieldOneForm:
             r = min([0.5] + [0.5 * math.hypot(ox - sx, oy - sy) for ox, oy in others])
             out.append(work(self, circle_path(sx, sy, r, 1.0, 512)))
         return tuple(out)
+
+    @cached_property
+    def columns(self):
+        """The singular points as a (2, 1, n) array and the center as a (2, 1) column."""
+        return (np.reshape(np.array(self.singular_points, float).T, (2, 1, -1)),
+                np.reshape(self.center, (2, 1)))
 
     @cached_property
     def pair_fn(self):
@@ -248,7 +254,10 @@ class ParametricPath(_Path):
     def point_tangent_array(self, ts):
         """x, y, dx/dt and dy/dt at the parameters ts, by one closure."""
         with np.errstate(**QUIET):
-            return [at_shape(v, (ts,)) for v in self._compiled(ts)]
+            try:
+                return [at_shape(v, (ts,)) for v in self._compiled(ts)]
+            except MATH_ERRORS as exc:
+                raise DomainEvalError(f"path evaluation failed: {exc}") from None
 
     def point(self, t):
         return tuple(float(v[0]) for v in self.point_tangent_array(np.array([t]))[:2])
@@ -373,32 +382,34 @@ def _cuts(a, b, singular_points, r_min):
     return sorted(set(cuts))
 
 
-def _batch_cuts(a, b, singular_points, r_min):
+def _batch_cuts(field, a, b):
     """_cuts of the segments a -> b, the columns of the (2, n) arrays a (or
     its one column) and b, flat: each panel's start, width and row, row
     after row; with the displacements b - a."""
     d = b - a
-    L2 = np.add.reduce(d * d)
+    L2 = d[0] * d[0] + d[1] * d[1]
     L = np.sqrt(L2)
     if not np.maximum.reduce(L, initial=0.0) <= MAX_SEGMENT_LENGTH:   # raise as _cuts does
         k = int(np.argmin(L <= MAX_SEGMENT_LENGTH))
-        _cuts(a[:, k % a.shape[1]].tolist(), b[:, k].tolist(), (), r_min)
-    if not singular_points:
+        _cuts(a[:, k % a.shape[1]].tolist(), b[:, k].tolist(), (), R_MIN_EVAL)
+    if not field.singular_points:
         owner = np.flatnonzero(L)
         return np.zeros(len(owner)), np.ones(len(owner)), owner, d
     # closest_approach per (row, point); a zero-length row is NaN from here on
-    r = np.array(singular_points).T[:, None, :] - a[:, :, None]
-    s = np.minimum(np.maximum(np.add.reduce(r * d[:, :, None]) / L2[:, None], 0.0), 1.0)
+    r = field.columns[0] - a[:, :, None]
+    s = r * d[:, :, None]
+    s = np.minimum(np.maximum((s[0] + s[1]) / L2[:, None], 0.0), 1.0)
     e = r - s * d[:, :, None]
-    dist = np.sqrt(np.add.reduce(e * e))
+    e *= e
+    dist = np.sqrt(e[0] + e[1])
     h = dist / (2.0 * L[:, None])
     hmin = np.fmin.reduce(h, axis=None, initial=np.inf)
-    if np.fmin.reduce(dist, axis=None, initial=np.inf) < r_min or hmin < _H_MIN:
-        k = np.argwhere((dist < r_min) | (h < _H_MIN))[0, 0]
-        _cuts(a[:, k % a.shape[1]].tolist(), b[:, k].tolist(), singular_points, r_min)
+    if np.fmin.reduce(dist, axis=None, initial=np.inf) < R_MIN_EVAL or hmin < _H_MIN:
+        k = np.argwhere((dist < R_MIN_EVAL) | (h < _H_MIN))[0, 0]
+        _cuts(a[:, k % a.shape[1]].tolist(), b[:, k].tolist(), field.singular_points, R_MIN_EVAL)
     # s -+ h 2^j until h 2^j >= 1 on every row, clipped to [0, 1] and sorted
     # row by row; in the flat array the panels are the positive steps
-    c = s[..., None, None] + h[..., None, None] * _POW2[:, :max(1, 2 - math.frexp(hmin)[1])]
+    c = s[..., None] + h[..., None] * _POW2[:2 * max(1, 2 - math.frexp(hmin)[1])]
     c = np.sort(np.minimum(np.maximum(c, 0.0), 1.0).reshape(len(L), -1), axis=1).ravel()
     width = c[1:] - c[:-1]
     keep = (width > 0.0).nonzero()[0]
@@ -415,12 +426,14 @@ def _panel_sums(field, pan):
         parts = [_panel_sums(field, pan[..., i:i + _BLOCK_PANELS])
                  for i in range(0, pan.shape[2], _BLOCK_PANELS)]
         return tuple(np.concatenate(p) for p in zip(*parts))
+    if (k := pan.shape[2]) == 1:    # numpy's one-row matmul rounds otherwise: two rows
+        pan = pan.repeat(2, 2)
     nodes = pan.transpose(1, 2, 0) @ _GL_NODES   # x0 + ex s_j, y0 + ey s_j
-    vx, vy = field.eval_array(nodes[0].reshape(-1), nodes[1].reshape(-1), 0.0)
-    gx = vx.reshape(-1, _GL_S.size) * pan[1, 0, :, None]
-    gy = vy.reshape(-1, _GL_S.size) * pan[1, 1, :, None]
+    vx, vy = field.eval_array(nodes[0, :k].reshape(-1), nodes[1, :k].reshape(-1), 0.0)
+    gx = vx.reshape(k, _GL_S.size) * pan[1, 0, :, None]
+    gy = vy.reshape(k, _GL_S.size) * pan[1, 1, :, None]
     c = (gx + gy) @ _GL_TAIL
-    return c[:, 0], np.abs(c) @ _TAIL_SUM, (np.abs(gx) + np.abs(gy)) @ _GL_H
+    return c[:k, 0], (np.abs(c) @ _TAIL_SUM)[:k], ((np.abs(gx) + np.abs(gy)) @ _GL_H)[:k]
 
 
 def _row_sums(field, pan, owner, rows):
@@ -455,16 +468,17 @@ def _row_sums(field, pan, owner, rows):
 
 def _finite(values, what):
     """values, or NonFiniteError when an integral left the double range."""
-    if not (math.isfinite(values) if type(values) is float else np.isfinite(values).all()):
+    if not (math.isfinite(values) if type(values) is float else
+            np.count_nonzero(np.isfinite(values)) == values.size):
         raise NonFiniteError(f"non-finite {what}")
     return values
 
 
 def segment_integrals(field, a, bs):
     """Line integrals along the segments a -> b for the rows b of the (n, 2)
-    array bs, from one start point a (shape (2,) or (1, 2)) or from row i
-    of an (n, 2) array a: _batch_cuts panels refined by _row_sums,
-    _BLOCK_STATES (segment, singular point) pairs at a time, bounding memory."""
+    array bs, from one start point a (shape (2,) or (1, 2)) or from row i of
+    an (n, 2) array a: _batch_cuts panels refined by _row_sums, _BLOCK_STATES
+    (segment, singular point) pairs at a time.  No row depends on the others."""
     bs = np.asarray(bs, dtype=float).reshape(-1, 2)
     starts = np.asarray(a, dtype=float).reshape(-1, 2)
     out = np.empty(len(bs))
@@ -472,7 +486,7 @@ def segment_integrals(field, a, bs):
         step = max(1, _BLOCK_STATES // max(1, len(field.singular_points)))
         for i in range(0, len(bs), step):
             a_j, b_j = (starts[i:i + step] if len(starts) > 1 else starts).T, bs[i:i + step].T
-            lo, width, owner, d = _batch_cuts(a_j, b_j, field.singular_points, R_MIN_EVAL)
+            lo, width, owner, d = _batch_cuts(field, a_j, b_j)
             d, pan = d.take(owner, 1), np.empty((2, 2, len(owner)))
             np.multiply(lo, d, out=pan[0])    # then x0 = ax + lo dx, ...
             pan[0] += a_j.take(owner, 1) if len(starts) > 1 else a_j
@@ -639,7 +653,10 @@ def is_closed(field, region, grid=20, tol=1e-4):
                 f"closedness grid within r_min={R_MIN_EVAL} of singular point ({sx}, {sy})"
             )
     with np.errstate(**QUIET):      # a constant partial broadcasts in resid
-        dfx, dfy = compile_tuple((field.fx.diff("y"), field.fy.diff("x")), "numpy")(X, Y)
+        try:
+            dfx, dfy = compile_tuple((field.fx.diff("y"), field.fy.diff("x")), "numpy")(X, Y)
+        except MATH_ERRORS as exc:
+            raise DomainEvalError(f"closedness check failed: {exc}") from None
     resid = np.abs(dfx - dfy) / np.maximum(1.0, np.abs(dfx) + np.abs(dfy))
     if not np.all(np.isfinite(resid)):
         raise NonFiniteError("non-finite derivative in closedness check")

@@ -560,6 +560,20 @@ def test_an_undeclared_pole_on_a_polyline_exits_2(capsys):
     assert err.startswith("numeric failure: segment quadrature did not converge")
 
 
+@pytest.mark.parametrize("argv", [
+    ("work", "--field", "x+(2-2)^-1;0", "--path", "poly:0,0;1,1"),
+    ("work", "--field", "vortex", "--path", "param:(1-1)^-1+t,t,0,1"),
+    ("check-closed", "--field", "0;(2-2)^-1*x*y"),
+])
+def test_a_constant_that_python_floats_refuse_exits_2(capsys, argv):
+    # the numpy closures fold constant subtrees in Python floats, which
+    # raise where numpy would give inf
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("numeric failure: ") and err.endswith(
+        "failed: 0.0 cannot be raised to a negative power\n")
+
+
 def test_a_kink_on_a_polyline_is_integrated(capsys):
     # |x| vanishes at its kink, 3/13 of the way along: no panel around it
     # ever shrinks its tail relative to its own scale

@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from locmech import dynamics
+from locmech import atlas as atlas_module
+from locmech import dynamics, fields
 from locmech.atlas import (
     Atlas,
     Chart,
+    PotentialEvaluator,
     PotentialSet,
     atlas_for,
     cocycle,
@@ -23,7 +25,13 @@ from locmech.dynamics import (
     energy_ledger,
     simulate,
 )
-from locmech.errors import DomainEvalError, NonFiniteError, SingularityError, ValidationError
+from locmech.errors import (
+    ChartMembershipError,
+    DomainEvalError,
+    NonFiniteError,
+    SingularityError,
+    ValidationError,
+)
 from locmech.exprlang import ScalarExpr
 from locmech.fields import from_components, vortex, zero_field
 
@@ -127,7 +135,9 @@ def test_post_pass_is_one_kernel_call_per_run(count_rows):
     calls = count_rows(dynamics, "segment_integrals")
     tr = simulate(vortex_cfg(T=4.0), PotentialSet.from_field(vortex(), quadrant_atlas()))
     assert len(set(tr.chart.tolist())) > 1
-    assert calls == [tr.n_states]
+    # a row per state, then two per hop: the potentials of both charts at its crossing
+    hops = sum(t.delta_e is not None for t in tr.transitions)
+    assert hops and calls == [tr.n_states + 2 * hops]
 
 
 def test_radial_equation_of_motion():
@@ -257,6 +267,21 @@ def _rk4_step(x, y, vx, vy, fx, fy, h, m, force):
     return nx, ny, npx, npy, nfx, nfy
 
 
+def _log_transition(atlas, ps, old_chart, new_chart, q_old, q_new, t, h):
+    """The reference's chart hop: the potential jump at the crossing of the
+    leaving chart's boundary, by two point queries."""
+    ch_old = atlas.charts[old_chart]
+    s = ch_old.first_exit(q_old, q_new)
+    if s is None:
+        s = 0.5
+    q_x = (q_old[0] + s * (q_new[0] - q_old[0]),
+           q_old[1] + s * (q_new[1] - q_old[1]))
+    delta_e = None
+    if atlas.charts[new_chart].contains(q_x, 1e-6) and ch_old.contains(q_x, 1e-6):
+        delta_e = ps.value(new_chart, q_x) - ps.value(old_chart, q_x)
+    return dynamics.Transition(t - (1.0 - s) * h, old_chart, new_chart, q_x, delta_e)
+
+
 def _reference_run(cfg, ps):
     """The per-step loop simulate replaced, kept as a reference: every guard
     and every logged value taken one step at a time, in the same order
@@ -301,7 +326,7 @@ def _reference_run(cfg, ps):
         dx, dy = nx - x, ny - y
         dw = ((fx * dx + fy * dy) + 4.0 * (mfx * dx + mfy * dy) + (nfx * dx + nfy * dy)) / 6.0
         if chart != rows[-1][4]:
-            transitions.append(dynamics._log_transition(
+            transitions.append(_log_transition(
                 atlas, ps, rows[-1][4], chart, (x, y), (nx, ny), k * h, h))
         rows.append((nx, ny, npx, npy, chart,
                      tuple(a + b for a, b in zip(rows[-1][5], d)),
@@ -444,6 +469,47 @@ def test_the_compiled_loop_steps_as_the_reference_bit_for_bit(name):
     assert cfg.field.leapfrog_loop is cfg.field.leapfrog_loop     # built once per field
 
 
+# runs whose hops each book two potentials at the crossing
+HOP_RUNS = {
+    "check-5 vortex": lambda: vortex_cfg(T=5.0),
+    "spring plus vortex, 25 hops": lambda: replace(LOOP_RUNS["spring plus vortex"](), T=20.0),
+    "two punctures": LOOP_RUNS["two punctures"],
+    "pi, every function and x^-2": LOOP_RUNS["pi, every function and x^-2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOP_RUNS))
+def test_hop_potentials_are_rows_of_the_run_kernel_call(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("simulate made a point query")
+
+    cfg = HOP_RUNS[name]()
+    ps = PotentialSet.from_field(cfg.field, cfg.atlas)
+    with monkeypatch.context() as patch:
+        for owner in (fields, atlas_module):
+            patch.setattr(owner, "segment_work", refuse)
+        patch.setattr(PotentialEvaluator, "raw", refuse)
+        tr = simulate(cfg, ps)
+    hops = [t for t in tr.transitions if t.delta_e is not None]
+    assert tr.completed and hops
+    for t in hops:      # a row's integral does not depend on its batch
+        want = ps.value(t.to_chart, t.q) - ps.value(t.from_chart, t.q)
+        assert t.delta_e.hex() == want.hex()
+
+
+def test_a_hop_that_a_point_query_refuses_is_refused_by_simulate():
+    # the crossing at x = 0 is within the hop's 1e-6 of chart 1 (x >= 5e-7)
+    # but outside its membership tolerance of 1e-9: ps.value refuses it
+    at = Atlas([Chart(1, [(1, 0, 5e-7)], (1, 0)), Chart(2, [(-1, 0, 0)], (-1, 0))])
+    cfg = SimConfig(field=zero_field(), atlas=at, q0=(-0.5, 0.0), p0=(1.0, 0.0), h=0.3, T=1.0)
+    ps = PotentialSet.from_field(cfg.field, at)
+    with pytest.raises(ChartMembershipError) as want:
+        ps.value(1, (0.0, 0.0))
+    with pytest.raises(ChartMembershipError) as got:
+        simulate(cfg, ps)
+    assert str(got.value) == str(want.value) == "point (0.0, 0.0) is outside chart 1"
+
+
 def test_a_run_compiles_each_closure_of_its_field_once(monkeypatch):
     compiles, texts = [], []
     compile_, to_text = ScalarExpr._compile, dynamics.to_text
@@ -526,7 +592,10 @@ def test_v_restarts_from_the_basepoint_at_each_chunk_and_chart_entry(monkeypatch
     want = np.column_stack([np.roll(tr.qx, 1), np.roll(tr.qy, 1)])
     for k in entries:
         want[k] = cfg.atlas.charts[int(tr.chart[k])].basepoint
-    assert tr.transitions and np.array_equal(starts[0], want)
+    # then each hop's two rows start at the new and the old chart's basepoint
+    hops = [cfg.atlas.charts[cid].basepoint for t in tr.transitions if t.delta_e is not None
+            for cid in (t.to_chart, t.from_chart)]
+    assert tr.transitions and np.array_equal(starts[0], np.vstack([want, hops]))
 
 
 def test_config_validation():
