@@ -6,19 +6,19 @@ a chart is gauge - (segment integral of the field from the basepoint),
 which the Poincare lemma makes well defined on star-shaped charts.  A
 convex chart is star-shaped unless a singular point lies strictly inside
 it, so Atlas and PotentialSet.from_field refuse that case (ValidationError).
-atlas_for builds such a cover for any finite set of punctures, and
-overlaps are computed exactly from the charts' half-planes.
+atlas_for builds such a cover for any finite set of punctures; overlaps
+are cut exactly from the charts' half-planes, in Python floats.
 
 Potential differences on nonempty overlaps are constant for closed
-fields; collecting them gives a cocycle on the overlap graph.  A
-spanning-tree solve splits that cocycle into exact (offsets exist) or
-not (nonzero periods on independent cycles), which is the whole
-obstruction story in computable form.
+fields; collecting them, all overlaps' potentials in one kernel call,
+gives a cocycle on the overlap graph.  A spanning-tree solve splits it
+into exact (offsets exist) or not (nonzero periods on independent
+cycles), which is the whole obstruction story in computable form.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 
 import numpy as np
@@ -56,7 +56,7 @@ class Chart:
             norm = math.hypot(a, b)
             if not (norm > 0.0 and math.isfinite(norm) and math.isfinite(c)):
                 raise ValidationError("half-plane normal must be finite and nonzero")
-            a, b, c = a / norm, b / norm, c / norm
+            a, b, c = float(a) / norm, float(b) / norm, float(c) / norm
             if not a * bx + b * by - c >= _CONSTRAINT_TOL:
                 raise ValidationError(
                     f"chart {self.id}: basepoint must satisfy constraints strictly")
@@ -139,8 +139,8 @@ class Atlas:
 
     @cached_property
     def _rules(self):
-        """For locate: every chart's half-planes as (K, 1) columns a, b, c,
-        then 0x + 0y >= 0, which holds at finite points only (it is NaN
+        """Every chart's half-planes as (K, 1) columns a, b, c, then
+        0x + 0y >= 0, which holds at finite points only (it is NaN
         elsewhere); the singular points as (H, 1) columns; and which charts
         each of these rules out.  The last row, ruled out by none, stands
         for no chart."""
@@ -156,19 +156,21 @@ class Atlas:
         return (*np.array(planes).T[:, :, None], *np.reshape(holes, (-1, 2)).T[:, :, None],
                 rules_out)
 
-    def locate(self, xs, ys):
-        """chart_for at every point of the 1-d arrays xs, ys at once: the
-        index in ids of the lowest-id chart containing each point, or
-        len(ids) where none does.  Each constraint value is the
-        a*x + b*y - c of Chart.contains, so the two agree point for point."""
+    def _ruled_out(self, xs, ys):
+        """How many rules each chart (in ids order, then none) fails at each point
+        of the 1-d arrays xs, ys: 0 just where Chart.contains holds."""
         a, b, c, hx, hy, rules_out = self._rules
         with np.errstate(invalid="ignore", over="ignore"):
             fails = ~(a * xs + b * ys - c >= -_CONSTRAINT_TOL)   # NaN fails
         hole = xs == hx
         if np.count_nonzero(hole):      # rare: only then test y too
             fails = np.concatenate([fails, hole & (ys == hy)])
-        # rules failed per chart, a small whole number; the first chart with none
-        return (rules_out[:, :len(fails)] @ fails).argmin(0)
+        return rules_out[:, :len(fails)] @ fails
+
+    def locate(self, xs, ys):
+        """chart_for at every point of the 1-d arrays xs, ys at once: the
+        index in ids of the lowest-id chart containing it, or len(ids)."""
+        return self._ruled_out(xs, ys).argmin(0)
 
     def overlap_samples(self, i, j, k=DEFAULT_OVERLAP_SAMPLES):
         """k deterministic points in the overlap of charts i and j, or an
@@ -185,11 +187,10 @@ class Atlas:
         return f"Atlas(ids={list(self.ids)})"
 
 
-def _clip(constraints, lo, hi):
-    """The box lo..hi cut by the half-planes, each kept within _CONSTRAINT_TOL
-    as Chart.contains keeps it (Sutherland-Hodgman): the corners of a convex
-    polygon, which may have collapsed to a segment or a point, or []."""
-    (x0, y0), (x1, y1) = map(float, lo), map(float, hi)
+def _clip(constraints, x0, y0, x1, y1):
+    """The box x0..x1, y0..y1 cut by the half-planes, each kept within
+    _CONSTRAINT_TOL as Chart.contains keeps it (Sutherland-Hodgman): the corners
+    of a convex polygon, which may have collapsed to a segment or a point, or []."""
     poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
     for a, b, c in constraints:
         keep = [(p, a * p[0] + b * p[1] - c) for p in poly]
@@ -204,18 +205,19 @@ def _clip(constraints, lo, hi):
 
 
 def _shape(poly):
-    """The corners that span a clipped region: one row for a point, the two
-    ends for a segment, else the polygon's corners (an (m, 2) array)."""
-    v = np.array(poly, dtype=float).reshape(-1, 2)
-    if len(v) == 0:
-        return v
-    a = v[np.argmax(np.hypot(*(v - v[0]).T))]
-    b = v[np.argmax(np.hypot(*(v - a).T))]
-    length = math.hypot(*(b - a))
+    """The corners that span a clipped region: one for a point, the two
+    ends for a segment, else the polygon's corners (a list of tuples).  The
+    farthest corners are np.hypot's picks: math.hypot's can differ at a near tie."""
+    if not poly:
+        return poly
+    a = poly[np.argmax(np.hypot(*np.subtract(poly, poly[0]).T))]
+    b = poly[np.argmax(np.hypot(*np.subtract(poly, a).T))]
+    length = math.hypot(b[0] - a[0], b[1] - a[1])
     if length <= _CONSTRAINT_TOL:
-        return v[:1]
-    off = np.abs((v - a) @ (a[1] - b[1], b[0] - a[0])) / length
-    return np.array([a, b]) if off.max() <= _CONSTRAINT_TOL else v
+        return poly[:1]
+    nx, ny = a[1] - b[1], b[0] - a[0]
+    return [a, b] if all(abs((x - a[0]) * nx + (y - a[1]) * ny) / length <= _CONSTRAINT_TOL
+                         for x, y in poly) else poly
 
 
 def _splits(s, shape):
@@ -224,11 +226,11 @@ def _splits(s, shape):
     each of its charts, which Atlas refuses.)"""
     if len(shape) != 2:
         return False
-    a, b = shape
-    e, d = (b - a) / math.hypot(*(b - a)), np.subtract(s, a)
-    along = e @ d
-    return (abs(e[0] * d[1] - e[1] * d[0]) <= _CONSTRAINT_TOL
-            and _CONSTRAINT_TOL < along < math.hypot(*(b - a)) - _CONSTRAINT_TOL)
+    (ax, ay), (bx, by) = shape
+    length = math.hypot(bx - ax, by - ay)
+    ex, ey, dx, dy = (bx - ax) / length, (by - ay) / length, s[0] - ax, s[1] - ay
+    return (abs(ex * dy - ey * dx) <= _CONSTRAINT_TOL
+            and _CONSTRAINT_TOL < ex * dx + ey * dy < length - _CONSTRAINT_TOL)
 
 
 def _meet(charts, k):
@@ -252,8 +254,9 @@ def _meet(charts, k):
         det = a1 * b2 - a2 * b1
         if abs(det) > _PARALLEL_TOL:
             corners.append(((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det))
-    far_lo, far_hi = np.min(corners, 0) - 1.0, np.max(corners, 0) + 1.0
-    region = _shape(_clip(cons, far_lo, far_hi))
+    xs, ys = zip(*corners)
+    far = min(xs) - 1.0, min(ys) - 1.0, max(xs) + 1.0, max(ys) + 1.0
+    region = _shape(_clip(cons, *far))
     for s in singular:
         if _splits(s, region):
             raise ValidationError(f"atlas fault: singular point {s} lies inside the "
@@ -261,17 +264,16 @@ def _meet(charts, k):
     if len(region) == 0 or len(region) == 1 and any(
             math.dist(region[0], s) <= _CONSTRAINT_TOL for s in singular):
         return np.empty((0, 2))
-    lo, hi = np.min(anchors, 0) - 1.0, np.max(anchors, 0) + 1.0
-    part = _shape(_clip(cons, lo, hi))
-    while len(part) == 0 and (np.any(lo > far_lo) or np.any(hi < far_hi)):
-        lo, hi = 2.0 * lo - hi, 2.0 * hi - lo
-        part = _shape(_clip(cons, lo, hi))
-    if len(part) == 0:
-        part = region
-    mid = part.mean(0)
-    i = np.arange(k)
-    t = (i // len(part) + 1) / (2 * (-(-k // len(part)) + 1))
-    return mid + t[:, None] * (part[i % len(part)] - mid)
+    xs, ys = zip(*anchors)
+    x0, y0, x1, y1 = min(xs) - 1.0, min(ys) - 1.0, max(xs) + 1.0, max(ys) + 1.0
+    while not (part := _shape(_clip(cons, x0, y0, x1, y1))) and (
+            x0 > far[0] or y0 > far[1] or x1 < far[2] or y1 < far[3]):
+        x0, y0, x1, y1 = 2.0 * x0 - x1, 2.0 * y0 - y1, 2.0 * x1 - x0, 2.0 * y1 - y0
+    part = part or region
+    m, half = len(part), 2 * (-(-k // len(part)) + 1)
+    cx, cy = (reduce(float.__add__, c) / m for c in zip(*part))   # numpy's order of summation
+    return np.array([(cx + t * (sx - cx), cy + t * (sy - cy)) for t, (sx, sy) in
+                     (((i // m + 1) / half, part[i % m]) for i in range(k))])
 
 
 def _direction(points):
@@ -375,16 +377,6 @@ class PotentialEvaluator:
                                                    self.member(key))
         return hit
 
-    def raw_many(self, points):
-        """raw at every row of points: memo hits, then every miss checked
-        against the chart, then all distinct misses in one kernel call."""
-        keys = [tuple(p) for p in np.asarray(points, dtype=float).reshape(-1, 2).tolist()]
-        misses = [self.member(k) for k in dict.fromkeys(keys) if k not in self._cache]
-        if misses:
-            vals = -segment_integrals(self.field, self.chart.basepoint, misses)
-            self._cache.update(zip(misses, vals.tolist()))
-        return np.array([self._cache[k] for k in keys])
-
     def member(self, key):
         if not self.chart.contains(key):
             raise ChartMembershipError(f"point {key} is outside chart {self.chart.id}")
@@ -432,7 +424,24 @@ class PotentialSet:
         return self.gauges[cid] + self.evaluators[cid].raw(q)
 
     def values(self, cid, points):
-        return self.gauges[cid] + self.evaluators[cid].raw_many(points)
+        return self.values_many([(cid, points)])[0]
+
+    def values_many(self, requests):
+        """values for each (cid, points) of requests: memo hits, then every miss
+        checked against its chart in one rule pass, then one kernel call."""
+        memo = {cid: ev._cache for cid, ev in self.evaluators.items()}
+        keys = [(cid, list(map(tuple, np.asarray(pts, dtype=float).reshape(-1, 2).tolist())))
+                for cid, pts in requests]
+        misses = dict.fromkeys((cid, q) for cid, qs in keys for q in qs if q not in memo[cid])
+        if misses:
+            cids, qs = zip(*misses)
+            rows, pts = list(map(self.atlas.ids.index, cids)), np.array(qs)
+            for n in np.flatnonzero(self.atlas._ruled_out(*pts.T)[rows, range(len(rows))]):
+                self.evaluators[cids[n]].member(qs[n])
+            for cid, q, v in zip(cids, qs, segment_integrals(self.field, self.basepoints[rows],
+                                                             pts).tolist()):
+                memo[cid][q] = -v
+        return [self.gauges[cid] + np.array([memo[cid][q] for q in qs]) for cid, qs in keys]
 
 
 def gauge_shift(ps, offsets):
@@ -479,27 +488,28 @@ def cocycle(ps, samples=DEFAULT_OVERLAP_SAMPLES):
     otherwise the field is not closed across that overlap and the
     difference is meaningless.  Triangle identities are verified to
     TRIANGLE_TOL on every inhabited triple overlap.
+
+    All samples and potentials (one values_many call) come before the first
+    spread check, so an atlas fault or kernel refusal on any overlap wins over
+    a spread on an earlier one; spreads are then checked in pair order.
     """
     if not 1 <= samples <= MAX_OVERLAP_SAMPLES:
         raise ValidationError(f"samples must be in [1, {MAX_OVERLAP_SAMPLES}], got {samples}")
     at = ps.atlas
     ids = at.ids
+    pairs = [(i, j, pts) for i, j in combinations(ids, 2)
+             if len(pts := at.overlap_samples(i, j, samples))]
+    vs = ps.values_many([(c, pts) for i, j, pts in pairs for c in (i, j)])
     entries, spreads = {}, {}
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            i, j = ids[a], ids[b]
-            pts = at.overlap_samples(i, j, samples)
-            if len(pts) == 0:
-                continue
-            diffs = ps.values(i, pts) - ps.values(j, pts)
-            spread = float(np.max(diffs) - np.min(diffs))
-            if spread > COCYCLE_SPREAD_TOL:
-                raise CocycleConstancyError(
-                    f"V_{i} - V_{j} varies by {spread:.3e} on overlap "
-                    f"({i},{j}); tolerance {COCYCLE_SPREAD_TOL:.1e}"
-                )
-            entries[(i, j)] = float(np.mean(diffs))
-            spreads[(i, j)] = spread
+    for (i, j, _), diffs in zip(pairs, map(np.subtract, vs[::2], vs[1::2])):
+        spread = float(np.max(diffs) - np.min(diffs))
+        if spread > COCYCLE_SPREAD_TOL:
+            raise CocycleConstancyError(
+                f"V_{i} - V_{j} varies by {spread:.3e} on overlap "
+                f"({i},{j}); tolerance {COCYCLE_SPREAD_TOL:.1e}"
+            )
+        entries[(i, j)] = float(np.mean(diffs))
+        spreads[(i, j)] = spread
     cc = CechCocycle(entries, spreads, at)
     for (i, j) in cc.pairs():
         for k in ids:

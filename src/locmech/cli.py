@@ -629,6 +629,9 @@ def _cmd_verify(ns, doc):
     if not ns.deterministic:
         print(f"# generated_at {_generated_at()}")
     print(report.render())
+    for r in report.results:        # timings vary run to run: stderr only
+        print(f"[{r.number:2d}] {r.name:<18} {r.seconds:.3f} s (budget "
+              f"{verify_mod.BUDGETS.get(r.number, math.inf):g} s)", file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -480,16 +480,16 @@ def segment_integrals(field, a, bs):
     an (n, 2) array a: _batch_cuts panels refined by _row_sums, _BLOCK_STATES
     (segment, singular point) pairs at a time.  No row depends on the others."""
     bs = np.asarray(bs, dtype=float).reshape(-1, 2)
-    starts = np.asarray(a, dtype=float).reshape(-1, 2)
+    starts = np.broadcast_to(np.asarray(a, dtype=float).reshape(-1, 2), bs.shape)
     out = np.empty(len(bs))
     with np.errstate(over="ignore", invalid="ignore"):
         step = max(1, _BLOCK_STATES // max(1, len(field.singular_points)))
         for i in range(0, len(bs), step):
-            a_j, b_j = (starts[i:i + step] if len(starts) > 1 else starts).T, bs[i:i + step].T
+            a_j, b_j = starts[i:i + step].T, bs[i:i + step].T
             lo, width, owner, d = _batch_cuts(field, a_j, b_j)
             d, pan = d.take(owner, 1), np.empty((2, 2, len(owner)))
             np.multiply(lo, d, out=pan[0])    # then x0 = ax + lo dx, ...
-            pan[0] += a_j.take(owner, 1) if len(starts) > 1 else a_j
+            pan[0] += a_j.take(owner, 1)
             np.multiply(width, d, out=pan[1])
             out[i:i + step] = _row_sums(field, pan, owner, b_j.shape[1])
     return _finite(out, "segment integral")

@@ -3,9 +3,12 @@ potentials, and the overlap-difference cocycle."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from locmech import atlas
 from locmech.atlas import (
@@ -23,6 +26,7 @@ from locmech.errors import (
     ChartMembershipError,
     CocycleConstancyError,
     NerveDisconnectedError,
+    NonFiniteError,
     ValidationError,
 )
 from locmech.fields import classify, from_components, vortex
@@ -175,11 +179,79 @@ def test_values_check_every_point_before_integrating(monkeypatch):
             ps.values(1, [(2.0, 0.5), outside, (0.5, 2.0)])
 
 
-def test_cocycle_makes_two_kernel_calls_per_overlap(count_rows):
+def test_values_many_refuses_the_first_point_outside_before_integrating(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    ps = PotentialSet.from_field(vortex(), quadrant_atlas())
+    monkeypatch.setattr(atlas, "segment_integrals", no_kernel)
+    for requests, named in [
+        ([(1, [(2.0, 0.5)]), (2, [(-1.0, 1.0), (1.0, 1.0)]), (1, [(math.nan, 1.0)])],
+         "point (1.0, 1.0) is outside chart 2"),
+        ([(1, [(2.0, 0.5), (math.nan, 1.0)]), (2, [(1.0, 1.0)])],
+         "point (nan, 1.0) is outside chart 1"),
+        ([(4, [(1.0, -1.0)]), (3, [(0.0, 0.0)]), (2, [(1.0, 1.0)])],     # the puncture
+         "point (0.0, 0.0) is outside chart 3"),
+    ]:
+        with pytest.raises(ChartMembershipError, match=re.escape(named)):
+            ps.values_many(requests)
+    assert all(not ev._cache for ev in ps.evaluators.values())
+
+
+def test_values_many_integrates_each_chart_point_once_in_one_call(count_rows):
+    q, r, s = (2.0, 0.5), (0.0, 3.0), (-1.5, 0.0)
+    single = PotentialSet.from_field(vortex(), quadrant_atlas())
+    ps = PotentialSet.from_field(vortex(), quadrant_atlas())
+    batched = count_rows(atlas, "segment_integrals")
+    one = count_rows(atlas, "segment_work")
+    got = ps.values_many([(1, [q, r]), (2, [r, s]), (1, [q]), (2, np.empty((0, 2)))])
+    # q twice for chart 1 is one row; r for charts 1 and 2 is two
+    assert batched == [4] and one == []
+    assert [v.tolist() for v in got] == [[single.value(1, q), single.value(1, r)],
+                                         [single.value(2, r), single.value(2, s)],
+                                         [single.value(1, q)], []]
+    ps.values_many([(2, [s]), (1, [r])])
+    assert batched == [4]
+
+
+def test_cocycle_makes_one_kernel_call(count_rows):
     batched = count_rows(atlas, "segment_integrals")
     one = count_rows(atlas, "segment_work")
     cocycle(PotentialSet.from_field(vortex(), quadrant_atlas()))
-    assert len(batched) <= 8 and one == []
+    assert batched == [2 * 4 * 32] and one == []
+
+
+def cocycle_pair_by_pair(ps, samples=atlas.DEFAULT_OVERLAP_SAMPLES):
+    """Entries and spreads as cocycle built them before its one kernel call:
+    two PotentialSet.values calls per overlap, in pair order."""
+    entries, spreads = {}, {}
+    for i, j in itertools.combinations(ps.atlas.ids, 2):
+        pts = ps.atlas.overlap_samples(i, j, samples)
+        if len(pts):
+            diffs = ps.values(i, pts) - ps.values(j, pts)
+            entries[(i, j)] = float(np.mean(diffs))
+            spreads[(i, j)] = float(np.max(diffs) - np.min(diffs))
+    return entries, spreads
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PotentialSet.from_field(vortex(), quadrant_atlas()),
+    lambda: gauge_shift(PotentialSet.from_field(vortex(), quadrant_atlas()),
+                        {1: 0.3, 2: -1.1, 3: 0.0, 4: 2.5}),
+    lambda: PotentialSet.from_field(vortices(((0.0, 0.0), (3.0, 0.0)), (1.0, 0.5)),
+                                    atlas_for(((0.0, 0.0), (3.0, 0.0)))),
+    lambda: PotentialSet.from_field(
+        vortices(((-1.5, 0.4), (0.3, -0.8), (2.2, 1.3)), (1.0, 0.5, -2.0)),
+        atlas_for(((-1.5, 0.4), (0.3, -0.8), (2.2, 1.3)))),
+])
+@pytest.mark.parametrize("samples", [1, 32])
+def test_cocycle_is_the_pair_by_pair_reference_bit_for_bit(build, samples):
+    ps, ref = build(), build()
+    cc = cocycle(ps, samples)
+    entries, spreads = cocycle_pair_by_pair(ref, samples)
+    assert (repr(cc.entries), repr(cc.spreads)) == (repr(entries), repr(spreads))
+    assert [repr(ev._cache) for ev in ps.evaluators.values()] == \
+        [repr(ev._cache) for ev in ref.evaluators.values()]
 
 
 def test_exact_field_potential_oracle():
@@ -235,7 +307,20 @@ def test_exactness_split():
 
 def test_cocycle_rejects_nonclosed_fields():
     ps = PotentialSet.from_field(from_components("0", "x"), quadrant_atlas())
-    with pytest.raises(CocycleConstancyError):
+    with pytest.raises(CocycleConstancyError, match=r"V_1 - V_2 varies by 9\.412e-01 on overlap "
+                                                    r"\(1,2\)"):
+        cocycle(ps)
+
+
+def test_a_kernel_refusal_on_a_later_overlap_wins_over_an_earlier_spread():
+    # sqrt(y), x is not closed: V_1 - V_2 varies on the first overlap,
+    # (1,2); the segments to the samples of (1,4) dip below y = 0, where
+    # the field is NaN, and every overlap is integrated before the first
+    # spread check
+    ps = PotentialSet.from_field(from_components("sqrt(y)", "x"), quadrant_atlas())
+    pts = ps.atlas.overlap_samples(1, 2)
+    assert np.ptp(ps.values(1, pts) - ps.values(2, pts)) > atlas.COCYCLE_SPREAD_TOL
+    with pytest.raises(NonFiniteError, match="non-finite field value"):
         cocycle(ps)
 
 
@@ -332,6 +417,114 @@ def test_overlaps_are_exact():
              Chart(2, [(-1, 0, -1)], (0.0, 1.0), singular_points=((0.5, 0.0),))]
     with pytest.raises(ValidationError, match=r"\(0\.5, 0\.0\) lies inside"):
         Atlas(slabs)
+
+
+# the overlap geometry as numpy computed it before it moved to Python
+# floats; overlap_samples and triple_overlap_nonempty must give its bits
+def _shape_numpy(poly):
+    v = np.array(poly, dtype=float).reshape(-1, 2)
+    if len(v) == 0:
+        return v
+    a = v[np.argmax(np.hypot(*(v - v[0]).T))]
+    b = v[np.argmax(np.hypot(*(v - a).T))]
+    length = math.hypot(*(b - a))
+    if length <= atlas._CONSTRAINT_TOL:
+        return v[:1]
+    off = np.abs((v - a) @ (a[1] - b[1], b[0] - a[0])) / length
+    return np.array([a, b]) if off.max() <= atlas._CONSTRAINT_TOL else v
+
+
+def _splits_numpy(s, shape):
+    if len(shape) != 2:
+        return False
+    a, b = shape
+    e, d = (b - a) / math.hypot(*(b - a)), np.subtract(s, a)
+    along = e @ d
+    return (abs(e[0] * d[1] - e[1] * d[0]) <= atlas._CONSTRAINT_TOL
+            and atlas._CONSTRAINT_TOL < along < math.hypot(*(b - a)) - atlas._CONSTRAINT_TOL)
+
+
+def _meet_numpy(charts, k):
+    tol = atlas._CONSTRAINT_TOL
+    cons = [c for ch in charts for c in ch.constraints]
+    singular = sorted(set().union(*(ch.singular_points for ch in charts)))
+    anchors = [ch.basepoint for ch in charts] + singular
+    corners = anchors + [(a * c, b * c) for a, b, c in cons]
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(cons, 2):
+        det = a1 * b2 - a2 * b1
+        if abs(det) > atlas._PARALLEL_TOL:
+            corners.append(((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det))
+    far_lo, far_hi = np.min(corners, 0) - 1.0, np.max(corners, 0) + 1.0
+    region = _shape_numpy(atlas._clip(cons, *map(float, far_lo), *map(float, far_hi)))
+    for s in singular:
+        if _splits_numpy(s, region):
+            raise ValidationError(f"atlas fault: singular point {s} lies inside the "
+                                  f"overlap of charts {tuple(ch.id for ch in charts)}")
+    if len(region) == 0 or len(region) == 1 and any(
+            math.dist(region[0], s) <= tol for s in singular):
+        return np.empty((0, 2))
+    lo, hi = np.min(anchors, 0) - 1.0, np.max(anchors, 0) + 1.0
+    part = _shape_numpy(atlas._clip(cons, *map(float, lo), *map(float, hi)))
+    while len(part) == 0 and (np.any(lo > far_lo) or np.any(hi < far_hi)):
+        lo, hi = 2.0 * lo - hi, 2.0 * hi - lo
+        part = _shape_numpy(atlas._clip(cons, *map(float, lo), *map(float, hi)))
+    if len(part) == 0:
+        part = region
+    mid = part.mean(0)
+    i = np.arange(k)
+    t = (i // len(part) + 1) / (2 * (-(-k // len(part)) + 1))
+    return mid + t[:, None] * (part[i % len(part)] - mid)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(np.asarray(fn(*args)).tolist())
+    except ValidationError as exc:
+        return repr(exc)
+
+
+coordinate = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@given(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=3, unique=True))
+@example([(-0.408, 0.2521435225193311), (-0.07, 2.0)])    # corners of (2,5) an ulp apart
+@example([(0.0, 0.0)])
+@example([(1.0, -1.0), (1.0, 2.5), (-2.0, 0.5)])
+def test_overlap_geometry_is_the_numpy_reference_bit_for_bit(punctures):
+    try:
+        at = atlas_for(punctures)
+    except ValidationError:
+        return
+    for i, j in itertools.combinations(at.ids, 2):
+        pair = [at.charts[i], at.charts[j]]
+        for k in (1, 5, 32):
+            assert _outcome(at.overlap_samples, i, j, k) == _outcome(_meet_numpy, pair, k)
+    for ids in itertools.combinations(at.ids, 3):
+        assert _outcome(at.triple_overlap_nonempty, *ids) == _outcome(
+            lambda *t: len(_meet_numpy([at.charts[c] for c in t], 1)) > 0, *ids)
+
+
+@st.composite
+def boxes(draw):
+    """A turned rectangle about its centre, the basepoint."""
+    cx, cy, turn = draw(coordinate), draw(coordinate), draw(st.floats(0.0, HALF_PI))
+    half = [draw(st.floats(0.25, 2.0)) for _ in range(2)]
+    walls = []
+    for k in range(4):
+        a, b = math.cos(turn + k * HALF_PI), math.sin(turn + k * HALF_PI)
+        walls.append((a, b, a * cx + b * cy - half[k % 2]))
+    return walls, (cx, cy)
+
+
+@given(st.lists(boxes(), min_size=3, max_size=3))
+def test_polygon_overlaps_are_the_numpy_reference_bit_for_bit(specs):
+    # atlas_for's overlaps are segments; these are polygons of up to 8
+    # corners, whose mean sums in numpy's order
+    at = Atlas([Chart(cid, walls, base) for cid, (walls, base) in enumerate(specs, 1)])
+    for ids in ((1, 2), (1, 3), (2, 3), (1, 2, 3)):
+        for k in (1, 5, 32):
+            assert _outcome(atlas._meet, [at.charts[c] for c in ids], k) == \
+                _outcome(_meet_numpy, [at.charts[c] for c in ids], k)
 
 
 def test_punctures_too_close_to_separate_are_refused_by_name():

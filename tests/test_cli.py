@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import warnings
 
 import pytest
@@ -480,6 +481,16 @@ def test_verify_single_check(capsys):
     code, out, _ = invoke(capsys, "verify", "--only", "1", "--deterministic")
     assert code == 0
     assert "[ 1] PASS" in out
+
+
+def test_verify_prints_each_checks_seconds_against_its_budget_on_stderr(capsys):
+    code, out, err = invoke(capsys, "verify", "--only", "1", "--only", "3", "--deterministic")
+    assert code == 0
+    assert out.splitlines()[-1] == "all checks passed" and " s (budget " not in out
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"\[ 1\] work-winding +\d+\.\d{3} s \(budget 1 s\)", lines[0])
+    assert re.fullmatch(r"\[ 3\] cocycle +\d+\.\d{3} s \(budget inf s\)", lines[1])
 
 
 def test_no_command_prints_usage(capsys):
