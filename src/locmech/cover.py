@@ -145,9 +145,8 @@ def continue_log(germ, path):
     sweep = angle_change(path, (0.0, 0.0))
     end = path.end
     anchor_end = complex(end[0], end[1])
-    continued = cmath.phase(germ.anchor) + TAU * germ.sheet + sweep
-    sheet = int(_sheets(continued, cmath.phase(anchor_end)))
-    return LogGerm(anchor_end, sheet)
+    turns = _sheets(cmath.phase(germ.anchor) + sweep, cmath.phase(anchor_end))
+    return LogGerm(anchor_end, germ.sheet + int(turns))
 
 
 def monodromy_log(n_loops):

@@ -34,8 +34,8 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .exprlang import MATH_FUNCS, PYTHON_GLOBALS, to_text
-from .fields import MATH_ERRORS, R_MIN_EVAL, TAU, segment_integrals
+from .exprlang import MATH_ERRORS, MATH_FUNCS, PYTHON_GLOBALS, to_text
+from .fields import R_MIN_EVAL, TAU, segment_integrals
 
 SIM_R_MIN = 1e-3
 STEP_ANGLE_GUARD = 3.0   # radians per step; < pi so unwrapping stays unambiguous
@@ -390,8 +390,9 @@ class _Books:
 def _midpoint_forces(field, mx, my):
     """The field at the midpoints by one strict eval_array call; if that
     raises, eval_at at each in turn up to the first that fails, whose
-    exception gives the reason.  Returns the forces before any failure and
-    (its index, the exception) or None."""
+    exception gives the reason; a step that strict numpy refuses and Python
+    absorbs (eval_array's one difference) gets eval_at's force.  Returns
+    the forces before any failure and (its index, the exception) or None."""
     if not len(mx):
         return mx, my, None
     try:

@@ -19,11 +19,12 @@ atan2 sqrt abs.  Constant: pi.  Variables default to (x, y); other
 variable tuples such as ("t",) or ("x", "y", "z") can be requested at
 parse time.
 
-Trees are immutable.  Evaluation is IEEE-754 double arithmetic; division
-by zero, log of a non-positive value and similar escapes raise
-DomainEvalError instead of returning inf or nan.  ScalarExpr.diff builds
-the exact partial derivative as another tree, with light constant
-folding (Griewank & Walther, Evaluating Derivatives, SIAM 2008).
+Trees are immutable.  ScalarExpr.evaluate runs the compiled math closure:
+where math raises or the value is not finite, it raises DomainEvalError
+instead of returning inf or nan; an overflow that a later step absorbs,
+as in 1/(x*1e308*10) at x = 1, is accepted.  ScalarExpr.diff builds the
+exact partial derivative as another tree, with light constant folding
+(Griewank & Walther, Evaluating Derivatives, SIAM 2008).
 
 compile_tuple compiles trees over the same variables into one closure
 (math or numpy) for their values.  Its text (to_text) nests as the trees
@@ -337,6 +338,7 @@ _BACKENDS = {"math": (MATH_FUNCS, PYTHON_GLOBALS),
 
 
 QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+MATH_ERRORS = (ZeroDivisionError, ValueError, OverflowError)   # what a math closure raises
 
 
 def at_shape(out, args):
@@ -354,12 +356,12 @@ def compile_tuple(exprs, backend="math"):
 
 
 class ScalarExpr:
-    """Immutable expression tree with interpreted and compiled evaluation.
+    """Immutable expression tree with compiled evaluation.
 
-    evaluate() walks the tree and raises DomainEvalError naming the
-    offending subexpression.  scalar_fn/array_fn are its compiled math and
-    numpy closures, the one-tree case of compile_tuple; the array form
-    leaves inf/nan screening to the caller.
+    scalar_fn/array_fn are its math and numpy closures, the one-tree case
+    of compile_tuple.  evaluate() calls scalar_fn and raises
+    DomainEvalError, naming the source, where math raises or the value is
+    not finite; the array form leaves inf/nan screening to the caller.
     """
 
     def __init__(self, root, variables=("x", "y")):
@@ -388,8 +390,15 @@ class ScalarExpr:
             raise ValidationError(
                 f"expected {len(self.variables)} value(s) for {self.variables}"
             )
-        env = dict(zip(self.variables, values))
-        return _eval_node(self.root, env)
+        if type(self.root) is Num:      # finite by construction; no closure to build
+            return self.root.value
+        try:
+            v = self.scalar_fn(*values)
+            if math.isfinite(v):    # OverflowError for an int past the double range
+                return v
+        except MATH_ERRORS as exc:
+            raise DomainEvalError(f"domain error in '{self.to_source()}': {exc}") from None
+        raise DomainEvalError(f"non-finite value in '{self.to_source()}'")
 
     __call__ = evaluate
 
@@ -493,61 +502,6 @@ def _diff(node, var):
     # u/v and atan2(u, v) share the numerator u'v - uv'
     den = _power(v, 2) if op == "/" else fold("+", _power(u, 2), _power(v, 2))
     return fold("/", fold("-", fold("*", du, v), fold("*", u, dv)), den)
-
-
-def _eval_node(node, env):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, env)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, env)
-        b = _eval_node(node.right, env)
-        if node.op == "+":
-            v = a + b
-        elif node.op == "-":
-            v = a - b
-        elif node.op == "*":
-            v = a * b
-        else:
-            if b == 0.0:
-                raise DomainEvalError(
-                    f"division by zero in '{to_text([node])[0]}'"
-                )
-            v = a / b
-        return _require_finite(v, node)
-    if isinstance(node, Pow):
-        base = _eval_node(node.base, env)
-        try:
-            v = base ** node.exponent
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise DomainEvalError(
-                f"domain error in '{to_text([node])[0]}': {exc}"
-            ) from None
-        return _require_finite(v, node)
-    if isinstance(node, Call):
-        args = [_eval_node(a, env) for a in node.args]
-        fn = getattr(math, node.func) if node.func != "abs" else abs
-        if node.func == "atan2":
-            return fn(args[0], args[1])
-        try:
-            v = fn(args[0])
-        except (ValueError, OverflowError) as exc:
-            raise DomainEvalError(
-                f"domain error in '{to_text([node])[0]}': {exc}"
-            ) from None
-        return _require_finite(v, node)
-    raise TypeError(f"unexpected node {node!r}")
-
-
-def _require_finite(v, node):
-    if not math.isfinite(v):
-        raise DomainEvalError(f"non-finite value in '{to_text([node])[0]}'")
-    return v
 
 
 def parse_expr(source, variables=("x", "y")):

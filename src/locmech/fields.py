@@ -34,7 +34,8 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .exprlang import QUIET, Call, Num, ScalarExpr, Var, at_shape, compile_tuple, fold, parse_expr
+from .exprlang import (MATH_ERRORS, QUIET, Call, Num, ScalarExpr, Var, at_shape, compile_tuple,
+                       fold, parse_expr)
 
 TAU = math.tau
 R_MIN_EVAL = 1e-9
@@ -47,7 +48,6 @@ _THETA_MAX = math.pi / 2
 _MAX_REFINE_DEPTH = 48          # halvings of an angle step; bisection rounds of a panel
 MAX_SEGMENT_LENGTH = 1e5
 _IEEE_RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
-MATH_ERRORS = (ZeroDivisionError, ValueError, OverflowError)   # what math raises in pair_fn
 
 
 @cache
@@ -102,18 +102,20 @@ class FieldOneForm:
                 )
         try:
             vx, vy = self.pair_fn(x, y)
+            if math.isfinite(vx) and math.isfinite(vy):     # as ScalarExpr.evaluate
+                return vx, vy
         except MATH_ERRORS as exc:
             raise DomainEvalError(f"field evaluation failed at ({x}, {y}): {exc}") from None
-        if not (math.isfinite(vx) and math.isfinite(vy)):
-            raise NonFiniteError(f"non-finite field value at ({x}, {y})")
-        return vx, vy
+        raise NonFiniteError(f"non-finite field value at ({x}, {y})")
 
     def eval_array(self, xs, ys, r_min=R_MIN_EVAL, strict=False):
         """The field at the points of the arrays xs, ys.  r_min = 0 skips the
         distance pass, for nodes kept away already.  numpy carries inf and
         nan through a division by zero, an invalid operation or an overflow,
         and may absorb them (1/(1/x) at x = 0); strict=True refuses those
-        steps with DomainEvalError wherever eval_at's math would raise."""
+        steps with DomainEvalError.  That is eval_at's rule, except that
+        strict also refuses an overflow or invalid step that Python float
+        arithmetic absorbs: 1/(x*1e308*10) at x = 1 is 0.0 by eval_at."""
         for sx, sy in self.singular_points if r_min else ():
             dx, dy = xs - sx, ys - sy
             if np.count_nonzero(dx * dx + dy * dy < r_min * r_min):

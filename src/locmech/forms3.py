@@ -18,6 +18,8 @@ re-asserted.
     star dz         = dx^dy           star dx^dy^dz = 1
 """
 
+import sys
+
 from .errors import ValidationError
 from .exprlang import Num, ScalarExpr, fold, neg, parse_expr
 
@@ -65,6 +67,8 @@ def _as_component(c):
     if isinstance(c, str):
         return parse_expr(c, _AXES)
     if isinstance(c, (int, float)):
+        if not abs(c) <= sys.float_info.max:     # nan, inf or an int past the double range
+            raise ValidationError("form components must be finite numbers")
         return ScalarExpr(Num(float(c)), _AXES)
     raise ValidationError(f"cannot use {c!r} as a form component")
 

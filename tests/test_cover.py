@@ -105,6 +105,13 @@ def test_continuation_around_loops_is_exact_monodromy():
         assert g1.value - g0.value == monodromy_log(n)
 
 
+@pytest.mark.parametrize("sheet", [0, 3, 10**15, 10**16, 2**62, 10**20])
+def test_one_loop_adds_exactly_one_sheet_at_any_sheet(sheet):
+    # the sheet is an integer and stays out of the float angle
+    loop = PolylinePath([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)])
+    assert continue_log(LogGerm(complex(1.0, 0.0), sheet), loop).sheet == sheet + 1
+
+
 def test_continuation_composes_along_concatenated_paths():
     first = PolylinePath([(1, 0), (1, 1), (-1, 1), (-1, 0)])
     second = PolylinePath([(-1, 0), (-1, -1), (1, -1), (1, 0)])

@@ -1,12 +1,14 @@
 """Parser, printer, and evaluation backends of the expression language."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locmech.dynamics import _midpoint_forces
 from locmech.errors import DomainEvalError, ValidationError
 from locmech.exprlang import (
     MATH_FUNCS,
@@ -145,6 +147,27 @@ def test_domain_errors_instead_of_inf_nan():
     with pytest.raises(DomainEvalError) as info:
         ev("1/(x-1)", x=1.0)
     assert "x-1" in str(info.value).replace(" ", "")
+    with pytest.raises(DomainEvalError, match="int too large"):
+        ev("x^400", x=10)
+    with pytest.raises(DomainEvalError, match="int too large"):
+        from_components("x^400", "0").eval_at(10, 0)
+
+
+@pytest.mark.parametrize("source, want", [
+    ("1/(x*1e308*10)", 0.0),
+    ("atan2(x*1e308*10, 1)", math.pi / 2),
+    ("exp(-x*1e308*10)", 0.0),
+])
+def test_an_absorbed_overflow_has_one_value_but_strict_numpy_refuses_it(source, want):
+    # Python float arithmetic carries x*1e308*10 as inf into a step that
+    # absorbs it; strict numpy refuses the overflow, its one difference
+    field = from_components(source, "0")
+    assert parse_expr(source).evaluate(1.0, 0.0) == field.eval_at(1.0, 0.0)[0] == want
+    one = np.array([1.0]), np.array([0.0])
+    fx, _, failure = _midpoint_forces(field, *one)
+    assert failure is None and fx.tolist() == [want]
+    with pytest.raises(DomainEvalError, match="overflow"):
+        field.eval_array(*one, strict=True)
 
 
 def test_alternate_variable_tuples():
@@ -208,6 +231,30 @@ def test_print_parse_round_trip_random():
         assert again.root == tree.root
 
 
+_RAISES = (ArithmeticError, ValueError)     # what math and Python float arithmetic raise
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _walk(node, env):
+    """The tree's value by plain recursion over math, refusing nothing: a
+    reference for the compiled closures that to_text did not write."""
+    t = type(node)
+    if t is Num:
+        return node.value
+    if t is Const:
+        return getattr(math, node.name)
+    if t is Var:
+        return env[node.name]
+    if t is Neg:
+        return -_walk(node.operand, env)
+    if t is Pow:
+        return _walk(node.base, env) ** node.exponent
+    if t is BinOp:
+        return _ARITH[node.op](_walk(node.left, env), _walk(node.right, env))
+    fn = abs if node.func == "abs" else getattr(math, node.func)
+    return fn(*[_walk(a, env) for a in node.args])
+
+
 def test_compiled_backends_match_tree_walk():
     rng = np.random.default_rng(7)
     sources = [
@@ -221,10 +268,12 @@ def test_compiled_backends_match_tree_walk():
         e = parse_expr(source)
         xs = rng.uniform(-2.0, 2.0, size=64)
         ys = rng.uniform(-2.0, 2.0, size=64)
-        walked = np.array([e.evaluate(a, b) for a, b in zip(xs, ys)])
+        walked = np.array([_walk(e.root, {"x": a, "y": b}) for a, b in zip(xs, ys)])
         compiled = np.array([e.scalar_fn(a, b) for a, b in zip(xs, ys)])
+        evaluated = np.array([e.evaluate(a, b) for a, b in zip(xs, ys)])
         vectorized = e.array_fn(xs, ys)
         assert np.array_equal(walked, compiled)
+        assert np.array_equal(walked, evaluated)
         # numpy's transcendental kernels differ from libm by a few ulp
         assert np.allclose(vectorized, walked, rtol=1e-13, atol=0.0)
 
@@ -342,10 +391,14 @@ def test_print_parse_round_trip_on_random_trees(root):
 def test_backends_agree_on_random_trees(root, x, y):
     e = ScalarExpr(root)
     try:
-        walked = e.evaluate(x, y)
-    except DomainEvalError:
+        walked = _walk(root, {"x": x, "y": y})
+    except _RAISES:
+        walked = math.nan
+    if not math.isfinite(walked):
+        with pytest.raises(DomainEvalError):
+            e.evaluate(x, y)
         return
-    assert e.scalar_fn(x, y) == walked
+    assert e.evaluate(x, y) == e.scalar_fn(x, y) == walked
     # numpy's transcendental kernels differ from libm by a few ulp
     vectorized = e.array_fn(np.array([x, x]), np.array([y, y]))
     assert vectorized.shape == (2,)
@@ -376,8 +429,6 @@ def test_diff_matches_a_central_difference(root, x, y):
 
 # ---------------------------------------------------------------------------
 # one closure for a tuple of trees
-
-_RAISES = (ArithmeticError, ValueError)     # what math and Python float arithmetic raise
 
 
 def _one_by_one(exprs, backend, *args):

@@ -1,5 +1,7 @@
 """Exterior calculus on E3: star table, wedge, d, and the vector wrappers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,16 @@ PROBE = (0.3, -0.7, 1.1)
 
 def comp(form, label, p=PROBE):
     return form.component(label)(*p)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: VectorField3(math.inf, 1, "x"),
+    lambda: curl(VectorField3(math.nan, "x*y", 0)),
+    lambda: basis_form("dx", 10**400),
+], ids=["inf", "nan-curl", "int-past-double-range"])
+def test_non_finite_number_components_are_refused(make):
+    with pytest.raises(ValidationError, match="finite"):
+        make()
 
 
 def test_star_table_is_exact_on_basis_forms():
