@@ -421,10 +421,7 @@ def _cmd_check_closed(ns, doc):
 def _cmd_work(ns, doc):
     field = _field_from(doc)
     path = _parse_path(ns.path)
-    value = work(field, path, quad=ns.quad)
-    # the rule applies to parametric paths only; polylines use the kernel
-    quad = None if isinstance(path, PolylinePath) else ns.quad
-    _emit_json({"work": value, "quad": quad}, ns.deterministic)
+    _emit_json({"work": work(field, path)}, ns.deterministic)
     return 0
 
 
@@ -693,10 +690,6 @@ def _build_parser():
         help="line integral of the field along a path",
     )
     p.add_argument("--path", required=True)
-    p.add_argument(
-        "--quad", default="simpson",
-        help="simpson (default), trapezoid, or gauss(k) with k in 1..64",
-    )
 
     p = sub.add_parser(
         "winding", parents=[common],

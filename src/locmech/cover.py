@@ -123,10 +123,13 @@ class LogGerm:
 
     @property
     def value(self):
-        return complex(
-            math.log(abs(self.anchor)),
-            cmath.phase(self.anchor) + TAU * self.sheet,
-        )
+        """log on this sheet at the anchor; NonFiniteError where its
+        imaginary part, Arg + 2 pi sheet, is past the double range."""
+        angle = (cmath.phase(self.anchor) + TAU * self.sheet     # past 2^1023 it is inf
+                 if abs(self.sheet) < 2.0 ** 1023 else math.inf)
+        if math.isinf(angle):
+            raise NonFiniteError("log value past the double range: 2 pi sheet overflows")
+        return complex(math.log(abs(self.anchor)), angle)
 
 
 def continue_log(germ, path):

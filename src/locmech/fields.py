@@ -2,13 +2,13 @@
 
 The central objects are FieldOneForm (components fx, fy as expression
 trees plus a list of singular points) and two path flavors, polyline and
-parametric.  Parametric work pulls the form back to the parameter
-interval under a composite trapezoid, Simpson or Gauss-Legendre rule,
-with tangents from the exact derivatives of the path's expressions.
-Every straight segment goes through one kernel, segment_integrals (16-node
-Gauss-Legendre panels graded toward each singular point, bisected where
-their Legendre tail is large), one call per batch: a polyline's edges, a
-chart's overlap samples, a run's logged V.
+parametric.  Every line integral goes through one kernel, _row_sums:
+16-node Gauss-Legendre panels graded toward each singular point, bisected
+where their Legendre tail is large.  A panel is straight, in the plane, or
+in the parameter of a parametric path, whose form is pulled back with
+tangents from the exact derivatives of the path's expressions.  Straight
+segments come one call per batch (segment_integrals): a polyline's edges,
+a chart's overlap samples, a run's logged V.
 
 Winding numbers are deliberately not computed as a work integral: they
 come from continuous angle accumulation with principal-value steps kept
@@ -22,7 +22,7 @@ singular point; no derivative here is a finite difference.
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -50,15 +50,7 @@ MAX_SEGMENT_LENGTH = 1e5
 _IEEE_RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 
 
-@cache
-def _gauss_rule(order):
-    """leggauss(order), one eigenproblem per order; read-only, as it is shared."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-_GL_X, _GL_W = _gauss_rule(16)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_S = 0.5 * (_GL_X + 1.0)     # the Gauss-Legendre nodes moved to [0, 1]
 _GL_H = 0.5 * _GL_W             # weights on [0, 1]; they sum to 1, so only an
                                 # integral past the double range overflows
@@ -76,7 +68,8 @@ _TAIL_TOL = np.finfo(float).eps ** 0.375
 # halves; such a panel is kept once its tail is under eps^(3/4) of its
 # row's scale, about 20 halvings for a kink and 40 for a jump
 _ROW_TOL = np.finfo(float).eps ** 0.75
-_MAX_SEGMENT_PANELS = 4096      # bounds the work and memory of one segment
+_MAX_SEGMENT_PANELS = 4096      # bounds the work and memory of one segment or path
+_APPROACH_STEPS = 3             # Gauss-Newton steps to a path's closest approach
 _POW2 = np.ldexp(np.tile([-1.0, 1.0], 1024), np.arange(2048) // 2)   # -+2^j, j = 0, 1, ...
 _H_MIN = np.finfo(float).tiny   # least first cut offset h: h 2^j passes 1 within _POW2
 _BLOCK_PANELS = 512             # panels per field evaluation (8 192 nodes)
@@ -116,12 +109,13 @@ class FieldOneForm:
         steps with DomainEvalError.  That is eval_at's rule, except that
         strict also refuses an overflow or invalid step that Python float
         arithmetic absorbs: 1/(x*1e308*10) at x = 1 is 0.0 by eval_at."""
-        for sx, sy in self.singular_points if r_min else ():
-            dx, dy = xs - sx, ys - sy
-            if np.count_nonzero(dx * dx + dy * dy < r_min * r_min):
-                raise SingularityError(
-                    f"evaluation within r_min={r_min} of singular point ({sx}, {sy})"
-                )
+        with np.errstate(**QUIET):
+            for sx, sy in self.singular_points if r_min else ():
+                dx, dy = xs - sx, ys - sy
+                if np.count_nonzero(dx * dx + dy * dy < r_min * r_min):
+                    raise SingularityError(
+                        f"evaluation within r_min={r_min} of singular point ({sx}, {sy})"
+                    )
         with np.errstate(**(_IEEE_RAISE if strict else QUIET)):
             try:
                 vx, vy = (at_shape(v, (xs,)) for v in self.pair_array(xs, ys))
@@ -312,42 +306,6 @@ def concatenate(first, second):
 # ---------------------------------------------------------------------------
 # quadrature
 
-def _parse_rule(quad):
-    if quad in ("trapezoid", "simpson"):
-        return quad, 0
-    if quad.startswith("gauss"):
-        inner = quad[5:].strip("()")
-        try:
-            k = int(inner)
-        except ValueError:
-            raise ValidationError(f"bad quadrature spec {quad!r}") from None
-        if not 1 <= k <= 64:
-            raise ValidationError("gauss order must be in [1, 64]")
-        return "gauss", k
-    raise ValidationError(f"unknown quadrature rule {quad!r}")
-
-
-def _nodes_weights(rule, order, a, b, n):
-    """Nodes and weights of a composite rule over [a, b] split n ways."""
-    if rule == "simpson":
-        xs = np.linspace(a, b, 2 * n + 1)
-        w = np.full(2 * n + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return xs, w * ((b - a) / n / 6.0)
-    if rule == "trapezoid":
-        xs = np.linspace(a, b, n + 1)
-        w = np.full(n + 1, 1.0)
-        w[0] = w[-1] = 0.5
-        return xs, w * ((b - a) / n)
-    nodes, weights = _gauss_rule(order)
-    h = (b - a) / n
-    starts = a + h * np.arange(n)
-    xs = (starts[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)).ravel()
-    ws = np.tile(weights * (h / 2.0), n)
-    return xs, ws
-
-
 def closest_approach(a, b, p):
     """Where the segment a -> b passes nearest to p: the parameter s in
     [0, 1] of that point, and its distance from p (+, -, *, / and sqrt
@@ -405,49 +363,97 @@ def _batch_cuts(field, a, b):
     e *= e
     dist = np.sqrt(e[0] + e[1])
     h = dist / (2.0 * L[:, None])
-    hmin = np.fmin.reduce(h, axis=None, initial=np.inf)
-    if np.fmin.reduce(dist, axis=None, initial=np.inf) < R_MIN_EVAL or hmin < _H_MIN:
-        k = np.argwhere((dist < R_MIN_EVAL) | (h < _H_MIN))[0, 0]
+    near = (dist < R_MIN_EVAL) | (h < _H_MIN)
+    if np.count_nonzero(near):
+        k = np.argwhere(near)[0, 0]
         _cuts(a[:, k % a.shape[1]].tolist(), b[:, k].tolist(), field.singular_points, R_MIN_EVAL)
-    # s -+ h 2^j until h 2^j >= 1 on every row, clipped to [0, 1] and sorted
-    # row by row; in the flat array the panels are the positive steps
+    return (*_graded_cuts(s, h), d)
+
+
+def _graded_cuts(s, h):
+    """The panels of [0, 1] cut as _cuts cuts, at s -+ h 2^j until h 2^j >= 1
+    on every row, for the closest approaches s and first offsets h, (rows,
+    points) arrays: each panel's start, width and row, row after row.  In
+    the cuts, clipped to [0, 1] and sorted row by row, a panel is a positive step."""
+    hmin = np.fmin.reduce(h, axis=None, initial=np.inf)
     c = s[..., None] + h[..., None] * _POW2[:2 * max(1, 2 - math.frexp(hmin)[1])]
-    c = np.sort(np.minimum(np.maximum(c, 0.0), 1.0).reshape(len(L), -1), axis=1).ravel()
+    c = np.sort(np.minimum(np.maximum(c, 0.0), 1.0).reshape(len(s), -1), axis=1).ravel()
     width = c[1:] - c[:-1]
     keep = (width > 0.0).nonzero()[0]
-    return c[keep], width[keep], keep // (len(c) // len(L)), d
+    return c[keep], width[keep], keep // (len(c) // len(s))
 
 
-def _panel_sums(field, pan):
-    """16-node Gauss-Legendre integrals over the panels from pan[0, :, i]
+def _path_panels(field, path):
+    """A ParametricPath's panels in t, as pan of _panel_sums, cut as _cuts
+    cuts a segment: s* is the closest approach to a singular point, in
+    s = (t - t0) / (t1 - t0), and L the speed there times |t1 - t0|.  The
+    search starts at the nearest of the path's n + 1 samples, so no spike
+    between nodes is missed, and takes _APPROACH_STEPS Gauss-Newton steps
+    on (gamma - p).gamma' = 0 within the sample intervals either side."""
+    (px, py), (t0, t1) = field.columns[0][:, 0], (path.t0, path.t1)
+    if not field.singular_points:
+        return np.array([[[t0]], [[t1 - t0]]])
+    ts = np.linspace(t0, t1, path.n + 1)
+    x, y, dx, dy = path.point_tangent_array(ts)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteError("non-finite path sample")
+    rx, ry = x[:, None] - px, y[:, None] - py
+    i = np.argmin(rx * rx + ry * ry, axis=0)
+    lo, hi = np.sort([ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, path.n)]], axis=0)
+    t, x, y, dx, dy = ts[i], x[i], y[i], dx[i], dy[i]
+    for _ in range(_APPROACH_STEPS):
+        step = ((x - px) * dx + (y - py) * dy) / (dx * dx + dy * dy)
+        t = np.fmin(np.fmax(t - step, lo), hi)      # a NaN step leaves t at lo
+        x, y, dx, dy = path.point_tangent_array(t)
+    if not np.isfinite([x, y, dx, dy]).all():
+        raise NonFiniteError("non-finite path point or tangent")
+    d = np.hypot(x - px, y - py)
+    h = d / (2.0 * np.hypot(dx, dy) * abs(t1 - t0))
+    near = np.flatnonzero((d < R_MIN_EVAL) | (h < _H_MIN))
+    if len(near):
+        raise SingularityError(f"path passes within r_min={R_MIN_EVAL} of singular point "
+                               f"{field.singular_points[near[0]]}")
+    lo, width, _ = _graded_cuts(((t - t0) / (t1 - t0))[None], h[None])
+    return np.stack([t0 + lo * (t1 - t0), width * (t1 - t0)])[:, None]
+
+
+def _panel_sums(field, pan, path=None):
+    """16-node Gauss-Legendre sums of g over the panels from pan[0, :, i]
     to pan[0, :, i] + pan[1, :, i], _BLOCK_PANELS per field evaluation;
-    with each its tail |c_12| + ... + |c_15| and its scale
-    sum_j h_j (|fx ex| + |fy ey|), (ex, ey) = pan[1, :, i].  The cuts keep
-    the nodes r_min from the singular points: no distance pass."""
+    with each its tail |c_12| + ... + |c_15| and scale sum_j h_j |g_j|_1.
+    A straight panel (no path) has nodes x0 + ex s_j, y0 + ey s_j and
+    g = (fx ex, fy ey), and no distance pass: the cuts keep the nodes r_min
+    from the singular points.  A path's panel has nodes gamma(t0 + w s_j)
+    and g = (fx x', fy y') w."""
     if pan.shape[2] > _BLOCK_PANELS:
-        parts = [_panel_sums(field, pan[..., i:i + _BLOCK_PANELS])
+        parts = [_panel_sums(field, pan[..., i:i + _BLOCK_PANELS], path)
                  for i in range(0, pan.shape[2], _BLOCK_PANELS)]
         return tuple(np.concatenate(p) for p in zip(*parts))
     if (k := pan.shape[2]) == 1:    # numpy's one-row matmul rounds otherwise: two rows
         pan = pan.repeat(2, 2)
-    nodes = pan.transpose(1, 2, 0) @ _GL_NODES   # x0 + ex s_j, y0 + ey s_j
-    vx, vy = field.eval_array(nodes[0, :k].reshape(-1), nodes[1, :k].reshape(-1), 0.0)
-    gx = vx.reshape(k, _GL_S.size) * pan[1, 0, :, None]
-    gy = vy.reshape(k, _GL_S.size) * pan[1, 1, :, None]
+    nodes = pan.transpose(1, 2, 0) @ _GL_NODES   # start + width s_j
+    if path is None:
+        xs, ys, jx, jy, r_min = nodes[0], nodes[1], pan[1, 0, :, None], pan[1, 1, :, None], 0.0
+    else:
+        xs, ys, jx, jy = path.point_tangent_array(nodes[0])
+        jx, jy, r_min = jx * pan[1, 0, :, None], jy * pan[1, 0, :, None], R_MIN_EVAL
+    vx, vy = field.eval_array(xs[:k].reshape(-1), ys[:k].reshape(-1), r_min)
+    gx = vx.reshape(k, _GL_S.size) * jx
+    gy = vy.reshape(k, _GL_S.size) * jy
     c = (gx + gy) @ _GL_TAIL
     return c[:k, 0], (np.abs(c) @ _TAIL_SUM)[:k], ((np.abs(gx) + np.abs(gy)) @ _GL_H)[:k]
 
 
-def _row_sums(field, pan, owner, rows):
+def _row_sums(field, pan, owner, rows, path=None):
     """The panel integrals (see _panel_sums) summed per row, owner giving
     each panel's row.  A panel whose tail is over _TAIL_TOL of its scale
     and over _ROW_TOL of its row's first-round scale is bisected and
     integrated again, all rows in one round (Piessens et al., QUADPACK,
     1983); past _MAX_REFINE_DEPTH rounds or _MAX_SEGMENT_PANELS added
-    panels on a segment, RefinementLimitError."""
+    panels on a row, RefinementLimitError."""
     out = added = 0.0
     for depth in range(_MAX_REFINE_DEPTH + 1):
-        sums, tail, scale = _panel_sums(field, pan)
+        sums, tail, scale = _panel_sums(field, pan, path)
         bad = tail > _TAIL_TOL * scale
         if np.count_nonzero(bad):
             if not depth:
@@ -510,25 +516,22 @@ def segment_work(field, a, b):
                        "segment integral")
 
 
-def work(field, path, quad="simpson"):
-    """Work integral of the field along the path.
+def work(field, path, quad=None):
+    """Work integral of the field along the path, by the kernel's
+    error-controlled panels: a polyline's edges in one segment_integrals
+    call, a ParametricPath's _path_panels in one _row_sums call.
 
-    Parametric paths are pulled back to t by the composite rule quad, with
-    tangents from the exact t-derivatives of the path's expressions.
-    Polylines integrate all their edges in one segment_integrals call;
-    quad does not apply to them.
+    quad is ignored, as no rule is chosen any more; the third positional
+    parameter stays for callers that still pass one, such as perfbench's
+    queries workload.
     """
-    rule, order = _parse_rule(quad)
     if isinstance(path, PolylinePath):
         v = np.array(path.vertices)
         return float(segment_integrals(field, v[:-1], v[1:]).sum())
-    ts, ws = _nodes_weights(rule, order, path.t0, path.t1, path.n)
-    xs, ys, dxdt, dydt = path.point_tangent_array(ts)
-    vx, vy = field.eval_array(xs, ys)
-    for d in (dxdt, dydt):
-        _finite(d, "path tangent")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(float(np.dot(ws, vx * dxdt + vy * dydt)), "work integral")
+    with np.errstate(**QUIET):
+        pan = _path_panels(field, path)
+        total = _row_sums(field, pan, np.zeros(pan.shape[2], np.intp), 1, path)[0]
+    return _finite(float(total), "work integral")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ perfbench/checks.py compares every answer the benchmark times with the
 closed forms in perfbench/oracle.py: trajectory columns, transitions,
 ledger entries, lift arrays and sheets, the cover-energy report and
 cocycle values.  This runs those checks on one vortex run that hops a
-chart and on the quadrant cocycle, so deleting or reshaping a field they
-read fails here as well as in a benchmark run.
+chart, on the quadrant cocycle and on one round of the queries workload,
+so deleting or reshaping a field they read, or a call they make, fails
+here as well as in a benchmark run.
 """
 
 import importlib.util
@@ -40,3 +41,17 @@ def test_the_benchmark_checks_pass_on_a_run_that_hops_a_chart(monkeypatch):
     lifted = cover.lift_trajectory(tr)
     checks.lift(tr, lifted, cover.cover_energy(tr, lifted), fam, audit)
     checks.cocycle(cc, fam, audit)
+
+
+def test_one_queries_round_of_the_benchmark_passes_its_checks(monkeypatch, tmp_path):
+    # every op of one seed-5 round, checked as the benchmark checks it: among
+    # them the work calls that pass a rule positionally, held to 1e-7 on circles
+    _load("oracle", monkeypatch)
+    checks = _load("checks", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    inputs = workloads.queries_inputs(5)
+    state = workloads.queries_setup(inputs)
+    ops = workloads.queries_ops(state, inputs, str(tmp_path), state["fam"])
+    assert {"work_circle", "work_polyline"} <= {op.kind for op in ops}
+    for op in ops:
+        op.check(op.call(), checks.Audit())

@@ -39,16 +39,11 @@ def test_work_reports_loop_circulation(capsys):
 
 
 def test_work_quadrature_specs(capsys):
-    code, doc = out_json(
-        capsys, "work", "--field", "vortex", "--path", "circle:0,0,1",
-        "--quad", "gauss(8)", "--deterministic",
-    )
-    assert code == 0
-    assert doc["work"] == pytest.approx(TAU, abs=1e-7)
+    # every path goes through the one kernel: there is no rule to choose
     code, _, err = invoke(capsys, "work", "--field", "vortex",
-                          "--path", "circle:0,0,1", "--quad", "gauss")
+                          "--path", "circle:0,0,1", "--quad", "gauss(8)")
     assert code == 1
-    assert "quadrature" in err
+    assert "unrecognized arguments: --quad" in err
 
 
 @pytest.mark.parametrize("spec", ["circle:0,0,nan", "circle:inf,0,1", "circle:0,0,1,nan"])
@@ -283,11 +278,14 @@ def test_oversized_sample_counts_exit_1(capsys):
 def test_work_reports_no_rule_for_polylines(capsys):
     code, doc = out_json(capsys, "work", "--field", "vortex",
                          "--path", "poly:-1,1e-6;1,1e-6", "--deterministic")
-    assert code == 0 and doc["quad"] is None
-    assert doc["work"] == pytest.approx(-math.pi, abs=1e-5)
-    code, doc = out_json(capsys, "work", "--field", "vortex",
-                         "--path", "circle:0,0,1", "--deterministic")
-    assert code == 0 and doc["quad"] == "simpson"
+    assert code == 0 and doc["work"] == pytest.approx(-math.pi, abs=1e-5)
+
+
+@pytest.mark.parametrize("spec", ["circle:0.5,0,0.5", "param:0.5+0.5*cos(t),0.5*sin(t),0.1,6.3"])
+def test_work_along_a_path_through_the_puncture_exits_2(capsys, spec):
+    code, _, err = invoke(capsys, "work", "--field", "vortex", "--path", spec, "--deterministic")
+    assert code == 2
+    assert "passes within r_min" in err
 
 
 def test_check_closed_takes_no_step_option(capsys):
@@ -475,6 +473,18 @@ def test_log_continue_command(capsys):
     assert doc["sheet"] == 3
     assert doc["value"][0] == pytest.approx(0.0, abs=1e-12)
     assert doc["value"][1] == pytest.approx(3 * TAU, abs=1e-9)
+
+
+def test_log_continue_refuses_a_sheet_past_the_double_range(capsys):
+    for sheet in ("1" + "0" * 400, "-1" + "0" * 308):
+        code, out, err = invoke(capsys, "log-continue", "--from", "1,0", "--sheet", sheet,
+                                "--path", "poly:1,0;0,1")
+        assert (code, out) == (2, "")
+        assert "double range" in err
+    code, doc = out_json(capsys, "log-continue", "--from", "1,0", "--sheet", str(2**62),
+                         "--path", "poly:1,0;0,1", "--deterministic")
+    assert code == 0 and doc["sheet"] == 2**62
+    assert doc["value"][1] == math.pi / 2 + TAU * 2**62
 
 
 def test_verify_single_check(capsys):

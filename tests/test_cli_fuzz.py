@@ -88,10 +88,7 @@ OPTIONS = {
             ["0.5,0.5,2,2", "-1,-1,1,1", "2,2,1,1", "0,0,1", "nan,0,1,1"])),
         _option("--grid", st.sampled_from(["2", "3", "20", "1", "1001", "x"])),
         _option("--tol", TEXT)],
-    "work": FIELD_OPTIONS + [
-        _option("--path", PATHS),
-        _option("--quad", st.sampled_from(
-            ["simpson", "trapezoid", "gauss(8)", "gauss(0)", "gauss"]))],
+    "work": FIELD_OPTIONS + [_option("--path", PATHS)],
     "winding": [_option("--path", PATHS),
                 _option("--about", st.sampled_from(["0,0", "3,0", "1", "nan,0"]))],
     "potentials": ATLAS_OPTIONS + [
