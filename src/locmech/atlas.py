@@ -423,12 +423,9 @@ class PotentialSet:
     def value(self, cid, q):
         return self.gauges[cid] + self.evaluators[cid].raw(q)
 
-    def values(self, cid, points):
-        return self.values_many([(cid, points)])[0]
-
     def values_many(self, requests):
-        """values for each (cid, points) of requests: memo hits, then every miss
-        checked against its chart in one rule pass, then one kernel call."""
+        """The potentials at each (cid, points) of requests: memo hits, then every
+        miss checked against its chart in one rule pass, then one kernel call."""
         memo = {cid: ev._cache for cid, ev in self.evaluators.items()}
         keys = [(cid, list(map(tuple, np.asarray(pts, dtype=float).reshape(-1, 2).tolist())))
                 for cid, pts in requests]

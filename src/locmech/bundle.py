@@ -23,7 +23,6 @@ class TransitionSystem:
 
     def __init__(self, cocycle):
         self.cocycle = cocycle
-        self.atlas = cocycle.atlas
         self.t = {}
         for (i, j) in cocycle.pairs():
             c = cocycle.value(i, j)

@@ -20,7 +20,6 @@ run-dependent content is a generated-at metadata line, suppressed by
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import json
 import math
@@ -121,15 +120,15 @@ def _point_list(value, what, n=2):
     return tuple(_numbers(v, what, n) for v in value)
 
 
-def _split_top_level(text, sep=","):
-    """Split on sep outside parentheses (expression arguments keep theirs)."""
+def _split_top_level(text):
+    """Split on commas outside parentheses (expression arguments keep theirs)."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
@@ -343,7 +342,8 @@ def _write_sidecar(tr, out):
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_svg(X, Y, singular_points, fname, size=640):
+def _write_svg(X, Y, singular_points, fname):
+    size = 640      # pixels on a side
     xs = [float(X.min()), float(X.max())] + [p[0] for p in singular_points]
     ys = [float(Y.min()), float(Y.max())] + [p[1] for p in singular_points]
     xmin, xmax = min(xs), max(xs)
@@ -564,13 +564,8 @@ def _cmd_simulate(ns, doc):
     # doc is the config under the flags; laying the flags again over each
     # entry keeps a flag above an entry, and an entry above the config
     flags = _flags(ns)
-    docs = [_overlay(_overlay(doc, entry), flags) for entry in sweep]
-    deterministic = [ns.deterministic] * len(docs)
-    if ns.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=ns.jobs) as ex:
-            summaries = list(ex.map(_run_scenario, docs, deterministic))
-    else:
-        summaries = list(map(_run_scenario, docs, deterministic))
+    summaries = [_run_scenario(_overlay(_overlay(doc, entry), flags), ns.deterministic)
+                 for entry in sweep]
     _emit_json({"sweep": summaries}, ns.deterministic)
     return 0 if all(s["status"] == "completed" for s in summaries) else 2
 
@@ -671,15 +666,17 @@ def _build_parser():
         "punctures, four quadrants for one at the origin) or defined in the config",
     )
 
-    sub.add_parser(
+    p = sub.add_parser(
         "forms-table", parents=[common],
         help="print the euclidean star table on basis forms",
     )
+    p.set_defaults(handler=_cmd_forms_table)
 
     p = sub.add_parser(
         "check-closed", parents=[common, field_args],
         help="closedness probe over a rectangle, by exact derivatives",
     )
+    p.set_defaults(handler=_cmd_check_closed)
     p.add_argument("--region", default="0.5,0.5,2,2", help="x0,y0,x1,y1")
     p.add_argument("--grid", type=int, default=20,
                    help=f"nodes per side, 2..{MAX_CLOSEDNESS_GRID}")
@@ -689,12 +686,14 @@ def _build_parser():
         "work", parents=[common, field_args],
         help="line integral of the field along a path",
     )
+    p.set_defaults(handler=_cmd_work)
     p.add_argument("--path", required=True)
 
     p = sub.add_parser(
         "winding", parents=[common],
         help="winding number of a closed path about a point",
     )
+    p.set_defaults(handler=_cmd_winding)
     p.add_argument("--path", required=True)
     p.add_argument("--about", default="0,0")
 
@@ -702,29 +701,34 @@ def _build_parser():
         "potentials", parents=[common, field_args, atlas_args],
         help="chart-local potentials; evaluate with x,y@chart",
     )
+    p.set_defaults(handler=_cmd_potentials)
     p.add_argument("--eval", action="append", metavar="X,Y@CHART")
 
     p = sub.add_parser(
         "cocycle", parents=[common, field_args, atlas_args],
         help="overlap constants of the local potentials",
     )
+    p.set_defaults(handler=_cmd_cocycle)
     p.add_argument("--samples", type=int, default=DEFAULT_OVERLAP_SAMPLES)
 
-    sub.add_parser(
+    p = sub.add_parser(
         "classify", parents=[common, field_args, atlas_args],
         help="exact / closed-not-exact / not-closed",
     )
+    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser(
         "bundle", parents=[common, field_args, atlas_args],
         help="exponentiated transition system and its holonomies",
     )
+    p.set_defaults(handler=_cmd_bundle)
     p.add_argument("--cycle", help="chart cycle like 1,2,3,4,1")
 
     p = sub.add_parser(
         "simulate", parents=[common, field_args, atlas_args],
         help="integrate a trajectory and emit CSV/JSON/SVG artifacts",
     )
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--m", type=float)
     p.add_argument("--q0", help="initial position x,y")
     p.add_argument("--p0", help="initial momentum px,py")
@@ -734,15 +738,12 @@ def _build_parser():
     p.add_argument("--integrator", choices=("leapfrog", "rk4"))
     p.add_argument("--out", help="trajectory CSV path")
     p.add_argument("--emit-svg", dest="emit_svg", help="SVG figure path")
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel workers for config sweep entries",
-    )
 
     p = sub.add_parser(
         "lift", parents=[common],
         help="lift a trajectory CSV to the cover (columns t,u,v,sheet)",
     )
+    p.set_defaults(handler=_cmd_lift)
     p.add_argument("--traj", required=True)
     p.add_argument("--out")
 
@@ -750,6 +751,7 @@ def _build_parser():
         "log-continue", parents=[common],
         help="continue a log germ along a path",
     )
+    p.set_defaults(handler=_cmd_log_continue)
     p.add_argument("--from", dest="from_point", required=True, metavar="X,Y")
     p.add_argument("--sheet", type=int, default=0)
     p.add_argument("--path", required=True)
@@ -758,27 +760,12 @@ def _build_parser():
         "verify", parents=[common],
         help="run the built-in verification suite",
     )
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument(
         "--only", type=int, action="append", metavar="N",
         help="run only the given check numbers",
     )
     return parser
-
-
-_DISPATCH = {
-    "forms-table": _cmd_forms_table,
-    "check-closed": _cmd_check_closed,
-    "work": _cmd_work,
-    "winding": _cmd_winding,
-    "potentials": _cmd_potentials,
-    "cocycle": _cmd_cocycle,
-    "classify": _cmd_classify,
-    "bundle": _cmd_bundle,
-    "simulate": _cmd_simulate,
-    "lift": _cmd_lift,
-    "log-continue": _cmd_log_continue,
-    "verify": _cmd_verify,
-}
 
 
 def run(argv=None):
@@ -789,7 +776,7 @@ def run(argv=None):
             parser.print_usage(sys.stderr)
             return 1
         doc = _overlay(_load_config(ns.config), _flags(ns))
-        return _DISPATCH[ns.command](ns, doc)
+        return ns.handler(ns, doc)
     except ExprError as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 3

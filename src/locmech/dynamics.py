@@ -79,16 +79,16 @@ class Transition:
 
 
 class Trajectory:
-    """Column-oriented log of a run: one array per logged quantity."""
+    """Column-oriented log of a run: one array per logged quantity.  status
+    is completed, or aborted- and the guard of abort (an Abort)."""
 
-    def __init__(self, cfg, arrays, transitions, status, abort_reason=None, abort=None):
+    def __init__(self, cfg, arrays, transitions, abort_reason, abort):
         self.field = cfg.field
         self.m = cfg.m
-        self.h = cfg.h
         for name, arr in arrays.items():
             setattr(self, name, arr)
         self.transitions = tuple(transitions)
-        self.status = status
+        self.status = "completed" if abort is None else "aborted-" + abort.guard
         self.abort_reason = abort_reason
         self.abort = abort
 
@@ -218,7 +218,8 @@ def leapfrog_loop(field):
 
 def _rk4_loop(field, x, y, vx, vy, fx, fy, h, m, near, n, extend):
     """Classical RK4 steps under the contract of leapfrog_loop, with the field
-    first, except that where eval_at refuses a stage of a step, it raises."""
+    first, except that where eval_at refuses a step that does not end within
+    near of a singular point, it raises."""
     force = field.eval_at
     for k in range(n):
         k1qx, k1qy = vx / m, vy / m
@@ -226,30 +227,31 @@ def _rk4_loop(field, x, y, vx, vy, fx, fy, h, m, near, n, extend):
         k2qx, k2qy = (vx + 0.5 * h * fx) / m, (vy + 0.5 * h * fy) / m
         f3 = force(x + 0.5 * h * k2qx, y + 0.5 * h * k2qy)
         k3qx, k3qy = (vx + 0.5 * h * f2[0]) / m, (vy + 0.5 * h * f2[1]) / m
+        nx = x + (h / 6.0) * (k1qx + 2 * k2qx + 2 * k3qx + (vx + h * f3[0]) / m)
+        ny = y + (h / 6.0) * (k1qy + 2 * k2qy + 2 * k3qy + (vy + h * f3[1]) / m)
+        if any(math.hypot(nx - sx, ny - sy) < near for sx, sy in field.singular_points):
+            return k, nx, ny
         f4 = force(x + h * k3qx, y + h * k3qy)
-        x = x + (h / 6.0) * (k1qx + 2 * k2qx + 2 * k3qx + (vx + h * f3[0]) / m)
-        y = y + (h / 6.0) * (k1qy + 2 * k2qy + 2 * k3qy + (vy + h * f3[1]) / m)
+        x, y = nx, ny
         vx = vx + (h / 6.0) * (fx + 2 * f2[0] + 2 * f3[0] + f4[0])
         vy = vy + (h / 6.0) * (fy + 2 * f2[1] + 2 * f3[1] + f4[1])
         fx, fy = force(x, y)
-        if any(math.hypot(x - sx, y - sy) < near for sx, sy in field.singular_points):
-            return k, x, y
         extend((x, y, vx, vy, fx, fy))
     return n, x, y
 
 
 def _refusal(field, k, x, y, r_min):
-    """Why step k, ending at (x, y) where a loop stopped, is not kept: eval_at
-    refuses (x, y), or else the r_min guard does (near >= r_min, R_MIN_EVAL)."""
-    try:
-        field.eval_at(x, y)
-    except _EVAL_ERRORS as exc:
-        return Abort(k, "evaluation", None), str(exc)
+    """Why step k, ending at (x, y) where a loop stopped, is not kept: the
+    r_min guard refuses (x, y), or else eval_at does (near >= r_min, R_MIN_EVAL)."""
     for sx, sy in field.singular_points:
         dist = math.hypot(x - sx, y - sy)
         if dist < r_min:
             return (Abort(k, "singularity", dist),
                     f"step {k} came within r_min={r_min} of ({sx}, {sy})")
+    try:
+        field.eval_at(x, y)
+    except _EVAL_ERRORS as exc:
+        return Abort(k, "evaluation", None), str(exc)
 
 
 class _Books:
@@ -383,8 +385,7 @@ class _Books:
             "chart": np.array(cfg.atlas.ids)[row], "theta": theta, "V": V, "Tkin": Tkin,
             "E_local": Tkin + V, "p_theta": p_theta, "work_acc": work_acc,
         }
-        status = "completed" if cause is None else "aborted-" + cause.guard
-        return Trajectory(cfg, arrays, transitions, status, reason, cause)
+        return Trajectory(cfg, arrays, transitions, reason, cause)
 
 
 def _midpoint_forces(field, mx, my):

@@ -87,11 +87,11 @@ class FieldOneForm:
     fy: ScalarExpr
     singular_points: tuple = ()
 
-    def eval_at(self, x, y, r_min=R_MIN_EVAL):
+    def eval_at(self, x, y):
         for sx, sy in self.singular_points:
-            if math.hypot(x - sx, y - sy) < r_min:
+            if math.hypot(x - sx, y - sy) < R_MIN_EVAL:
                 raise SingularityError(
-                    f"evaluation within r_min={r_min} of singular point ({sx}, {sy})"
+                    f"evaluation within r_min={R_MIN_EVAL} of singular point ({sx}, {sy})"
                 )
         try:
             vx, vy = self.pair_fn(x, y)
@@ -317,7 +317,7 @@ def closest_approach(a, b, p):
     return s, math.sqrt(ex * ex + ey * ey)
 
 
-def _cuts(a, b, singular_points, r_min):
+def _cuts(a, b, singular_points):
     """Sorted distinct panel breakpoints in [0, 1] of the segment a -> b:
     for each singular point, with s* the closest approach and d the
     distance there, s* +- (d / 2L) 2^j, j = 0, 1, ..., inside (0, 1).  No
@@ -334,8 +334,9 @@ def _cuts(a, b, singular_points, r_min):
     for p in singular_points if L > 0.0 else ():
         s, d = closest_approach(a, b, p)
         h = d / (2.0 * L)
-        if d < r_min or h < _H_MIN:
-            raise SingularityError(f"segment passes within r_min={r_min} of singular point {p}")
+        if d < R_MIN_EVAL or h < _H_MIN:
+            raise SingularityError(
+                f"segment passes within r_min={R_MIN_EVAL} of singular point {p}")
         while s - h > 0.0 or s + h < 1.0:
             cuts += [c for c in (s - h, s + h) if 0.0 < c < 1.0]
             h *= 2.0
@@ -351,7 +352,7 @@ def _batch_cuts(field, a, b):
     L = np.sqrt(L2)
     if not np.maximum.reduce(L, initial=0.0) <= MAX_SEGMENT_LENGTH:   # raise as _cuts does
         k = int(np.argmin(L <= MAX_SEGMENT_LENGTH))
-        _cuts(a[:, k % a.shape[1]].tolist(), b[:, k].tolist(), (), R_MIN_EVAL)
+        _cuts(a[:, k % a.shape[1]].tolist(), b[:, k].tolist(), ())
     if not field.singular_points:
         owner = np.flatnonzero(L)
         return np.zeros(len(owner)), np.ones(len(owner)), owner, d
@@ -366,7 +367,7 @@ def _batch_cuts(field, a, b):
     near = (dist < R_MIN_EVAL) | (h < _H_MIN)
     if np.count_nonzero(near):
         k = np.argwhere(near)[0, 0]
-        _cuts(a[:, k % a.shape[1]].tolist(), b[:, k].tolist(), field.singular_points, R_MIN_EVAL)
+        _cuts(a[:, k % a.shape[1]].tolist(), b[:, k].tolist(), field.singular_points)
     return (*_graded_cuts(s, h), d)
 
 
@@ -507,7 +508,7 @@ def segment_work(field, a, b):
     """Line integral of the field along the straight segment a -> b: the
     one-segment case of segment_integrals, with the same cuts and panels
     but no batch bookkeeping."""
-    cuts = _cuts(a, b, field.singular_points, R_MIN_EVAL)
+    cuts = _cuts(a, b, field.singular_points)
     (ax, ay), dx, dy = a, b[0] - a[0], b[1] - a[1]
     pan = np.array([[[lo * dx + ax, lo * dy + ay], [(hi - lo) * dx, (hi - lo) * dy]]
                     for lo, hi in zip(cuts, cuts[1:])]).reshape(-1, 2, 2).transpose(1, 2, 0)
@@ -644,11 +645,13 @@ def is_closed(field, region, grid=20, tol=1e-4):
     the exact partials (ScalarExpr.diff), so a closed field reads at rounding
     level even where they grow like 1/r^2 near a singular point.  region is
     (x0, y0, x1, y1); no grid node may lie within R_MIN_EVAL of a singular
-    point, and grid is at most MAX_CLOSEDNESS_GRID.
+    point, grid is at most MAX_CLOSEDNESS_GRID, and tol is finite and positive.
     """
     x0, y0, x1, y1 = (float(v) for v in region)
     if not (x1 > x0 and y1 > y0):
         raise ValidationError("region must satisfy x1 > x0 and y1 > y0")
+    if not 0.0 < tol < math.inf:    # nan fails both
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     if not 2 <= grid <= MAX_CLOSEDNESS_GRID:
         raise ValidationError(f"grid must be in [2, {MAX_CLOSEDNESS_GRID}], got {grid}")
     X, Y = np.meshgrid(np.linspace(x0, x1, grid), np.linspace(y0, y1, grid))

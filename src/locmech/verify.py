@@ -123,7 +123,7 @@ class _Bench:
         ps = PotentialSet.from_field(from_components("2*x", "2*y"), self.atlas, gauges=gauges)
         return ps, cocycle(ps)
 
-    def run(self, h=BENCH_H):
+    def run(self, h):
         if h not in self._runs:
             cfg = SimConfig(
                 field=self.field,
@@ -137,7 +137,7 @@ class _Bench:
             self._runs[h] = simulate(cfg, self.ps)
         return self._runs[h]
 
-    def ledger(self, h=BENCH_H):
+    def ledger(self, h):
         if h not in self._ledgers:
             self._ledgers[h] = energy_ledger(self.run(h), self.ps, self.cc)
         return self._ledgers[h]

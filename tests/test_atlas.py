@@ -158,14 +158,14 @@ def test_values_match_point_queries_and_reuse_the_memo(count_rows):
     ps = PotentialSet.from_field(vortex(), quadrant_atlas())
     batched = count_rows(atlas, "segment_integrals")
     one = count_rows(atlas, "segment_work")
-    got = ps.values(1, pts)
+    got = ps.values_many([(1, pts)])[0]
     for v, w in zip(got, want):
         assert abs(v - w) <= 1e-15 * (1.0 + abs(w))
     assert batched == [4] and one == []     # the duplicate is integrated once
-    assert np.array_equal(ps.values(1, pts[::-1]), got[::-1])
+    assert np.array_equal(ps.values_many([(1, pts[::-1])])[0], got[::-1])
     assert [ps.value(1, p) for p in pts] == got.tolist()
     assert batched == [4] and one == []     # repeats are memo hits
-    assert ps.values(1, np.empty((0, 2))).shape == (0,)
+    assert ps.values_many([(1, np.empty((0, 2)))])[0].shape == (0,)
 
 
 def test_values_check_every_point_before_integrating(monkeypatch):
@@ -176,7 +176,7 @@ def test_values_check_every_point_before_integrating(monkeypatch):
     monkeypatch.setattr(atlas, "segment_integrals", no_kernel)
     for outside in ((-1.0, 1.0), (math.nan, 1.0)):
         with pytest.raises(ChartMembershipError):
-            ps.values(1, [(2.0, 0.5), outside, (0.5, 2.0)])
+            ps.values_many([(1, [(2.0, 0.5), outside, (0.5, 2.0)])])
 
 
 def test_values_many_refuses_the_first_point_outside_before_integrating(monkeypatch):
@@ -223,12 +223,13 @@ def test_cocycle_makes_one_kernel_call(count_rows):
 
 def cocycle_pair_by_pair(ps, samples=atlas.DEFAULT_OVERLAP_SAMPLES):
     """Entries and spreads as cocycle built them before its one kernel call:
-    two PotentialSet.values calls per overlap, in pair order."""
+    two one-chart values_many calls per overlap, in pair order."""
     entries, spreads = {}, {}
     for i, j in itertools.combinations(ps.atlas.ids, 2):
         pts = ps.atlas.overlap_samples(i, j, samples)
         if len(pts):
-            diffs = ps.values(i, pts) - ps.values(j, pts)
+            vi, vj = ps.values_many([(i, pts)])[0], ps.values_many([(j, pts)])[0]
+            diffs = vi - vj
             entries[(i, j)] = float(np.mean(diffs))
             spreads[(i, j)] = float(np.max(diffs) - np.min(diffs))
     return entries, spreads
@@ -319,7 +320,8 @@ def test_a_kernel_refusal_on_a_later_overlap_wins_over_an_earlier_spread():
     # spread check
     ps = PotentialSet.from_field(from_components("sqrt(y)", "x"), quadrant_atlas())
     pts = ps.atlas.overlap_samples(1, 2)
-    assert np.ptp(ps.values(1, pts) - ps.values(2, pts)) > atlas.COCYCLE_SPREAD_TOL
+    v1, v2 = ps.values_many([(1, pts), (2, pts)])
+    assert np.ptp(v1 - v2) > atlas.COCYCLE_SPREAD_TOL
     with pytest.raises(NonFiniteError, match="non-finite field value"):
         cocycle(ps)
 

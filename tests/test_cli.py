@@ -288,6 +288,13 @@ def test_work_along_a_path_through_the_puncture_exits_2(capsys, spec):
     assert "passes within r_min" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_check_closed_refuses_a_tolerance_that_is_not_finite_and_positive(capsys, tol):
+    code, out, err = invoke(capsys, "check-closed", "--field", "vortex", "--tol", tol)
+    assert (code, out) == (1, "")
+    assert "invalid input: tol must be finite and positive" in err
+
+
 def test_check_closed_takes_no_step_option(capsys):
     code, _, err = invoke(capsys, "check-closed", "--field", "vortex", "--h", "1e-5")
     assert code == 1
@@ -394,19 +401,19 @@ def test_a_flag_beats_a_sweep_entry_which_beats_the_config(tmp_path, capsys):
         (26, 0.5), (51, 1.0), (251, 5.0)]
 
 
-def test_parallel_sweep_matches_the_serial_one(tmp_path, capsys):
+def test_a_sweep_runs_its_entries_in_order_in_process(tmp_path, capsys):
     cfg_path = write_sweep(tmp_path, [
         {"simulate": {"T": 0.5}},
         {"simulate": {"T": 1.0, "integrator": "rk4"}},
         {"simulate": {"q0": "0.002,0", "p0": "-1,0", "h": 1e-5, "T": 0.01}},
     ])
-    serial = invoke(capsys, "simulate", "--config", cfg_path, "--deterministic", "--jobs", "1")
-    parallel = invoke(capsys, "simulate", "--config", cfg_path, "--deterministic",
-                      "--jobs", "2")
-    assert serial == parallel
-    assert serial[0] == 2    # the third entry aborts
-    assert [s["status"] for s in json.loads(serial[1])["sweep"]] == [
+    code, out, _ = invoke(capsys, "simulate", "--config", cfg_path, "--deterministic")
+    assert code == 2    # the third entry aborts
+    assert [s["status"] for s in json.loads(out)["sweep"]] == [
         "completed", "completed", "aborted-singularity"]
+    code, _, err = invoke(capsys, "simulate", "--config", cfg_path, "--jobs", "2")
+    assert code == 1
+    assert "unrecognized arguments: --jobs" in err
 
 
 def test_lift_round_trip(tmp_path, capsys):

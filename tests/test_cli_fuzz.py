@@ -1,11 +1,12 @@
 """Property test of the command line: random argv for every subcommand and
 random --config documents exit 0, 1, 2 or 3 and never raise.
 
-Runs stay small (T/h at most 100, at most 64 overlap samples) and
---jobs stays out, since it starts processes (Claessen & Hughes,
+Runs stay small (T/h at most 100, at most 64 overlap samples), and
+OPTIONS draws every option each subcommand takes (Claessen & Hughes,
 "QuickCheck", ICFP 2000; MacIver et al., "Hypothesis", JOSS 4(43), 2019).
 """
 
+import argparse
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import tempfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from locmech.cli import run
+from locmech.cli import _build_parser, run
 
 NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0),
                     st.sampled_from([1e-12, 1e308, -1e308, math.inf, -math.inf, math.nan]))
@@ -74,45 +75,44 @@ def _no_number(value):
     return not isinstance(value, (int, float)) or isinstance(value, bool)
 
 
-def _option(flag, values):
-    return st.tuples(st.just(flag), values)
-
-
-FIELD_OPTIONS = [_option("--field", FIELDS), _option("--singular", SINGULAR)]
-ATLAS_OPTIONS = FIELD_OPTIONS + [
-    _option("--atlas", st.sampled_from(["quadrant", "polar", ""]))]
+FIELD_OPTIONS = {"--field": FIELDS, "--singular": SINGULAR}
+ATLAS_OPTIONS = {**FIELD_OPTIONS, "--atlas": st.sampled_from(["quadrant", "polar", ""])}
+# each subcommand's options and the values drawn for them; --config and
+# --deterministic are drawn for every command below, and verify on its own
 OPTIONS = {
-    "forms-table": [],
-    "check-closed": FIELD_OPTIONS + [
-        _option("--region", st.sampled_from(
-            ["0.5,0.5,2,2", "-1,-1,1,1", "2,2,1,1", "0,0,1", "nan,0,1,1"])),
-        _option("--grid", st.sampled_from(["2", "3", "20", "1", "1001", "x"])),
-        _option("--tol", TEXT)],
-    "work": FIELD_OPTIONS + [_option("--path", PATHS)],
-    "winding": [_option("--path", PATHS),
-                _option("--about", st.sampled_from(["0,0", "3,0", "1", "nan,0"]))],
-    "potentials": ATLAS_OPTIONS + [
-        _option("--eval", st.sampled_from(["2,0@1", "nan,0@1", "1,1@9", "0,0@1", "x", "1,1@x"]))],
-    "cocycle": ATLAS_OPTIONS + [
-        _option("--samples", st.sampled_from(["1", "32", "64", "0", "-3", "x"]))],
+    "forms-table": {},
+    "check-closed": {
+        **FIELD_OPTIONS,
+        "--region": st.sampled_from(
+            ["0.5,0.5,2,2", "-1,-1,1,1", "2,2,1,1", "0,0,1", "nan,0,1,1"]),
+        "--grid": st.sampled_from(["2", "3", "20", "1", "1001", "x"]),
+        "--tol": TEXT},
+    "work": {**FIELD_OPTIONS, "--path": PATHS},
+    "winding": {"--path": PATHS, "--about": st.sampled_from(["0,0", "3,0", "1", "nan,0"])},
+    "potentials": {
+        **ATLAS_OPTIONS,
+        "--eval": st.sampled_from(["2,0@1", "nan,0@1", "1,1@9", "0,0@1", "x", "1,1@x"])},
+    "cocycle": {**ATLAS_OPTIONS,
+                "--samples": st.sampled_from(["1", "32", "64", "0", "-3", "x"])},
     "classify": ATLAS_OPTIONS,
-    "bundle": ATLAS_OPTIONS + [
-        _option("--cycle", st.sampled_from(["1,2,3,4,1", "1,3", "1,2", "x", "9,9"]))],
-    "simulate": ATLAS_OPTIONS + [
-        _option("--q0", st.sampled_from(["1,0", "3,0", "0,0", "1e-9,0", "nan,0", "x"])),
-        _option("--p0", st.sampled_from(["0,1", "1,0", "inf,0", "x"])),
-        _option("--m", st.sampled_from(["1", "0", "-1", "nan", "x"])),
-        _option("--h", st.sampled_from(["0.01", "0.1", "0.5", "0", "-1", "nan", "x"])),
-        _option("--T", st.sampled_from(["0.1", "1", "0", "1e-12", "inf", "x"])),
-        _option("--r-min", TEXT),
-        _option("--integrator", st.sampled_from(["leapfrog", "rk4", "euler"])),
-        _option("--out", st.just("run.csv")), _option("--emit-svg", st.just("run.svg"))],
-    "lift": [_option("--traj", st.sampled_from(["traj.csv", "missing.csv"])),
-             _option("--out", st.just("lift.csv"))],
-    "log-continue": [_option("--from", st.sampled_from(["1,0", "0,0", "2,0", "nan,0", "x"])),
-                     _option("--sheet", st.sampled_from(["0", "-2", "x", "99999999999999999999"])),
-                     _option("--path", PATHS)],
+    "bundle": {**ATLAS_OPTIONS,
+               "--cycle": st.sampled_from(["1,2,3,4,1", "1,3", "1,2", "x", "9,9"])},
+    "simulate": {
+        **ATLAS_OPTIONS,
+        "--q0": st.sampled_from(["1,0", "3,0", "0,0", "1e-9,0", "nan,0", "x"]),
+        "--p0": st.sampled_from(["0,1", "1,0", "inf,0", "x"]),
+        "--m": st.sampled_from(["1", "0", "-1", "nan", "x"]),
+        "--h": st.sampled_from(["0.01", "0.1", "0.5", "0", "-1", "nan", "x"]),
+        "--T": st.sampled_from(["0.1", "1", "0", "1e-12", "inf", "x"]),
+        "--r-min": TEXT,
+        "--integrator": st.sampled_from(["leapfrog", "rk4", "euler"]),
+        "--out": st.just("run.csv"), "--emit-svg": st.just("run.svg")},
+    "lift": {"--traj": st.sampled_from(["traj.csv", "missing.csv"]), "--out": st.just("lift.csv")},
+    "log-continue": {"--from": st.sampled_from(["1,0", "0,0", "2,0", "nan,0", "x"]),
+                     "--sheet": st.sampled_from(["0", "-2", "x", "99999999999999999999"]),
+                     "--path": PATHS},
 }
+EXEMPT = {"-h", "--help", "--config", "--deterministic"}
 TRAJECTORIES = st.sampled_from([
     "t,x,y,px,py,chart,V,Tkin,Elocal,theta_acc,p_theta\n0,1,0\n1,0,1\n2,-1,0\n",
     "t,x,y,px,py,chart,V,Tkin,Elocal,theta_acc,p_theta\n0,0,0\n",
@@ -127,9 +127,20 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(OPTIONS) + ["verify"]))
     if command == "verify":     # a cheap check, or none; the full run is a test of its own
         return ["verify", "--only", draw(st.sampled_from(["2", "11", "-1", "x"]))]
-    options = draw(st.lists(st.one_of(OPTIONS[command]), max_size=5)) if OPTIONS[command] else []
+    drawn = [st.tuples(st.just(flag), values) for flag, values in OPTIONS[command].items()]
+    options = draw(st.lists(st.one_of(drawn), max_size=5)) if drawn else []
     argv = [command] + [part for option in options for part in option]
     return argv + draw(st.sampled_from([[], ["--deterministic"], ["--bogus"]]))
+
+
+def test_the_fuzz_draws_every_option_of_every_subcommand():
+    # a new flag fails here until OPTIONS draws values for it
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    taken = {name: {flag for action in sub._actions for flag in action.option_strings} - EXEMPT
+             for name, sub in subparsers.choices.items()}
+    assert taken.pop("verify") == {"--only"}
+    assert taken == {name: set(options) for name, options in OPTIONS.items()}
 
 
 def _run_in(tmp, argv, config=None, trajectory=""):

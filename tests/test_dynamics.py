@@ -142,10 +142,11 @@ def test_post_pass_is_one_kernel_call_per_run(count_rows):
 
 def test_radial_equation_of_motion():
     # Purely azimuthal force: m r'' = p_theta^2 / (m r^3).
-    tr = simulate(vortex_cfg())
+    cfg = vortex_cfg()
+    tr = simulate(cfg)
     r = np.hypot(tr.qx, tr.qy)
     p_r = (tr.qx * tr.px + tr.qy * tr.py) / r
-    dpr = (p_r[2:] - p_r[:-2]) / (2.0 * tr.h)
+    dpr = (p_r[2:] - p_r[:-2]) / (2.0 * cfg.h)
     rhs = tr.p_theta[1:-1] ** 2 / (tr.m * r[1:-1] ** 3)
     assert float(np.max(np.abs(dpr - rhs))) < 1e-4
 
@@ -238,19 +239,21 @@ def test_a_dropped_state_logs_no_chart_hop():
     assert tr.transitions == ()
 
 
-def _leapfrog_step(x, y, vx, vy, fx, fy, h, m, force):
+def _leapfrog_step(x, y, vx, vy, fx, fy, h, m, force, guard):
     """Kick, drift, kick: the reference's own step, apart from the loops
-    simulate runs."""
+    simulate runs.  guard sees where the step ends before the force there."""
     hx = vx + 0.5 * h * fx
     hy = vy + 0.5 * h * fy
     nx = x + h * hx / m
     ny = y + h * hy / m
+    guard(nx, ny)
     nfx, nfy = force(nx, ny)
     return nx, ny, hx + 0.5 * h * nfx, hy + 0.5 * h * nfy, nfx, nfy
 
 
-def _rk4_step(x, y, vx, vy, fx, fy, h, m, force):
-    """Classical RK4: the reference's own step."""
+def _rk4_step(x, y, vx, vy, fx, fy, h, m, force, guard):
+    """Classical RK4: the reference's own step.  guard sees where the step
+    ends once the position stages are in, before the last stage's force."""
     k1qx, k1qy, k1px, k1py = vx / m, vy / m, fx, fy
     f2 = force(x + 0.5 * h * k1qx, y + 0.5 * h * k1qy)
     k2qx = (vx + 0.5 * h * k1px) / m
@@ -258,9 +261,10 @@ def _rk4_step(x, y, vx, vy, fx, fy, h, m, force):
     f3 = force(x + 0.5 * h * k2qx, y + 0.5 * h * k2qy)
     k3qx = (vx + 0.5 * h * f2[0]) / m
     k3qy = (vy + 0.5 * h * f2[1]) / m
-    f4 = force(x + h * k3qx, y + h * k3qy)
     nx = x + (h / 6.0) * (k1qx + 2 * k2qx + 2 * k3qx + (vx + h * f3[0]) / m)
     ny = y + (h / 6.0) * (k1qy + 2 * k2qy + 2 * k3qy + (vy + h * f3[1]) / m)
+    guard(nx, ny)
+    f4 = force(x + h * k3qx, y + h * k3qy)
     npx = vx + (h / 6.0) * (k1px + 2 * f2[0] + 2 * f3[0] + f4[0])
     npy = vy + (h / 6.0) * (k1py + 2 * f2[1] + 2 * f3[1] + f4[1])
     nfx, nfy = force(nx, ny)
@@ -282,11 +286,16 @@ def _log_transition(atlas, ps, old_chart, new_chart, q_old, q_new, t, h):
     return dynamics.Transition(t - (1.0 - s) * h, old_chart, new_chart, q_x, delta_e)
 
 
+class _NearPuncture(Exception):
+    """The reference's r_min guard: a step ends within r_min of this point."""
+
+
 def _reference_run(cfg, ps):
     """The per-step loop simulate replaced, kept as a reference: every guard
     and every logged value taken one step at a time, in the same order
-    (stepping, r_min, step angle, coverage, midpoint force).  Returns the
-    status, the reason, the logged columns and the transitions."""
+    (stepping, with r_min where a step ends before the force there, step
+    angle, coverage, midpoint force).  Returns the status, the reason, the
+    logged columns and the transitions."""
     field, atlas, h, m = cfg.field, cfg.atlas, cfg.h, cfg.m
     singulars, (cx, cy) = field.singular_points, field.center
     step = _leapfrog_step if cfg.integrator == "leapfrog" else _rk4_step
@@ -296,16 +305,21 @@ def _reference_run(cfg, ps):
              tuple(math.atan2(y - sy, x - sx) for sx, sy in singulars),
              0.0, (x - cx) * vy - (y - cy) * vx)]
     transitions, status, reason = [], "completed", None
-    for k in range(1, int(round(cfg.T / h)) + 1):
-        try:
-            nx, ny, npx, npy, nfx, nfy = step(x, y, vx, vy, fx, fy, h, m, field.eval_at)
-        except (DomainEvalError, NonFiniteError, SingularityError) as exc:
-            status, reason = "aborted-evaluation", str(exc)
-            break
+
+    def guard(nx, ny):
         near = [p for p in singulars if math.hypot(nx - p[0], ny - p[1]) < cfg.r_min]
         if near:
+            raise _NearPuncture(near[0])
+
+    for k in range(1, int(round(cfg.T / h)) + 1):
+        try:
+            nx, ny, npx, npy, nfx, nfy = step(x, y, vx, vy, fx, fy, h, m, field.eval_at, guard)
+        except _NearPuncture as stop:
             status = "aborted-singularity"
-            reason = f"step {k} came within r_min={cfg.r_min} of {near[0]}"
+            reason = f"step {k} came within r_min={cfg.r_min} of {stop.args[0]}"
+            break
+        except (DomainEvalError, NonFiniteError, SingularityError) as exc:
+            status, reason = "aborted-evaluation", str(exc)
             break
         d = [math.remainder(math.atan2(ny - sy, nx - sx) - math.atan2(y - sy, x - sx), TAU)
              for sx, sy in singulars]
@@ -336,7 +350,7 @@ def _reference_run(cfg, ps):
     V = np.empty(len(rows))
     for cid in set(chart.tolist()):
         mine = chart == cid
-        V[mine] = ps.values(cid, np.column_stack([qx[mine], qy[mine]]))
+        V[mine] = ps.values_many([(cid, np.column_stack([qx[mine], qy[mine]]))])[0]
     Tkin = (px ** 2 + py ** 2) / (2.0 * m)
     columns = {"t": h * np.arange(len(rows)), "qx": qx, "qy": qy, "px": px, "py": py,
                "chart": chart, "theta": theta.reshape(len(rows), len(singulars)), "V": V,
@@ -523,7 +537,7 @@ def test_a_run_compiles_each_closure_of_its_field_once(monkeypatch):
     assert sorted(compiles) == ["math", "numpy"] and len(texts) == 1
 
 
-# where the compiled loop stops, eval_at and the r_min guard refuse the step
+# where the compiled loop stops, the r_min guard and eval_at refuse the step
 # again: the cause is the one stepping with eval_at gives
 LOOP_STOPS = {
     "R_MIN_EVAL": (     # r_min under eval_at's own 1e-9: eval_at refuses first
@@ -563,6 +577,20 @@ def test_each_stop_of_the_compiled_loop_keeps_its_cause(name):
                                                                              rel=1e-12))
 
 
+@pytest.mark.parametrize("integrator", dynamics.INTEGRATORS)
+@pytest.mark.parametrize("x0, dist", [(1e-3, 0.0), (1.5e-3, 5e-4)])
+def test_a_step_that_ends_within_r_min_is_a_singularity_stop(integrator, x0, dist):
+    # from x0 = 1e-3 the step ends on the puncture, where eval_at refuses
+    # too; the r_min guard still names the cause, as it does from 1.5e-3
+    cfg = SimConfig(field=from_components("0", "0", singular_points=((0, 0),)),
+                    atlas=atlas_for(((0, 0),)), q0=(x0, 0.0), p0=(-1.0, 0.0), h=1e-3, T=0.01,
+                    integrator=integrator)
+    tr, _ = _assert_steps_as_the_reference(cfg, PotentialSet.from_field(cfg.field, cfg.atlas))
+    assert (tr.status, tr.abort.step, tr.abort.guard) == ("aborted-singularity", 1, "singularity")
+    assert tr.abort.value == pytest.approx(dist, abs=1e-15)
+    assert tr.abort_reason == "step 1 came within r_min=0.001 of (0.0, 0.0)"
+
+
 @pytest.mark.parametrize("cfg", [
     vortex_cfg(T=100.0),        # 100 001 states: 25 chunks summed from their anchors
     SimConfig(field=from_components("-4*x - y/(x^2+y^2)", "-4*y + x/(x^2+y^2)",
@@ -575,7 +603,7 @@ def test_v_summed_along_the_chords_is_the_basepoint_potential(cfg):
     assert tr.completed
     for cid in set(tr.chart.tolist()):
         mine = tr.chart == cid
-        want = ps.values(cid, np.column_stack([tr.qx[mine], tr.qy[mine]]))
+        want = ps.values_many([(cid, np.column_stack([tr.qx[mine], tr.qy[mine]]))])[0]
         assert float(np.max(np.abs(tr.V[mine] - want))) <= 1e-12
 
 

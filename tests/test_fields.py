@@ -154,7 +154,7 @@ def test_a_memoized_potential_does_not_depend_on_the_batch_it_came_in():
     q = (1.225095466604667, 1.4972138009695755)     # a one-panel chord from (1, 1)
     fresh = PotentialSet.from_field(vortex(), quadrant_atlas())
     batched = PotentialSet.from_field(vortex(), quadrant_atlas())
-    batched.values(1, [q, (1.5, 0.7)])
+    batched.values_many([(1, [q, (1.5, 0.7)])])
     assert fresh.value(1, q) == batched.value(1, q) == -0.09962770267178753
 
 
@@ -302,7 +302,7 @@ def test_segment_work_cuts_are_the_batch_rows_cuts_bit_for_bit():
             with np.errstate(invalid="ignore"):   # the zero-length rows
                 lo, width, owner, _ = fields._batch_cuts(field, start.T, b.T)
             for i in range(len(b)):
-                cuts = fields._cuts(tuple(start[i % len(start)]), tuple(b[i]), sp, R_MIN_EVAL)
+                cuts = fields._cuts(tuple(start[i % len(start)]), tuple(b[i]), sp)
                 row = owner == i
                 assert lo[row].tolist() == cuts[:-1]
                 assert width[row].tolist() == [q - p for p, q in zip(cuts, cuts[1:])]
