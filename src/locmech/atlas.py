@@ -359,8 +359,7 @@ class PotentialEvaluator:
     """-(integral of the field along basepoint -> q), a chart's potential
     up to its gauge, which PotentialSet keeps.
 
-    Values are memoized by exact coordinates; CPython's GIL makes the
-    cache safe for concurrent readers with serialized writers.
+    Values are memoized by exact coordinates.
     """
 
     def __init__(self, field, chart):

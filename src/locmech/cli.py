@@ -1,5 +1,10 @@
 """Command-line front end: scenario parsing, orchestration, artifacts.
 
+A subcommand handler computes and writes nothing: it returns its exit
+code, its report and its files as {path: text}.  render stamps and
+serializes the report; run alone writes the files and prints the report,
+so a refused command writes no files.
+
 Reports go to stdout as JSON with sorted keys; trajectory tables go to
 CSV files named by --out, with a transition log written next to them
 and an optional SVG polyline figure via --emit-svg. Scenarios can be
@@ -8,9 +13,9 @@ win over config fields, and unknown config keys are rejected outright.
 The flags are read as a document of the config's shape and laid over it
 (_overlay); a sweep entry goes between the two.  A null value is absent.
 
-Exit codes: 0 success, 1 invalid input or a failed check, 2 numeric
-guard tripped (singularity, step guard, overflow), 3 expression parse
-error.
+Exit codes: 0 success, 1 invalid input, an unwritable output path or
+a failed check, 2 numeric guard tripped (singularity, step guard,
+overflow), 3 expression parse error.
 
 Outputs are reproducible byte for byte for a fixed scenario; the only
 run-dependent content is a generated-at metadata line, suppressed by
@@ -275,17 +280,15 @@ def _field_and_atlas(doc):
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output text: handlers build it, and run alone writes it
 
 def _generated_at():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _emit_json(obj, deterministic):
-    if not deterministic:
-        obj = dict(obj)
-        obj["generated_at"] = _generated_at()
-    print(json.dumps(_finite_or_null(obj), sort_keys=True, indent=2))
+def _json_text(obj):
+    """The one JSON policy of reports and sidecars: sorted keys, indent 2."""
+    return json.dumps(_finite_or_null(obj), sort_keys=True, indent=2) + "\n"
 
 
 def _finite_or_null(obj):
@@ -299,7 +302,7 @@ def _finite_or_null(obj):
     return obj
 
 
-def _write_csv(path, header, columns, deterministic):
+def _csv_text(header, columns, deterministic):
     """One row per index of the columns (arrays or lists): repr for a
     float cell, str for any other."""
     lines = [] if deterministic else [f"# generated_at {_generated_at()}"]
@@ -307,24 +310,19 @@ def _write_csv(path, header, columns, deterministic):
     cells = [[repr(v) if type(v) is float else str(v) for v in
               (col.tolist() if isinstance(col, np.ndarray) else col)] for col in columns]
     lines.extend(map(",".join, zip(*cells)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_traj_csv(tr, out, deterministic):
+def _traj_csv_text(tr, deterministic):
     # theta_acc holds one angle per singular point, ';'-joined
     theta = tr.theta[:, 0] if tr.theta.shape[1] == 1 else [
         ";".join(map(repr, row)) for row in tr.theta.tolist()]
-    _write_csv(out, CSV_COLUMNS, (tr.t, tr.qx, tr.qy, tr.px, tr.py, tr.chart, tr.V, tr.Tkin,
-                                  tr.E_local, theta, tr.p_theta), deterministic)
+    return _csv_text(CSV_COLUMNS, (tr.t, tr.qx, tr.qy, tr.px, tr.py, tr.chart, tr.V, tr.Tkin,
+                                   tr.E_local, theta, tr.p_theta), deterministic)
 
 
-def _sidecar_path(out):
-    return os.path.splitext(out)[0] + ".transitions.json"
-
-
-def _write_sidecar(tr, out):
-    doc = {
+def _sidecar_text(tr):
+    return _json_text({
         "status": tr.status,
         "abort_reason": tr.abort_reason,
         "transitions": [
@@ -337,12 +335,10 @@ def _write_sidecar(tr, out):
             }
             for t in tr.transitions
         ],
-    }
-    with open(_sidecar_path(out), "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    })
 
 
-def _write_svg(X, Y, singular_points, fname):
+def _svg_text(X, Y, singular_points):
     size = 640      # pixels on a side
     xs = [float(X.min()), float(X.max())] + [p[0] for p in singular_points]
     ys = [float(Y.min()), float(Y.max())] + [p[1] for p in singular_points]
@@ -389,52 +385,48 @@ def _write_svg(X, Y, singular_points, fname):
             'fill="#d03030"/>'
         )
     parts.append("</svg>")
-    with open(fname, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, report, {path: file text}) and
+# writes nothing; the report is a JSON document, or verify's text
 
 def _cmd_forms_table(ns, doc):
-    _emit_json({"star": star_table()}, ns.deterministic)
-    return 0
+    return 0, {"star": star_table()}, {}
 
 
 def _cmd_check_closed(ns, doc):
     field = _field_from(doc)
-    region = tuple(_float(v, "--region") for v in ns.region.split(","))
-    if len(region) != 4:
-        raise ValidationError("--region takes x0,y0,x1,y1")
-    rep = is_closed(field, region, grid=ns.grid, tol=ns.tol)
-    _emit_json({
+    kwargs = {k: v for k, v in (("grid", ns.grid), ("tol", ns.tol)) if v is not None}
+    if ns.region is not None:
+        kwargs["region"] = _numbers(ns.region, "--region x0,y0,x1,y1", 4)
+    rep = is_closed(field, **kwargs)
+    return (0 if rep.passed else 1), {
         "closed": rep.passed,
         "max_residual": rep.max_residual,
         "worst_point": list(rep.worst_point),
         "grid": rep.grid,
         "region": list(rep.region),
         "tol": rep.tol,
-    }, ns.deterministic)
-    return 0 if rep.passed else 1
+    }, {}
 
 
 def _cmd_work(ns, doc):
     field = _field_from(doc)
     path = _parse_path(ns.path)
-    _emit_json({"work": work(field, path)}, ns.deterministic)
-    return 0
+    return 0, {"work": work(field, path)}, {}
 
 
 def _cmd_winding(ns, doc):
     path = _parse_path(ns.path)
     about = _numbers(ns.about, "--about")
     res = winding_number(path, about)
-    _emit_json({
+    return 0, {
         "winding": res.number,
         "residual": res.residual,
         "about": list(about),
-    }, ns.deterministic)
-    return 0
+    }, {}
 
 
 def _cmd_potentials(ns, doc):
@@ -454,17 +446,19 @@ def _cmd_potentials(ns, doc):
             "point": list(q),
             "value": ps.value(cid, q),
         })
-    _emit_json({
+    return 0, {
         "charts": list(atlas.ids),
         "gauges": {str(cid): ps.gauges[cid] for cid in atlas.ids},
         "evaluations": evals,
-    }, ns.deterministic)
-    return 0
+    }, {}
 
 
-def _cocycle_report(cc):
+def _cmd_cocycle(ns, doc):
+    field, atlas = _field_and_atlas(doc)
+    ps = PotentialSet.from_field(field, atlas)
+    cc = cocycle(ps, samples=ns.samples)
     exact = exactness_test(cc)
-    return {
+    return 0, {
         "entries": {f"{i}-{j}": cc.value(i, j) for (i, j) in cc.pairs()},
         "spreads": {f"{i}-{j}": cc.spreads[(i, j)] for (i, j) in cc.pairs()},
         "exact": exact.exact,
@@ -476,21 +470,12 @@ def _cocycle_report(cc):
             {"cycle": list(p.cycle), "period": p.period}
             for p in exact.periods
         ],
-    }
-
-
-def _cmd_cocycle(ns, doc):
-    field, atlas = _field_and_atlas(doc)
-    ps = PotentialSet.from_field(field, atlas)
-    cc = cocycle(ps, samples=ns.samples)
-    _emit_json(_cocycle_report(cc), ns.deterministic)
-    return 0
+    }, {}
 
 
 def _cmd_classify(ns, doc):
     field, atlas = _field_and_atlas(doc)
-    _emit_json({"classification": classify(field, atlas)}, ns.deterministic)
-    return 0
+    return 0, {"classification": classify(field, atlas)}, {}
 
 
 def _cmd_bundle(ns, doc):
@@ -504,7 +489,7 @@ def _cmd_bundle(ns, doc):
     else:
         cycles = [p.cycle for p in exact.periods]
     rep = is_trivial(ts)
-    _emit_json({
+    return 0, {
         "t": {f"{i}-{j}": ts.factor(i, j) for (i, j) in ts.edges()},
         "holonomies": {
             "-".join(str(c) for c in cyc): holonomy(ts, cyc) for cyc in cycles
@@ -513,12 +498,11 @@ def _cmd_bundle(ns, doc):
         "gauges": (
             {str(k): v for k, v in rep.gauges.items()} if rep.gauges else None
         ),
-    }, ns.deterministic)
-    return 0
+    }, {}
 
 
-def _run_scenario(doc, deterministic):
-    """Run one merged scenario document, write its artifacts and return
+def _run_scenario(doc, deterministic, files):
+    """Run one merged scenario document, add its artifacts to files and return
     its summary; SimConfig fills in the simulate keys the document lacks."""
     sim = {k: v for k, v in doc.get("simulate", {}).items() if v is not None}
     outputs = {k: v for k, v in doc.get("outputs", {}).items() if v is not None}
@@ -533,10 +517,10 @@ def _run_scenario(doc, deterministic):
 
     out, svg = outputs.get("out"), outputs.get("emit_svg")
     if out:
-        _write_traj_csv(tr, out, deterministic)
-        _write_sidecar(tr, out)
+        files[out] = _traj_csv_text(tr, deterministic)
+        files[os.path.splitext(out)[0] + ".transitions.json"] = _sidecar_text(tr)
     if svg:
-        _write_svg(tr.qx, tr.qy, field.singular_points, svg)
+        files[svg] = _svg_text(tr.qx, tr.qy, field.singular_points)
     last = tr.n_states - 1
     return {
         "status": tr.status,
@@ -553,21 +537,17 @@ def _run_scenario(doc, deterministic):
 
 
 def _cmd_simulate(ns, doc):
-    sweep = doc.get("sweep")
-    if not sweep:
-        summary = _run_scenario(doc, ns.deterministic)
-        _emit_json(summary, ns.deterministic)
+    # a single scenario runs as a sweep of one entry, reported bare; doc is
+    # the config under the flags, and laying the flags again over each
+    # entry keeps a flag above an entry, and an entry above the config
+    flags, files, summaries = _flags(ns), {}, []
+    for entry in doc.get("sweep") or [{}]:
+        summary = _run_scenario(_overlay(_overlay(doc, entry), flags), ns.deterministic, files)
         if summary["status"] != "completed":
             print(f"aborted: {summary['abort_reason']}", file=sys.stderr)
-            return 2
-        return 0
-    # doc is the config under the flags; laying the flags again over each
-    # entry keeps a flag above an entry, and an entry above the config
-    flags = _flags(ns)
-    summaries = [_run_scenario(_overlay(_overlay(doc, entry), flags), ns.deterministic)
-                 for entry in sweep]
-    _emit_json({"sweep": summaries}, ns.deterministic)
-    return 0 if all(s["status"] == "completed" for s in summaries) else 2
+        summaries.append(summary)
+    code = 0 if all(s["status"] == "completed" for s in summaries) else 2
+    return code, ({"sweep": summaries} if doc.get("sweep") else summaries[0]), files
 
 
 def _read_traj_csv(path):
@@ -589,17 +569,15 @@ def _cmd_lift(ns, doc):
     t, x, y = _read_traj_csv(ns.traj)
     lift = lift_path(np.column_stack([x, y]))
     sheets = lift.sheets()
-    if ns.out:
-        _write_csv(ns.out, ("t", "u", "v", "sheet"), (t, lift.u, lift.v, sheets),
-                   ns.deterministic)
-    _emit_json({
+    files = {ns.out: _csv_text(("t", "u", "v", "sheet"), (t, lift.u, lift.v, sheets),
+                               ns.deterministic)} if ns.out else {}
+    return 0, {
         "states": len(t),
         "sheet_initial": int(sheets[0]),
         "sheet_final": int(sheets[-1]),
         "v_final": float(lift.v[-1]),
         "out": ns.out,
-    }, ns.deterministic)
-    return 0
+    }, files
 
 
 def _cmd_log_continue(ns, doc):
@@ -607,24 +585,20 @@ def _cmd_log_continue(ns, doc):
     germ = LogGerm(complex(q[0], q[1]), ns.sheet)
     path = _parse_path(ns.path)
     end = continue_log(germ, path)
-    _emit_json({
+    return 0, {
         "anchor": [end.anchor.real, end.anchor.imag],
         "sheet": end.sheet,
         "value": [end.value.real, end.value.imag],
-    }, ns.deterministic)
-    return 0
+    }, {}
 
 
 def _cmd_verify(ns, doc):
     numbers = set(ns.only) if ns.only else None
     report = verify_mod.run_all(numbers=numbers)
-    if not ns.deterministic:
-        print(f"# generated_at {_generated_at()}")
-    print(report.render())
     for r in report.results:        # timings vary run to run: stderr only
         print(f"[{r.number:2d}] {r.name:<18} {r.seconds:.3f} s (budget "
               f"{verify_mod.BUDGETS.get(r.number, math.inf):g} s)", file=sys.stderr)
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report.render(), {}
 
 
 # ---------------------------------------------------------------------------
@@ -677,10 +651,9 @@ def _build_parser():
         help="closedness probe over a rectangle, by exact derivatives",
     )
     p.set_defaults(handler=_cmd_check_closed)
-    p.add_argument("--region", default="0.5,0.5,2,2", help="x0,y0,x1,y1")
-    p.add_argument("--grid", type=int, default=20,
-                   help=f"nodes per side, 2..{MAX_CLOSEDNESS_GRID}")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--region", help="x0,y0,x1,y1")
+    p.add_argument("--grid", type=int, help=f"nodes per side, 2..{MAX_CLOSEDNESS_GRID}")
+    p.add_argument("--tol", type=float)
 
     p = sub.add_parser(
         "work", parents=[common, field_args],
@@ -768,15 +741,38 @@ def _build_parser():
     return parser
 
 
-def run(argv=None):
+def render(argv=None):
+    """Parse argv and compute its command, writing nothing: the exit code,
+    the stdout text and the files as {path: text}.  The report is stamped
+    with the time unless --deterministic is given."""
     parser = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.command is None:
+        parser.print_usage(sys.stderr)
+        return 1, "", {}
+    code, report, files = ns.handler(ns, _overlay(_load_config(ns.config), _flags(ns)))
+    if isinstance(report, str):
+        stamp = "" if ns.deterministic else f"# generated_at {_generated_at()}\n"
+        return code, stamp + report + "\n", files
+    if not ns.deterministic:
+        report = {**report, "generated_at": _generated_at()}
+    return code, _json_text(report), files
+
+
+def run(argv=None):
+    """The command line: render argv, write its files, print its report,
+    and map a refusal to its exit code."""
     try:
-        ns = parser.parse_args(argv)
-        if ns.command is None:
-            parser.print_usage(sys.stderr)
-            return 1
-        doc = _overlay(_load_config(ns.config), _flags(ns))
-        return ns.handler(ns, doc)
+        code, text, files = render(argv)
+        for path, body in files.items():
+            try:
+                with open(path, "w") as fh:
+                    fh.write(body)
+            except (OSError, ValueError) as exc:    # ValueError: a NUL in the path
+                raise ValidationError(
+                    f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from None
+        sys.stdout.write(text)
+        return code
     except ExprError as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 3

@@ -43,7 +43,7 @@ DEFAULT_SEGMENTS = 2000
 MAX_PATH_SEGMENTS = 100_000    # parameter segments of a ParametricPath
 MAX_CLOSEDNESS_GRID = 1000     # nodes per side of the closedness grid
 PATH_CLOSE_TOL = 1e-12
-PROBE_REGION = (0.5, 0.5, 2.0, 2.0)    # where classify tests closedness
+PROBE_REGION = (0.5, 0.5, 2.0, 2.0)    # where is_closed tests closedness by default
 _THETA_MAX = math.pi / 2
 _MAX_REFINE_DEPTH = 48          # halvings of an angle step; bisection rounds of a panel
 MAX_SEGMENT_LENGTH = 1e5
@@ -638,16 +638,18 @@ class ClosednessReport:
     worst_point: tuple
 
 
-def is_closed(field, region, grid=20, tol=1e-4):
+def is_closed(field, region=PROBE_REGION, grid=20, tol=1e-4):
     """Check d(fx dx + fy dy) = 0 on a grid x grid lattice over region.
 
     The residual |dfx/dy - dfy/dx| / max(1, |dfx/dy| + |dfy/dx|) comes from
     the exact partials (ScalarExpr.diff), so a closed field reads at rounding
     level even where they grow like 1/r^2 near a singular point.  region is
-    (x0, y0, x1, y1); no grid node may lie within R_MIN_EVAL of a singular
+    a finite (x0, y0, x1, y1); no grid node may lie within R_MIN_EVAL of a singular
     point, grid is at most MAX_CLOSEDNESS_GRID, and tol is finite and positive.
     """
     x0, y0, x1, y1 = (float(v) for v in region)
+    if not all(map(math.isfinite, (x0, y0, x1, y1))):
+        raise ValidationError(f"region {(x0, y0, x1, y1)} is not finite")
     if not (x1 > x0 and y1 > y0):
         raise ValidationError("region must satisfy x1 > x0 and y1 > y0")
     if not 0.0 < tol < math.inf:    # nan fails both
@@ -683,7 +685,7 @@ def classify(field, atlas=None):
     """
     from . import atlas as atlas_mod
 
-    report = is_closed(field, PROBE_REGION)
+    report = is_closed(field)
     if not report.passed:
         return "not-closed"
     if atlas is None:

@@ -15,12 +15,8 @@ the verdicts, and only a check that overruns its budget names it.
 
 from __future__ import annotations
 
-import io
 import math
-import os
-import tempfile
 import time
-from contextlib import redirect_stdout
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -196,9 +192,8 @@ def _check_work_winding(bench):
 
 
 def _check_closedness(bench):
-    region = (0.5, 0.5, 2.0, 2.0)
-    rep = is_closed(bench.field, region)
-    ctrl = is_closed(from_components("0", "x"), region)
+    rep = is_closed(bench.field)    # over fields.PROBE_REGION
+    ctrl = is_closed(from_components("0", "x"))
     passed = (
         rep.passed
         and rep.max_residual < 1e-12
@@ -442,46 +437,15 @@ def _check_forms(bench):
 def _check_determinism(bench):
     from . import cli
 
-    def artifacts():
-        out = {}
-        with tempfile.TemporaryDirectory() as td:
-            csv = os.path.join(td, "traj.csv")
-            svg = os.path.join(td, "traj.svg")
-            buf = io.StringIO()
-            with redirect_stdout(buf):
-                out["sim_code"] = cli.run([
-                    "simulate", "--field", "vortex", "--atlas", "quadrant",
-                    "--m", "1", "--q0", "1,0", "--p0", "0,1",
-                    "--h", "1e-2", "--T", "1.0",
-                    "--out", csv, "--emit-svg", svg, "--deterministic",
-                ])
-            # the tempdir name is caller-chosen, not content; mask it
-            out["sim_stdout"] = buf.getvalue().replace(td, "<tmp>")
-            with open(csv, "rb") as fh:
-                out["csv"] = fh.read()
-            sidecar = os.path.splitext(csv)[0] + ".transitions.json"
-            with open(sidecar, "rb") as fh:
-                out["sidecar"] = fh.read()
-            with open(svg, "rb") as fh:
-                out["svg"] = fh.read()
-        for args in (
-            ["cocycle", "--field", "vortex", "--atlas", "quadrant",
-             "--deterministic"],
-            ["forms-table", "--deterministic"],
-        ):
-            buf = io.StringIO()
-            with redirect_stdout(buf):
-                out[args[0] + "_code"] = cli.run(args)
-            out[args[0]] = buf.getvalue()
-        return out
-
-    first = artifacts()
-    second = artifacts()
-    codes_ok = (
-        first["sim_code"] == 0
-        and first["cocycle_code"] == 0
-        and first["forms-table_code"] == 0
+    argvs = (
+        ["simulate", "--field", "vortex", "--atlas", "quadrant", "--m", "1", "--q0", "1,0",
+         "--p0", "0,1", "--h", "1e-2", "--T", "1.0", "--out", "traj.csv", "--emit-svg",
+         "traj.svg", "--deterministic"],
+        ["cocycle", "--field", "vortex", "--atlas", "quadrant", "--deterministic"],
+        ["forms-table", "--deterministic"],
     )
+    first, second = ([cli.render(argv) for argv in argvs] for _ in range(2))
+    codes_ok = all(code == 0 for code, _, _ in first)
     passed = codes_ok and first == second
     if passed:
         detail = (
@@ -491,7 +455,7 @@ def _check_determinism(bench):
     elif not codes_ok:
         detail = "a subcommand exited nonzero"
     else:
-        diff = sorted(k for k in first if first[k] != second[k])
+        diff = [argv[0] for argv, a, b in zip(argvs, first, second) if a != b]
         detail = f"outputs differ between runs: {', '.join(diff)}"
     return passed, detail
 

@@ -9,10 +9,10 @@ import warnings
 import pytest
 
 from locmech.atlas import quadrant_atlas
-from locmech.cli import CSV_COLUMNS, run
+from locmech.cli import CSV_COLUMNS, render, run
 from locmech.cover import lift_trajectory
 from locmech.dynamics import SimConfig, simulate
-from locmech.fields import from_components
+from locmech.fields import PROBE_REGION, from_components
 
 TAU = math.tau
 
@@ -82,6 +82,7 @@ def test_check_closed_exit_codes(capsys):
         capsys, "check-closed", "--field", "vortex", "--deterministic"
     )
     assert code == 0 and doc["closed"]
+    assert (doc["region"], doc["grid"], doc["tol"]) == (list(PROBE_REGION), 20, 1e-4)
     code, doc = out_json(
         capsys, "check-closed", "--field", "0;x", "--deterministic"
     )
@@ -295,6 +296,15 @@ def test_check_closed_refuses_a_tolerance_that_is_not_finite_and_positive(capsys
     assert "invalid input: tol must be finite and positive" in err
 
 
+@pytest.mark.parametrize("region", ["0.5,0.5,inf,2", "nan,0.5,2,2"])
+def test_check_closed_refuses_a_region_that_is_not_finite(capsys, region):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # inf once reached numpy's grid
+        code, out, err = invoke(capsys, "check-closed", "--field", "vortex", "--region", region)
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid input: region (") and err.endswith(") is not finite\n")
+
+
 def test_check_closed_takes_no_step_option(capsys):
     code, _, err = invoke(capsys, "check-closed", "--field", "vortex", "--h", "1e-5")
     assert code == 1
@@ -414,6 +424,47 @@ def test_a_sweep_runs_its_entries_in_order_in_process(tmp_path, capsys):
     code, _, err = invoke(capsys, "simulate", "--config", cfg_path, "--jobs", "2")
     assert code == 1
     assert "unrecognized arguments: --jobs" in err
+
+
+def test_a_failing_sweep_entry_leaves_no_files(tmp_path, capsys, monkeypatch):
+    # every entry runs before anything is written
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_sweep(tmp_path, [{"outputs": {"out": "a.csv"}}, {"simulate": {"h": -1}}])
+    code, out, err = invoke(capsys, "simulate", "--config", cfg_path, "--deterministic")
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid input:")
+    assert os.listdir(tmp_path) == ["sweep.json"]
+
+
+TRAJ_TEXT = ",".join(CSV_COLUMNS) + "\n0,1,0\n1,0,1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--field", "vortex", "--q0", "1,0", "--p0", "0,1", "--T", "0.1", "--out"),
+    ("simulate", "--field", "vortex", "--q0", "1,0", "--p0", "0,1", "--T", "0.1", "--emit-svg"),
+    ("lift", "--traj", "traj.csv", "--out"),
+])
+@pytest.mark.parametrize("target", [os.path.join("missing", "run.csv"), ".", "a\x00b"])
+def test_an_unwritable_output_path_exits_1(tmp_path, capsys, monkeypatch, argv, target):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "traj.csv").write_text(TRAJ_TEXT)
+    code, out, err = invoke(capsys, *argv, target)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"invalid input: cannot write {target}: ")
+    assert os.listdir(tmp_path) == ["traj.csv"]
+
+
+def test_render_computes_and_run_writes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--field", "vortex", "--q0", "1,0", "--p0", "0,1", "--T", "0.1",
+            "--out", "run.csv", "--emit-svg", "run.svg", "--deterministic"]
+    code, text, files = render(argv)
+    assert code == 0 and json.loads(text)["out"] == "run.csv"
+    assert list(files) == ["run.csv", "run.transitions.json", "run.svg"]
+    assert os.listdir(tmp_path) == []
+    assert invoke(capsys, *argv)[:2] == (0, text)
+    for path, body in files.items():
+        assert (tmp_path / path).read_text() == body
 
 
 def test_lift_round_trip(tmp_path, capsys):

@@ -37,6 +37,9 @@ PATHS = st.sampled_from([
     "param:cos(t),sin(t),0,6.28,50", "param:t,t,0,0", "param:t,t,0,1,0", "param:t,1/t,-1,1,4",
     "param:cos(t),sin(t),0,1,x", "spiral:1",
 ])
+# a directory missing under the output, an output that is a directory,
+# and a NUL, which open refuses with a ValueError
+UNWRITABLE = ["missing/run.csv", ".", "a\x00b"]
 TEXT = st.one_of(st.text(max_size=6), st.sampled_from(["0", "-1", "nan", "inf", "1e400"]))
 
 # a half-plane [a, b, c] from a few normals and offsets: random, parallel,
@@ -63,8 +66,8 @@ def _scenario(top):
               "singular": st.one_of(SINGULAR, st.lists(PAIRS, max_size=3), JUNK),
               "atlas": ATLASES, "simulate": st.one_of(small, JUNK),
               "outputs": st.one_of(st.fixed_dictionaries({}, optional={
-                  "out": st.sampled_from(["run.csv", "", 5, None]),
-                  "emit_svg": st.sampled_from(["run.svg", 7, None])}), JUNK),
+                  "out": st.sampled_from(["run.csv", "", 5, None, *UNWRITABLE]),
+                  "emit_svg": st.sampled_from(["run.svg", 7, None, *UNWRITABLE])}), JUNK),
               "unknown": JUNK}
     if top:
         blocks["sweep"] = st.one_of(st.lists(_scenario(False), max_size=2), JUNK)
@@ -84,7 +87,7 @@ OPTIONS = {
     "check-closed": {
         **FIELD_OPTIONS,
         "--region": st.sampled_from(
-            ["0.5,0.5,2,2", "-1,-1,1,1", "2,2,1,1", "0,0,1", "nan,0,1,1"]),
+            ["0.5,0.5,2,2", "-1,-1,1,1", "2,2,1,1", "0,0,1", "nan,0,1,1", "0.5,0.5,inf,2"]),
         "--grid": st.sampled_from(["2", "3", "20", "1", "1001", "x"]),
         "--tol": TEXT},
     "work": {**FIELD_OPTIONS, "--path": PATHS},
@@ -106,8 +109,10 @@ OPTIONS = {
         "--T": st.sampled_from(["0.1", "1", "0", "1e-12", "inf", "x"]),
         "--r-min": TEXT,
         "--integrator": st.sampled_from(["leapfrog", "rk4", "euler"]),
-        "--out": st.just("run.csv"), "--emit-svg": st.just("run.svg")},
-    "lift": {"--traj": st.sampled_from(["traj.csv", "missing.csv"]), "--out": st.just("lift.csv")},
+        "--out": st.sampled_from(["run.csv", *UNWRITABLE]),
+        "--emit-svg": st.sampled_from(["run.svg", *UNWRITABLE])},
+    "lift": {"--traj": st.sampled_from(["traj.csv", "missing.csv"]),
+             "--out": st.sampled_from(["lift.csv", *UNWRITABLE])},
     "log-continue": {"--from": st.sampled_from(["1,0", "0,0", "2,0", "nan,0", "x"]),
                      "--sheet": st.sampled_from(["0", "-2", "x", "99999999999999999999"]),
                      "--path": PATHS},
@@ -169,6 +174,14 @@ def _run_in(tmp, argv, config=None, trajectory=""):
 @example(["potentials", "--field", "vortex", "--eval", "1,1@9"], "")
 @example(["simulate", "--field", "vortex", "--q0", "1,0", "--p0", "1e200,1e200", "--h", "1e-3",
           "--T", "0.01", "--deterministic"], "")
+# and these: output paths that cannot be written, and an infinite region
+@example(["simulate", "--field", "vortex", "--q0", "1,0", "--p0", "0,1", "--T", "0.1",
+          "--out", "missing/run.csv"], "")
+@example(["simulate", "--field", "vortex", "--q0", "1,0", "--p0", "0,1", "--T", "0.1",
+          "--emit-svg", "."], "")
+@example(["lift", "--traj", "traj.csv", "--out", "missing/run.csv"],
+         "t,x,y,px,py,chart,V,Tkin,Elocal,theta_acc,p_theta\n0,1,0\n1,0,1\n")
+@example(["check-closed", "--field", "vortex", "--region", "0.5,0.5,inf,2"], "")
 def test_random_argv_exits_with_a_documented_code(argv, trajectory):
     with tempfile.TemporaryDirectory() as tmp:
         assert _run_in(tmp, argv, trajectory=trajectory) in (0, 1, 2, 3)
@@ -187,6 +200,10 @@ def test_random_argv_exits_with_a_documented_code(argv, trajectory):
     {"id": 1, "halfplanes": [[1, 0, -5]], "basepoint": [1, 1]}]}})
 @example("simulate", {"field": "vortex", "simulate": {"q0": [1, 0], "p0": [0, 1], "T": 0.1},
                       "outputs": {"out": 5}})
+@example("simulate", {"field": "vortex", "simulate": {"q0": [1, 0], "p0": [0, 1], "T": 0.1},
+                      "outputs": {"out": "."}})
+@example("simulate", {"field": "vortex", "simulate": {"q0": [1, 0], "p0": [0, 1], "T": 0.1},
+                      "outputs": {"emit_svg": "a\x00b"}})
 def test_random_config_documents_exit_with_a_documented_code(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         assert _run_in(tmp, [command, "--deterministic"], config) in (0, 1, 2, 3)

@@ -442,6 +442,17 @@ def test_closedness_report_for_vortex_and_control():
     assert bad.max_residual == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("region", [(0.5, 0.5, math.inf, 2.0), (math.nan, 0.5, 2.0, 2.0)])
+def test_closedness_refuses_a_region_that_is_not_finite(region):
+    # inf once reached numpy as a non-finite grid, nan the "x1 > x0" message
+    with pytest.raises(ValidationError, match=r"region \(.*\) is not finite"):
+        is_closed(vortex(), region)
+
+
+def test_closedness_probes_the_probe_region_by_default():
+    assert is_closed(vortex()).region == fields.PROBE_REGION
+
+
 def test_closedness_grid_refuses_singular_points():
     # An odd grid count puts a node exactly on the origin.
     with pytest.raises(SingularityError):
