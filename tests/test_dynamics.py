@@ -212,9 +212,9 @@ ABORT_RUNS = {
                                                              singular_points=((0, 0),))]),
                           q0=(1, 0), p0=(0, 1), h=1e-3, T=5),
         2290, "step 2290 left the atlas at (-0.00010964679950198136, 3.741803875114206)", None),
-    "aborted-evaluation": (   # log(0) at the midpoint of the step across x = 0
+    "aborted-evaluation": (   # log(0) where step 4 lands, on x = 0
         lambda: SimConfig(field=from_components("0*log(abs(x))", "0"), atlas=atlas_for(()),
-                          q0=(-0.875, 0.5), p0=(1, 0), h=0.25, T=2),
+                          q0=(-1.0, 0.5), p0=(1, 0), h=0.25, T=2),
         4, "field evaluation failed at (0.0, 0.5): math domain error", None),
 }
 
@@ -234,7 +234,7 @@ def test_abort_runs_stop_at_a_fixed_state_with_a_fixed_reason(status):
 
 def test_a_dropped_state_logs_no_chart_hop():
     tr = simulate(ABORT_RUNS["aborted-evaluation"][0]())
-    # the step into chart 1 is dropped when its midpoint force fails
+    # the step into chart 1 is dropped when the force where it lands fails
     assert tr.chart.tolist() == [2, 2, 2, 2]
     assert tr.transitions == ()
 
@@ -405,7 +405,7 @@ SEAM_ABORTS = {
         q0=(0.5, 0.0), p0=(-0.075, 0.0), h=1, T=20), 14),
     "aborted-evaluation": (lambda: SimConfig(
         field=from_components("0*log(abs(x))", "0"), atlas=atlas_for(()),
-        q0=(-2.875, 0.5), p0=(1, 0), h=0.25, T=4), 12),
+        q0=(-3.0, 0.5), p0=(1, 0), h=0.25, T=4), 12),
 }
 
 
