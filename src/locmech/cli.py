@@ -3,7 +3,8 @@
 A subcommand handler computes and writes nothing: it returns its exit
 code, its report and its files as {path: text}.  render stamps and
 serializes the report; run alone writes the files and prints the report,
-so a refused command writes no files.
+so a refused command writes no files: not even one of several, when
+another of them cannot be written.
 
 Reports go to stdout as JSON with sorted keys; trajectory tables go to
 CSV files named by --out, with a transition log written next to them
@@ -25,7 +26,9 @@ run-dependent content is a generated-at metadata line, suppressed by
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import errno
 import json
 import math
 import os
@@ -759,18 +762,34 @@ def render(argv=None):
     return code, _json_text(report), files
 
 
+def _write(files):
+    """Write each file under a temporary name in its own directory, then
+    move each into place (os.replace, atomic within one file system): a
+    file that cannot be written leaves none of them, and no temporary."""
+    temps = []
+    try:
+        for i, (path, body) in enumerate(files.items()):
+            if os.path.isdir(path):     # os.replace would refuse it after earlier moves
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            temps.append(f"{path}.{os.getpid()}-{i}.tmp")
+            with open(temps[-1], "w") as fh:
+                fh.write(body)
+        for tmp, path in zip(temps, files):
+            os.replace(tmp, path)
+    except (OSError, ValueError) as exc:    # ValueError: a NUL in the path
+        for tmp in temps:
+            with contextlib.suppress(OSError, ValueError):
+                os.unlink(tmp)
+        raise ValidationError(
+            f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def run(argv=None):
     """The command line: render argv, write its files, print its report,
     and map a refusal to its exit code."""
     try:
         code, text, files = render(argv)
-        for path, body in files.items():
-            try:
-                with open(path, "w") as fh:
-                    fh.write(body)
-            except (OSError, ValueError) as exc:    # ValueError: a NUL in the path
-                raise ValidationError(
-                    f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from None
+        _write(files)
         sys.stdout.write(text)
         return code
     except ExprError as exc:

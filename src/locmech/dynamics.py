@@ -13,11 +13,13 @@ as a cross-check reference, not as the default.
 simulate steps in a bare loop (for leapfrog, compiled per field) that
 keeps only the state and the r_min guard, and books everything else in
 numpy once per chunk of steps: the angles about each singular point and
-the step-angle guard, the chart of each state (Atlas.locate), the Simpson
-midpoint forces, work, p_theta and the chart hops.  The run is cut at the
-first step that fails any guard, in the order a step-by-step loop checks
-them, so the log is the same; an abort's cause is kept as tr.abort.  All
-potentials of a run, V and each hop's jump, are rows of one kernel call.
+the step-angle guard, the chart of each state (Atlas.locate), p_theta
+and the chart hops.  The run is cut at the first step that fails any
+guard, in the order a step-by-step loop checks them, so the log is the
+same; an abort's cause is kept as tr.abort.  All line integrals of a
+run, V, each hop's jump and the work along each step chord, are rows of
+one kernel call after stepping ends; a row the kernel refuses cuts the
+run at its step too.
 """
 
 import math
@@ -31,6 +33,7 @@ from .atlas import cocycle as build_cocycle
 from .errors import (
     DomainEvalError,
     NonFiniteError,
+    NumericError,
     SingularityError,
     ValidationError,
 )
@@ -62,8 +65,8 @@ class SimConfig:
 @dataclass(frozen=True)
 class Abort:
     """Why a run stopped early: the step that failed, the guard it failed
-    (singularity, step-guard, coverage or evaluation) and, for the first
-    two, the distance to the singular point or the angle swept."""
+    (singularity, step-guard, coverage, evaluation or quadrature) and, for
+    the first two, the distance to the singular point or the angle swept."""
     step: int
     guard: str
     value: float | None
@@ -140,16 +143,18 @@ def simulate(cfg, potentials=None):
     """Integrate and log the run; aborts are clean partial trajectories.
 
     status is one of completed, aborted-singularity, aborted-step-guard,
-    aborted-coverage, aborted-evaluation; tr.abort is the cause of an abort
-    (an Abort) and None for a completed run.
+    aborted-coverage, aborted-evaluation, aborted-quadrature; tr.abort is
+    the cause of an abort (an Abort) and None for a completed run.
 
     The step loop (leapfrog_loop or _rk4_loop) keeps only what feeds back
     into the state, and stops where _refusal gives the cause.  After every
     _CHUNK steps one numpy pass books the rest (the angles and the step-angle
-    guard, the charts and coverage, the Simpson midpoint forces, work_acc,
-    p_theta and the chart hops) and cuts the run at the first step that fails
-    a guard.  A run so steps up to one chunk past its abort, but logs what
-    stepping and booking one step at a time would log.
+    guard, the charts and coverage, p_theta and the chart hops) and cuts the
+    run at the first step that fails a guard.  A run so steps up to one chunk
+    past its abort, but logs what stepping and booking one step at a time
+    would log.  Then one kernel call integrates V, the hops' jumps and
+    work_acc; the first step with a row it refuses is a quadrature abort,
+    which wins over any later one.
     """
     _validate_config(cfg, potentials)
     ps = potentials or PotentialSet.from_field(cfg.field, cfg.atlas)
@@ -261,10 +266,9 @@ class _Books:
         self.cfg, self.ps = cfg, ps
         (self.sx, self.sy), self.center = cfg.field.columns
         self.steps = 0          # steps kept so far
-        self.theta = None       # the angles and the work at the last state kept
-        self.work = 0.0
+        self.theta = None       # the angles at the last state kept
         self.blocks = []
-        self.hops = []          # (t, old chart, new chart, crossing, in both charts)
+        self.hops = []          # (step, t, old chart, new chart, crossing, in both charts)
         self.anchors = []       # the first state of each chunk and each chart entry
 
     def chunk(self, flat):
@@ -288,21 +292,7 @@ class _Books:
                 end, cause = k - 1, (Abort(done + k, "coverage", None),
                                      f"step {done + k} left the atlas at "
                                      f"({flat[6 * k]}, {flat[6 * k + 1]})")
-            # one Simpson panel of work on each step chord: the endpoint
-            # forces are in hand, the midpoints cost one bulk evaluation
-            mfx, mfy, failed = _midpoint_forces(
-                field, *(0.5 * (state[:2, :end] + state[:2, 1:end + 1])))
-            if failed is not None:
-                end, exc = failed
-                cause = Abort(done + end + 1, "evaluation", None), str(exc)
             state, row = state[:, :end + 1], row[:end + 1]
-            d = state[:2, 1:] - state[:2, :-1]
-            a, b = state[4:, :-1] * d, state[4:, 1:] * d
-            work = np.empty(end + 1)
-            work[0] = self.work
-            np.divide((a[0] + a[1]) + 4.0 * (mfx * d[0] + mfy * d[1]) + (b[0] + b[1]), 6.0,
-                      out=work[1:])
-            np.add.accumulate(work, out=work)
             theta = np.add.accumulate(theta[:end + 1], out=theta[:end + 1])
             lever = (state[:2] - self.center) * state[3:1:-1]   # (x - cx) py, (y - cy) px
         changes = _chart_changes(row).tolist()
@@ -310,15 +300,15 @@ class _Books:
                                      state[:2, k - 1:k + 1].T.tolist(), done + k) for k in changes]
         first = 0 if self.theta is None else 1     # row 0 is booked already
         self.anchors += [done + k for k in sorted({first, *changes}) if k <= end]
-        self.blocks.append((state[:4, first:], row[first:], theta[first:], work[first:],
+        self.blocks.append((state[:4, first:], row[first:], theta[first:],
                             lever[0, first:] - lever[1, first:]))
-        self.steps, self.theta, self.work = done + end, theta[-1], work[-1]
+        self.steps, self.theta = done + end, theta[-1]
         return cause
 
     def _crossing(self, old, new, q, k):
-        """(time, old, new, point, in both charts) where a hop from chart old
-        to chart new, on step k from q[0] to q[1], leaves the old chart; the
-        jump of the potential there is minus the cocycle entry."""
+        """(step, time, old, new, point, in both charts) where a hop from
+        chart old to chart new, on step k from q[0] to q[1], leaves the old
+        chart; the jump of the potential there is minus the cocycle entry."""
         ch_old, ch_new, h = self.cfg.atlas.charts[old], self.cfg.atlas.charts[new], self.cfg.h
         (x0, y0), (x1, y1) = q
         s = ch_old.first_exit(q[0], q[1])
@@ -327,7 +317,7 @@ class _Books:
         both = ch_new.contains(q_x, 1e-6) and ch_old.contains(q_x, 1e-6)
         for cid in (new, old) if both else ():      # refuse as ps.value would
             self.ps.evaluators[cid].member(q_x)
-        return k * h - (1.0 - s) * h, old, new, q_x, both
+        return k, k * h - (1.0 - s) * h, old, new, q_x, both
 
     def _angles(self, x, y):
         """The angle of each state (coordinates x, y) about each singular
@@ -348,67 +338,57 @@ class _Books:
         return theta, None
 
     def trajectory(self, cause, reason):
-        """The Trajectory of the kept states, with V and the hops' jumps from
-        one kernel call: V from the basepoint at each anchor and along the
-        chords after it (in a chart, the potential does not depend on the path)."""
+        """The Trajectory of the kept states, with V, the hops' jumps and
+        work_acc from one kernel call.  Its rows: V of each state, from its
+        chart's basepoint at an anchor and along the chord from the state
+        before it elsewhere (in a chart, the potential does not depend on
+        the path); two per hop inside both charts, from its new and its old
+        chart's basepoint to its crossing; the chords at the later anchors.
+        work_acc sums the chords.  A refused row ends the run before its
+        step, as a failed guard does, and the kept states are integrated again."""
         cfg, ps = self.cfg, self.ps
-        # two rows per hop inside both charts, from its new and its old chart's
-        # basepoint to its crossing; q holds the crossings after the states
-        hops = [(ps.atlas.charts[c].basepoint, q_x)
-                for _, a, b, q_x, inside in self.hops if inside for c in (b, a)]
-        self.blocks = [*zip(*self.blocks)]      # column by column
-        if hops:
-            self.blocks[0] += (np.transpose([(*q_x, 0.0, 0.0) for _, q_x in hops]),)
-        q, row, theta, work_acc, p_theta = (
+        q, row, theta, p_theta = (
             p[0] if len(p) == 1 else np.concatenate(p, axis=-1 if k == 0 else 0)
-            for k, p in enumerate(self.blocks))
+            for k, p in enumerate(zip(*self.blocks)))
         self.blocks = None      # free the chunks before the post-pass
-        n, anchors = len(row), self.anchors
-        qx, qy, px, py = q[:, :n]
-        with np.errstate(over="ignore"):    # momenta past 1e154 square to inf
-            Tkin = (px ** 2 + py ** 2) / (2.0 * cfg.m)
-        # independent of work_acc; ps.atlas has cfg.atlas's charts, so its rows
-        starts = q[:2, np.arange(-1, q.shape[1] - 1)].T     # row k - 1
-        starts[anchors] = ps.basepoints[row[anchors]]
-        if hops:
-            starts[n:] = [base for base, _ in hops]
-        V = segment_integrals(cfg.field, starts, q[:2].T)
-        raw, gauge = iter((-V[n:]).tolist()), ps.gauges     # ps.value: gauge + raw
-        transitions = [Transition(t, a, b, q_x, (gauge[b] + next(raw)) - (gauge[a] + next(raw))
-                                  if inside else None) for t, a, b, q_x, inside in self.hops]
-        V = V[:n]
+        n = len(row)
+        while True:
+            anchors, hops = [k for k in self.anchors if k < n], [h for h in self.hops if h[0] < n]
+            pts = q[:2, :n].T
+            starts = pts[np.arange(-1, n - 1)]      # row k - 1
+            starts[anchors] = ps.basepoints[row[anchors]]
+            extra = [(ps.atlas.charts[c].basepoint, q_x, k)      # (start, end, step)
+                     for k, _, a, b, q_x, both in hops if both for c in (b, a)]
+            extra += [(pts[k - 1], pts[k], k) for k in anchors[1:]]
+            starts = np.concatenate([starts, np.reshape([e[0] for e in extra], (-1, 2))])
+            ends = np.concatenate([pts, np.reshape([e[1] for e in extra], (-1, 2))])
+            try:
+                kernel = segment_integrals(cfg.field, starts, ends)
+                break
+            except NumericError as exc:
+                k = exc.row if exc.row is None or exc.row < n else extra[exc.row - n][2]
+                if not k:       # no row named, or the first state's potential
+                    raise
+                n, cause, reason = k, Abort(k, "quadrature", None), f"step {k}: {exc}"
+        V, raw, chords = np.split(kernel, [n, len(kernel) - len(anchors) + 1])
+        work_acc = V.copy()
+        work_acc[0], work_acc[anchors[1:]] = 0.0, chords
+        np.add.accumulate(work_acc, out=work_acc)
         for a, b in zip(anchors, anchors[1:] + [n]):
             np.add.accumulate(V[a:b], out=V[a:b])
+        row, (qx, qy, px, py) = row[:n], q[:, :n]
         V = ps.gauge_array[row] - V
+        raw, gauge = iter((-raw).tolist()), ps.gauges     # ps.value: gauge + raw
+        transitions = [Transition(t, a, b, q_x, (gauge[b] + next(raw)) - (gauge[a] + next(raw))
+                                  if both else None) for _, t, a, b, q_x, both in hops]
+        with np.errstate(over="ignore"):    # momenta past 1e154 square to inf
+            Tkin = (px ** 2 + py ** 2) / (2.0 * cfg.m)
         arrays = {
-            "t": cfg.h * np.arange(len(qx)), "qx": qx, "qy": qy, "px": px, "py": py,
-            "chart": np.array(cfg.atlas.ids)[row], "theta": theta, "V": V, "Tkin": Tkin,
-            "E_local": Tkin + V, "p_theta": p_theta, "work_acc": work_acc,
+            "t": cfg.h * np.arange(n), "qx": qx, "qy": qy, "px": px, "py": py,
+            "chart": np.array(cfg.atlas.ids)[row], "theta": theta[:n], "V": V, "Tkin": Tkin,
+            "E_local": Tkin + V, "p_theta": p_theta[:n], "work_acc": work_acc,
         }
         return Trajectory(cfg, arrays, transitions, reason, cause)
-
-
-def _midpoint_forces(field, mx, my):
-    """The field at the midpoints by one strict eval_array call; if that
-    raises, eval_at at each in turn up to the first that fails, whose
-    exception gives the reason; a step that strict numpy refuses and Python
-    absorbs (eval_array's one difference) gets eval_at's force.  Returns
-    the forces before any failure and (its index, the exception) or None."""
-    if not len(mx):
-        return mx, my, None
-    try:
-        return *field.eval_array(mx, my, strict=True), None
-    except _EVAL_ERRORS:
-        pass
-    fx, fy = [], []
-    for i, (x, y) in enumerate(zip(mx.tolist(), my.tolist())):
-        try:
-            vx, vy = field.eval_at(x, y)
-        except _EVAL_ERRORS as exc:
-            return np.array(fx), np.array(fy), (i, exc)
-        fx.append(vx)
-        fy.append(vy)
-    return np.array(fx), np.array(fy), None
 
 
 def _chart_changes(chart):

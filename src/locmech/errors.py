@@ -15,7 +15,10 @@ class ValidationError(LocmechError):
 
 
 class NumericError(LocmechError):
-    """A numeric guard tripped; results would be meaningless."""
+    """A numeric guard tripped; results would be meaningless.  row is the
+    lowest row of a batch of line integrals that the guard refused, or None."""
+
+    row = None
 
 
 class SingularityError(NumericError):
@@ -31,7 +34,7 @@ class DomainEvalError(NumericError):
 
 
 class NonFiniteError(NumericError):
-    """A bulk evaluation produced inf or nan."""
+    """A value or an integral came out inf or nan."""
 
 
 class ChartMembershipError(ValidationError):

@@ -47,7 +47,6 @@ PROBE_REGION = (0.5, 0.5, 2.0, 2.0)    # where is_closed tests closedness by def
 _THETA_MAX = math.pi / 2
 _MAX_REFINE_DEPTH = 48          # halvings of an angle step; bisection rounds of a panel
 MAX_SEGMENT_LENGTH = 1e5
-_IEEE_RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -101,14 +100,13 @@ class FieldOneForm:
             raise DomainEvalError(f"field evaluation failed at ({x}, {y}): {exc}") from None
         raise NonFiniteError(f"non-finite field value at ({x}, {y})")
 
-    def eval_array(self, xs, ys, r_min=R_MIN_EVAL, strict=False):
+    def eval_array(self, xs, ys, r_min=R_MIN_EVAL):
         """The field at the points of the arrays xs, ys.  r_min = 0 skips the
         distance pass, for nodes kept away already.  numpy carries inf and
         nan through a division by zero, an invalid operation or an overflow,
-        and may absorb them (1/(1/x) at x = 0); strict=True refuses those
-        steps with DomainEvalError.  That is eval_at's rule, except that
-        strict also refuses an overflow or invalid step that Python float
-        arithmetic absorbs: 1/(x*1e308*10) at x = 1 is 0.0 by eval_at."""
+        and a later step may absorb them (1/(1/x) at x = 0, where eval_at
+        raises); a value that is not finite comes back as it is, for the
+        caller to refuse."""
         with np.errstate(**QUIET):
             for sx, sy in self.singular_points if r_min else ():
                 dx, dy = xs - sx, ys - sy
@@ -116,16 +114,10 @@ class FieldOneForm:
                     raise SingularityError(
                         f"evaluation within r_min={r_min} of singular point ({sx}, {sy})"
                     )
-        with np.errstate(**(_IEEE_RAISE if strict else QUIET)):
             try:
-                vx, vy = (at_shape(v, (xs,)) for v in self.pair_array(xs, ys))
-            except (FloatingPointError, *MATH_ERRORS) as exc:   # constants run in Python floats
+                return tuple(at_shape(v, (xs,)) for v in self.pair_array(xs, ys))
+            except MATH_ERRORS as exc:      # constants run in Python floats
                 raise DomainEvalError(f"bulk field evaluation failed: {exc}") from None
-        finite = np.isfinite(vx)
-        finite &= np.isfinite(vy)
-        if np.count_nonzero(finite) < finite.size:
-            raise NonFiniteError("non-finite field value in bulk evaluation")
-        return vx, vy
 
     @property
     def center(self):
@@ -445,14 +437,17 @@ def _panel_sums(field, pan, path=None):
     return c[:k, 0], (np.abs(c) @ _TAIL_SUM)[:k], ((np.abs(gx) + np.abs(gy)) @ _GL_H)[:k]
 
 
-def _row_sums(field, pan, owner, rows, path=None):
+def _row_sums(field, pan, owner, rows, path=None, first=0):
     """The panel integrals (see _panel_sums) summed per row, owner giving
     each panel's row.  A panel whose tail is over _TAIL_TOL of its scale
     and over _ROW_TOL of its row's first-round scale is bisected and
     integrated again, all rows in one round (Piessens et al., QUADPACK,
-    1983); past _MAX_REFINE_DEPTH rounds or _MAX_SEGMENT_PANELS added
-    panels on a row, RefinementLimitError."""
-    out = added = 0.0
+    1983).  A row past _MAX_REFINE_DEPTH rounds or _MAX_SEGMENT_PANELS
+    added panels is refused and refined no further (RefinementLimitError),
+    and so is one whose sum is not finite, from a field value or a panel
+    past the double range (NonFiniteError): the error names the lowest, as
+    first + its index."""
+    out, added = 0.0, np.zeros(rows, np.intp)
     for depth in range(_MAX_REFINE_DEPTH + 1):
         sums, tail, scale = _panel_sums(field, pan, path)
         bad = tail > _TAIL_TOL * scale
@@ -461,33 +456,37 @@ def _row_sums(field, pan, owner, rows, path=None):
                 floor = _ROW_TOL * np.bincount(owner, scale, rows)
             bad &= tail > floor[owner]
         if not np.count_nonzero(bad):
-            return out + np.bincount(owner, sums, rows)
+            out = out + np.bincount(owner, sums, rows)
+            break
         out = out + np.bincount(owner, np.where(bad, 0.0, sums), rows)
         owner, half = owner[bad], pan[..., bad]     # a copy: (start, width)
-        added = added + np.bincount(owner, minlength=rows)
-        if added.max() > _MAX_SEGMENT_PANELS:
-            break
+        added += np.bincount(owner, minlength=rows)
+        live = added[owner] <= _MAX_SEGMENT_PANELS
+        owner, half = owner[live], half[..., live]
         half[1] *= 0.5
         right = half.copy()
         right[0] += half[1]
         owner, pan = np.tile(owner, 2), np.concatenate([half, right], 2)
-    raise RefinementLimitError("segment quadrature did not converge: the field may vary "
-                               "too fast, or have a singular point that is not declared")
-
-
-def _finite(values, what):
-    """values, or NonFiniteError when an integral left the double range."""
-    if not (math.isfinite(values) if type(values) is float else
-            np.count_nonzero(np.isfinite(values)) == values.size):
-        raise NonFiniteError(f"non-finite {what}")
-    return values
+    else:
+        added[owner] = _MAX_SEGMENT_PANELS + 1      # unresolved after the last round
+    capped = added > _MAX_SEGMENT_PANELS
+    refused = capped | ~np.isfinite(out)
+    if np.count_nonzero(refused):
+        row = int(refused.argmax())
+        error = (RefinementLimitError("segment quadrature did not converge: the field may vary "
+                                      "too fast, or have a singular point that is not declared")
+                 if capped[row] else NonFiniteError("non-finite field value or line integral"))
+        error.row = first + row
+        raise error
+    return out
 
 
 def segment_integrals(field, a, bs):
     """Line integrals along the segments a -> b for the rows b of the (n, 2)
     array bs, from one start point a (shape (2,) or (1, 2)) or from row i of
     an (n, 2) array a: _batch_cuts panels refined by _row_sums, _BLOCK_STATES
-    (segment, singular point) pairs at a time.  No row depends on the others."""
+    (segment, singular point) pairs at a time.  No row depends on the
+    others; the error of a row _row_sums refuses names the lowest such row."""
     bs = np.asarray(bs, dtype=float).reshape(-1, 2)
     starts = np.broadcast_to(np.asarray(a, dtype=float).reshape(-1, 2), bs.shape)
     out = np.empty(len(bs))
@@ -500,8 +499,8 @@ def segment_integrals(field, a, bs):
             np.multiply(lo, d, out=pan[0])    # then x0 = ax + lo dx, ...
             pan[0] += a_j.take(owner, 1)
             np.multiply(width, d, out=pan[1])
-            out[i:i + step] = _row_sums(field, pan, owner, b_j.shape[1])
-    return _finite(out, "segment integral")
+            out[i:i + step] = _row_sums(field, pan, owner, b_j.shape[1], first=i)
+    return out
 
 
 def segment_work(field, a, b):
@@ -513,8 +512,7 @@ def segment_work(field, a, b):
     pan = np.array([[[lo * dx + ax, lo * dy + ay], [(hi - lo) * dx, (hi - lo) * dy]]
                     for lo, hi in zip(cuts, cuts[1:])]).reshape(-1, 2, 2).transpose(1, 2, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(float(_row_sums(field, pan, np.zeros(len(cuts) - 1, np.intp), 1)[0]),
-                       "segment integral")
+        return float(_row_sums(field, pan, np.zeros(len(cuts) - 1, np.intp), 1)[0])
 
 
 def work(field, path, quad=None):
@@ -531,8 +529,7 @@ def work(field, path, quad=None):
         return float(segment_integrals(field, v[:-1], v[1:]).sum())
     with np.errstate(**QUIET):
         pan = _path_panels(field, path)
-        total = _row_sums(field, pan, np.zeros(pan.shape[2], np.intp), 1, path)[0]
-    return _finite(float(total), "work integral")
+        return float(_row_sums(field, pan, np.zeros(pan.shape[2], np.intp), 1, path)[0])
 
 
 # ---------------------------------------------------------------------------

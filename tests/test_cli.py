@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+from locmech import cli
 from locmech.atlas import quadrant_atlas
 from locmech.cli import CSV_COLUMNS, render, run
 from locmech.cover import lift_trajectory
@@ -452,6 +453,46 @@ def test_an_unwritable_output_path_exits_1(tmp_path, capsys, monkeypatch, argv, 
     assert (code, out) == (1, "")
     assert err.startswith(f"invalid input: cannot write {target}: ")
     assert os.listdir(tmp_path) == ["traj.csv"]
+
+
+def test_a_file_that_cannot_be_written_leaves_none_of_them(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, "simulate", "--field", "vortex", "--q0", "1,0", "--p0", "0,1",
+                            "--T", "0.1", "--out", "ok.csv", "--emit-svg", "missing/x.svg")
+    assert (code, out) == (1, "")
+    assert err == "invalid input: cannot write missing/x.svg: No such file or directory\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("failing", range(3))
+@pytest.mark.parametrize("why", ["missing directory", "a directory"])
+def test_each_position_of_the_file_list_can_refuse_them_all(tmp_path, capsys, monkeypatch,
+                                                            failing, why):
+    monkeypatch.chdir(tmp_path)
+    names = ["a.csv", "a.transitions.json", "a.svg"]
+    if why == "a directory":
+        os.mkdir(names[failing])
+    else:
+        names[failing] = os.path.join("missing", names[failing])
+    monkeypatch.setattr(cli, "render", lambda argv: (0, "report\n", {n: n for n in names}))
+    code, out, err = invoke(capsys, "simulate")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"invalid input: cannot write {names[failing]}: ")
+    assert os.listdir(tmp_path) == ([names[failing]] if why == "a directory" else [])
+
+
+def test_a_quadrature_abort_exits_2_and_writes_its_states(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, "simulate", "--field", "0.001/(x-0.3000001);0",
+                            "--q0", "0.5,0", "--p0=-1,0", "--h", "1e-3", "--T", "0.6",
+                            "--out", "pole.csv", "--deterministic")
+    doc = json.loads(out)
+    assert code == 2 and (doc["status"], doc["states"]) == ("aborted-quadrature", 201)
+    assert err.startswith("aborted: step 201: segment quadrature did not converge")
+    assert len((tmp_path / "pole.csv").read_text().splitlines()) == 1 + 201
+    sidecar = json.loads((tmp_path / "pole.transitions.json").read_text())
+    assert sidecar["status"] == "aborted-quadrature"
+    assert sorted(os.listdir(tmp_path)) == ["pole.csv", "pole.transitions.json"]
 
 
 def test_render_computes_and_run_writes(tmp_path, capsys, monkeypatch):

@@ -29,6 +29,7 @@ from locmech.errors import (
     ChartMembershipError,
     DomainEvalError,
     NonFiniteError,
+    NumericError,
     SingularityError,
     ValidationError,
 )
@@ -135,9 +136,11 @@ def test_post_pass_is_one_kernel_call_per_run(count_rows):
     calls = count_rows(dynamics, "segment_integrals")
     tr = simulate(vortex_cfg(T=4.0), PotentialSet.from_field(vortex(), quadrant_atlas()))
     assert len(set(tr.chart.tolist())) > 1
-    # a row per state, then two per hop: the potentials of both charts at its crossing
+    # a row per state, then two per hop: the potentials of both charts at its
+    # crossing; then the chord of each step that enters a chart, whose state's
+    # row starts at the basepoint
     hops = sum(t.delta_e is not None for t in tr.transitions)
-    assert hops and calls == [tr.n_states + 2 * hops]
+    assert hops and calls == [tr.n_states + 2 * hops + len(tr.transitions)]
 
 
 def test_radial_equation_of_motion():
@@ -294,8 +297,8 @@ def _reference_run(cfg, ps):
     """The per-step loop simulate replaced, kept as a reference: every guard
     and every logged value taken one step at a time, in the same order
     (stepping, with r_min where a step ends before the force there, step
-    angle, coverage, midpoint force).  Returns the status, the reason, the
-    logged columns and the transitions."""
+    angle, coverage, the work along the step's chord).  Returns the status,
+    the reason, the logged columns and the transitions."""
     field, atlas, h, m = cfg.field, cfg.atlas, cfg.h, cfg.m
     singulars, (cx, cy) = field.singular_points, field.center
     step = _leapfrog_step if cfg.integrator == "leapfrog" else _rk4_step
@@ -333,12 +336,10 @@ def _reference_run(cfg, ps):
             status, reason = "aborted-coverage", f"step {k} left the atlas at ({nx}, {ny})"
             break
         try:
-            mfx, mfy = field.eval_at(0.5 * (x + nx), 0.5 * (y + ny))
-        except (DomainEvalError, NonFiniteError, SingularityError) as exc:
-            status, reason = "aborted-evaluation", str(exc)
+            dw = fields.segment_integrals(field, (x, y), [(nx, ny)])[0]
+        except NumericError as exc:
+            status, reason = "aborted-quadrature", f"step {k}: {exc}"
             break
-        dx, dy = nx - x, ny - y
-        dw = ((fx * dx + fy * dy) + 4.0 * (mfx * dx + mfy * dy) + (nfx * dx + nfy * dy)) / 6.0
         if chart != rows[-1][4]:
             transitions.append(_log_transition(
                 atlas, ps, rows[-1][4], chart, (x, y), (nx, ny), k * h, h))
@@ -436,12 +437,89 @@ def test_aborts_in_a_later_chunk_match_the_per_step_reference(monkeypatch, statu
 @pytest.mark.parametrize("fx", ["1/(1/x)*0", "0*atan2(1, 1/x)", "0*exp(-1/(x*x))"])
 def test_a_midpoint_force_numpy_would_absorb_is_refused_as_eval_at_refuses(monkeypatch, fx):
     # numpy turns 1/0 into inf and then into a finite value; the scalar
-    # rule raises there, and the bulk midpoint pass must stop where it does
+    # rule raises there, so the step that lands on x = 0 stops the run
     monkeypatch.setattr(dynamics, "_CHUNK", 7)
     make, step = SEAM_ABORTS["aborted-evaluation"]
     tr = _assert_matches_reference(replace(make(), field=from_components(fx, "0")))
     assert (tr.status, tr.n_states) == ("aborted-evaluation", step)
     assert tr.abort_reason == "field evaluation failed at (0.0, 0.5): float division by zero"
+
+
+def test_a_midpoint_where_the_force_is_undefined_is_no_quadrature_node():
+    # log(0) at the midpoint of the step across x = 0 once stopped this run;
+    # no Gauss node lands there, and the force is 0 wherever it is defined
+    tr = simulate(SimConfig(field=from_components("0*log(abs(x))", "0"), atlas=atlas_for(()),
+                            q0=(-0.875, 0.5), p0=(1, 0), h=0.25, T=2))
+    assert tr.completed and tr.n_states == 9
+    assert np.count_nonzero(tr.work_acc) == 0
+
+
+def _chord_sum(tr):
+    q = tr.positions()
+    return np.concatenate([[0.0], np.cumsum(fields.segment_integrals(tr.field, q[:-1], q[1:]))])
+
+
+@pytest.mark.parametrize("chunk, make", [
+    (dynamics._CHUNK, lambda: vortex_cfg(T=5.0)),
+    (7, SEAM_RUNS["leapfrog, many hops"]),
+    (dynamics._CHUNK, lambda: vortex_cfg(T=5.0, integrator="rk4")),
+], ids=["check-5", "7-step chunks, many hops", "rk4"])
+def test_work_acc_is_the_running_sum_of_the_step_chords(monkeypatch, chunk, make):
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    tr = simulate(make())
+    assert tr.completed and tr.transitions
+    assert float(np.max(np.abs(tr.work_acc - _chord_sum(tr)))) <= 1e-14
+
+
+@pytest.mark.parametrize("h, drift", [(1e-3, 1.241677e-06), (5e-4, 3.104194e-07)])
+def test_kinetic_energy_less_work_drifts_as_h_squared(h, drift):
+    # the leapfrog's own error: the chord integrals add none at this size
+    tr = simulate(replace(_spring(((0.0, 0.0), (2.0, 0.0))), h=h))
+    assert tr.completed and len(tr.transitions) == 3
+    assert float(np.ptp(tr.Tkin - tr.work_acc)) == pytest.approx(drift, rel=1e-5)
+
+
+# an undeclared pole on the line x = 0.3000001, crossed by the chord of step 201
+POLE = "0.001/(x-0.3000001)"
+
+
+def _pole_cfg(fy="0", **kw):
+    base = dict(field=from_components(POLE, fy), atlas=atlas_for(()), q0=(0.5, 0.0),
+                p0=(-1.0, 0.0), h=1e-3, T=0.6)
+    return SimConfig(**{**base, **kw})
+
+
+def test_a_chord_across_an_undeclared_pole_is_a_quadrature_abort():
+    cfg = _pole_cfg()
+    tr = _assert_matches_reference(cfg)
+    assert (tr.status, tr.abort, tr.n_states) == (
+        "aborted-quadrature", Abort(201, "quadrature", None), 201)
+    assert tr.abort_reason == ("step 201: segment quadrature did not converge: the field may "
+                               "vary too fast, or have a singular point that is not declared")
+    assert float(np.min(tr.qx)) > 0.3000001 > tr.qx[-1] + cfg.h * tr.px[-1]
+    for name in ("t", "qx", "qy", "px", "py", "V", "Tkin", "E_local", "p_theta", "work_acc"):
+        assert np.all(np.isfinite(getattr(tr, name))), name
+
+
+def test_a_quadrature_abort_wins_over_a_later_loop_guard():
+    # log(x + 0.1) refuses the step past x = -0.1, about 400 steps later
+    tr = simulate(_pole_cfg(fy="0*log(x+0.1)", T=1.0))
+    assert (tr.status, tr.abort.step, tr.n_states) == ("aborted-quadrature", 201, 201)
+
+
+def test_a_refused_hop_row_ends_the_run_before_the_hop():
+    # the step into chart 2 crosses the wall x = 0 and a pole just past it:
+    # the hop's rows and that step's chord are refused, no earlier row is
+    tr = simulate(replace(_pole_cfg(), field=from_components("0.001/(x+0.0000001)", "0")))
+    assert (tr.status, tr.abort.step, tr.n_states) == ("aborted-quadrature", 501, 501)
+    assert tr.transitions == () and set(tr.chart.tolist()) == {1}
+
+
+def test_a_run_whose_first_potential_is_refused_raises():
+    # from (0, 0) the row of state 0, from chart 1's basepoint (1, 1), crosses the pole
+    with pytest.raises(NumericError) as info:
+        simulate(_pole_cfg(q0=(0.0, 0.0), p0=(1.0, 0.0)))
+    assert info.value.row == 0
 
 
 # closed fields (each force component depends on one coordinate, or sums
@@ -533,7 +611,7 @@ def test_a_run_compiles_each_closure_of_its_field_once(monkeypatch):
     cfg = vortex_cfg(T=1.0)
     for _ in range(2):
         assert simulate(cfg).completed
-    # eval_at's pair, eval_array's pair (potentials, midpoints), the loop's text
+    # eval_at's pair, eval_array's pair (the kernel's nodes), the loop's text
     assert sorted(compiles) == ["math", "numpy"] and len(texts) == 1
 
 
@@ -620,10 +698,12 @@ def test_v_restarts_from_the_basepoint_at_each_chunk_and_chart_entry(monkeypatch
     want = np.column_stack([np.roll(tr.qx, 1), np.roll(tr.qy, 1)])
     for k in entries:
         want[k] = cfg.atlas.charts[int(tr.chart[k])].basepoint
-    # then each hop's two rows start at the new and the old chart's basepoint
+    # then each hop's two rows start at the new and the old chart's basepoint,
+    # and the chord of each of those states but the first at the state before
     hops = [cfg.atlas.charts[cid].basepoint for t in tr.transitions if t.delta_e is not None
             for cid in (t.to_chart, t.from_chart)]
-    assert tr.transitions and np.array_equal(starts[0], np.vstack([want, hops]))
+    chords = np.column_stack([tr.qx, tr.qy])[np.array(sorted(entries - {0})) - 1]
+    assert tr.transitions and np.array_equal(starts[0], np.vstack([want, hops, chords]))
 
 
 def test_config_validation():

@@ -270,6 +270,29 @@ def test_an_unresolvable_integrand_exits_2_in_bounded_work(fx, end, monkeypatch)
         segment_work(field, (0.0, 0.0), end)
 
 
+# one batch per refusal kind: row 1 is refused and so is a later row
+REFUSED_ROWS = {
+    "refinement cap": ("1/(x-1/3)", [(0.0, 0.0), (0.2, 0.0)], [(0.0, 0.0), (1.0, 0.0)],
+                       [(0.1, 0.0), (0.5, 0.0)], RefinementLimitError, "segment quadrature"),
+    "non-finite node": ("sqrt(y)", [(0.0, 1.0), (1.0, 1.0)], [(0.0, 1.0), (1.0, -1.0)],
+                        [(0.0, -1.0), (1.0, -1.0)], NonFiniteError, "non-finite field value"),
+    "non-finite integral": ("1e308", [(0.0, 0.0), (1e-8, 0.0)], [(0.0, 0.0), (10.0, 0.0)],
+                            [(0.0, 0.0), (20.0, 0.0)], NonFiniteError, "line integral"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSED_ROWS))
+@pytest.mark.parametrize("fine", [1, 3000], ids=["one block", "three blocks"])
+def test_segment_integrals_names_the_lowest_refused_row(kind, fine):
+    fx, good, bad, later, error, message = REFUSED_ROWS[kind]
+    field = from_components(fx, "0")
+    rows = [good] * fine + [bad, good, later]
+    with pytest.raises(error, match=message) as info:
+        segment_integrals(field, *np.transpose(rows, (1, 0, 2)))
+    assert info.value.row == fine
+    assert segment_integrals(field, *np.transpose(rows[:fine], (1, 0, 2))).shape == (fine,)
+
+
 def _integral_of_atan(y):
     return y * math.atan(y) - 0.5 * math.log1p(y * y)
 
