@@ -11,15 +11,16 @@ time-reversible, O(h^2).  A classical RK4 integrator is kept alongside
 as a cross-check reference, not as the default.
 
 simulate steps in a bare loop (for leapfrog, compiled per field) that
-keeps only the state and the r_min guard, and books everything else in
-numpy once per chunk of steps: the angles about each singular point and
-the step-angle guard, the chart of each state (Atlas.locate), p_theta
-and the chart hops.  The run is cut at the first step that fails any
-guard, in the order a step-by-step loop checks them, so the log is the
-same; an abort's cause is kept as tr.abort.  All line integrals of a
-run, V, each hop's jump and the work along each step chord, are rows of
-one kernel call after stepping ends; a row the kernel refuses cuts the
-run at its step too.
+keeps only the state and the r_min guard.  Once per chunk of steps, numpy
+guards the new states: the chart of each (Atlas.locate), its angle step
+about each singular point, and the step-angle and coverage guards.  The
+run is cut at the first step that fails any guard, in the order a
+step-by-step loop checks them, so the log is the same; an abort's cause
+is kept as tr.abort.  The chunks only guard: what a run records (the
+chart hops, theta, p_theta, and V, each hop's jump and the work along
+each step chord from one kernel call) is booked once after stepping
+ends, on the whole run; a row the kernel refuses cuts the run at its
+step too.
 """
 
 import math
@@ -148,13 +149,13 @@ def simulate(cfg, potentials=None):
 
     The step loop (leapfrog_loop or _rk4_loop) keeps only what feeds back
     into the state, and stops where _refusal gives the cause.  After every
-    _CHUNK steps one numpy pass books the rest (the angles and the step-angle
-    guard, the charts and coverage, p_theta and the chart hops) and cuts the
-    run at the first step that fails a guard.  A run so steps up to one chunk
-    past its abort, but logs what stepping and booking one step at a time
-    would log.  Then one kernel call integrates V, the hops' jumps and
-    work_acc; the first step with a row it refuses is a quadrature abort,
-    which wins over any later one.
+    _CHUNK steps one numpy pass guards the new states (the step-angle and
+    coverage guards) and cuts the run at the first step that fails one.  A
+    run so steps up to one chunk past its abort, but logs what stepping and
+    booking one step at a time would log.  Then the whole run is booked
+    once: the chart hops, theta, p_theta, and one kernel call for V, the
+    hops' jumps and work_acc; the first step with a row it refuses is a
+    quadrature abort, which wins over any later one.
     """
     _validate_config(cfg, potentials)
     ps = potentials or PotentialSet.from_field(cfg.field, cfg.atlas)
@@ -260,19 +261,17 @@ def _refusal(field, k, x, y, r_min):
 
 
 class _Books:
-    """The logged columns and the hops of a run, booked a chunk of steps at a time."""
+    """A run's kept states, guarded a chunk of steps at a time; trajectory
+    books all that they record once, on the whole run's arrays."""
 
     def __init__(self, cfg, ps):
         self.cfg, self.ps = cfg, ps
-        (self.sx, self.sy), self.center = cfg.field.columns
         self.steps = 0          # steps kept so far
-        self.theta = None       # the angles at the last state kept
-        self.blocks = []
-        self.hops = []          # (step, t, old chart, new chart, crossing, in both charts)
-        self.anchors = []       # the first state of each chunk and each chart entry
+        self.blocks = []        # each chunk's new states, their chart rows and angle steps
+        self.anchors = []       # the first new state of each chunk
 
     def chunk(self, flat):
-        """Book the states of flat, six numbers each (x, y, px, py, fx, fy):
+        """Guard the states of flat, six numbers each (x, y, px, py, fx, fy):
         the last state kept, then one per step.  Keeps them up to the first
         step that fails a guard, and returns that step's (Abort, reason), or
         None if all pass."""
@@ -280,29 +279,29 @@ class _Books:
         state = np.fromiter(flat, float, len(flat)).reshape(-1, 6).T.copy()
         end, cause = state.shape[1] - 1, None   # steps kept; why the next one is not
         row = atlas.locate(state[0], state[1])  # each state's chart, as its index in ids
+        (sx, sy), _ = field.columns
         with np.errstate(over="ignore", invalid="ignore"):
-            theta, swept = self._angles(state[0], state[1])
-            if swept is not None:
-                end, j, r = swept
-                sx, sy = field.singular_points[j]
-                cause = (Abort(done + end + 1, "step-guard", r),
-                         f"step {done + end + 1} swept {r:.3f} rad about ({sx}, {sy}); reduce h")
-            k = int(row.argmax())
-            if k <= end and row[k] == len(atlas.charts):
-                end, cause = k - 1, (Abort(done + k, "coverage", None),
-                                     f"step {done + k} left the atlas at "
-                                     f"({flat[6 * k]}, {flat[6 * k + 1]})")
-            state, row = state[:, :end + 1], row[:end + 1]
-            theta = np.add.accumulate(theta[:end + 1], out=theta[:end + 1])
-            lever = (state[:2] - self.center) * state[3:1:-1]   # (x - cx) py, (y - cy) px
-        changes = _chart_changes(row).tolist()
-        self.hops += [self._crossing(atlas.ids[row[k - 1]], atlas.ids[row[k]],
-                                     state[:2, k - 1:k + 1].T.tolist(), done + k) for k in changes]
-        first = 0 if self.theta is None else 1     # row 0 is booked already
-        self.anchors += [done + k for k in sorted({first, *changes}) if k <= end]
-        self.blocks.append((state[:4, first:], row[first:], theta[first:],
-                            lever[0, first:] - lever[1, first:]))
-        self.steps, self.theta = done + end, theta[-1]
+            # the angle of state 0 about each singular point, then each step's,
+            # wrapped to [-pi, pi] as fields.unwrapped_angle wraps path steps
+            theta = np.arctan2(state[1, :, None] - sy, state[0, :, None] - sx)
+            d = theta[1:]
+            d -= theta[:-1]
+            d -= TAU * np.rint(d / TAU)
+            swept = np.argwhere(np.abs(d) >= STEP_ANGLE_GUARD)
+        if len(swept):
+            end, j = swept[0].tolist()
+            r, (sx, sy) = float(d[end, j]), field.singular_points[j]
+            cause = (Abort(done + end + 1, "step-guard", r),
+                     f"step {done + end + 1} swept {r:.3f} rad about ({sx}, {sy}); reduce h")
+        k = int(row.argmax())
+        if k <= end and row[k] == len(atlas.charts):
+            end, cause = k - 1, (Abort(done + k, "coverage", None),
+                                 f"step {done + k} left the atlas at "
+                                 f"({flat[6 * k]}, {flat[6 * k + 1]})")
+        first = 1 if self.blocks else 0     # row 0 is kept already, but for q0
+        self.anchors.append(done + first)
+        self.blocks.append((state[:4, first:end + 1], row[first:end + 1], theta[first:end + 1]))
+        self.steps = done + end
         return cause
 
     def _crossing(self, old, new, q, k):
@@ -319,74 +318,60 @@ class _Books:
             self.ps.evaluators[cid].member(q_x)
         return k, k * h - (1.0 - s) * h, old, new, q_x, both
 
-    def _angles(self, x, y):
-        """The angle of each state (coordinates x, y) about each singular
-        point, less its predecessor's and wrapped to [-pi, pi] as
-        fields.unwrapped_angle wraps path steps (row 0: the angle kept last,
-        or the first one); and (step, point, angle) of the first step that
-        sweeps STEP_ANGLE_GUARD or more, or None."""
-        theta = np.arctan2(y[:, None] - self.sy, x[:, None] - self.sx)
-        d = theta[1:]
-        d -= theta[:-1]
-        d -= TAU * np.rint(d / TAU)
-        if self.theta is not None:
-            theta[0] = self.theta
-        big = np.abs(d) >= STEP_ANGLE_GUARD
-        if big.any():
-            i, j = np.argwhere(big)[0].tolist()
-            return theta, (i, j, float(d[i, j]))
-        return theta, None
-
     def trajectory(self, cause, reason):
-        """The Trajectory of the kept states, with V, the hops' jumps and
-        work_acc from one kernel call.  Its rows: V of each state, from its
-        chart's basepoint at an anchor and along the chord from the state
-        before it elsewhere (in a chart, the potential does not depend on
-        the path); two per hop inside both charts, from its new and its old
-        chart's basepoint to its crossing; the chords at the later anchors.
-        work_acc sums the chords.  A refused row ends the run before its
-        step, as a failed guard does, and the kept states are integrated again."""
-        cfg, ps = self.cfg, self.ps
-        q, row, theta, p_theta = (
-            p[0] if len(p) == 1 else np.concatenate(p, axis=-1 if k == 0 else 0)
-            for k, p in enumerate(zip(*self.blocks)))
+        """The Trajectory of the kept states: the chart hops, theta as one
+        running sum of the angle steps, p_theta, and V, the hops' jumps and
+        work_acc from one kernel call.  Its rows: the chord of each step,
+        from the state before; the potential of each anchor (the first new
+        state of each chunk, and each chart entry) from its chart's
+        basepoint; two per hop inside both charts, from its new and its old
+        chart's basepoint to its crossing.  work_acc sums the chords, and V
+        sums them on from each anchor's row (in a chart, the potential does
+        not depend on the path).  A refused row ends the run before its step,
+        as a failed guard does, and the kept states are integrated again."""
+        cfg, ps, ids = self.cfg, self.ps, self.cfg.atlas.ids
+        q, row, theta = (p[0] if len(p) == 1 else np.concatenate(p, axis=-1 if k == 0 else 0)
+                         for k, p in enumerate(zip(*self.blocks)))
         self.blocks = None      # free the chunks before the post-pass
-        n = len(row)
+        changes = _chart_changes(row).tolist()
+        hops = [self._crossing(ids[row[k - 1]], ids[row[k]], q[:2, k - 1:k + 1].T.tolist(), k)
+                for k in changes]
+        entries, pts, n = sorted({*self.anchors, *changes}), q[:2].T, len(row)
         while True:
-            anchors, hops = [k for k in self.anchors if k < n], [h for h in self.hops if h[0] < n]
-            pts = q[:2, :n].T
-            starts = pts[np.arange(-1, n - 1)]      # row k - 1
-            starts[anchors] = ps.basepoints[row[anchors]]
-            extra = [(ps.atlas.charts[c].basepoint, q_x, k)      # (start, end, step)
-                     for k, _, a, b, q_x, both in hops if both for c in (b, a)]
-            extra += [(pts[k - 1], pts[k], k) for k in anchors[1:]]
-            starts = np.concatenate([starts, np.reshape([e[0] for e in extra], (-1, 2))])
-            ends = np.concatenate([pts, np.reshape([e[1] for e in extra], (-1, 2))])
+            anchors, hops = [k for k in entries if k < n], [h for h in hops if h[0] < n]
+            starts, ends, later = zip(    # the rows after the chords, and their steps
+                *[(ps.basepoints[row[k]], pts[k], k) for k in anchors],
+                *[(ps.atlas.charts[c].basepoint, q_x, k)
+                  for k, _, a, b, q_x, both in hops if both for c in (b, a)])
             try:
-                kernel = segment_integrals(cfg.field, starts, ends)
+                kernel = segment_integrals(cfg.field, np.concatenate([pts[:n - 1], starts]),
+                                           np.concatenate([pts[1:n], ends]))
                 break
             except NumericError as exc:
-                k = exc.row if exc.row is None or exc.row < n else extra[exc.row - n][2]
-                if not k:       # no row named, or the first state's potential
+                if exc.row is None:
+                    raise
+                k = exc.row + 1 if exc.row < n - 1 else later[exc.row - n + 1]
+                if k == 0:      # the first state's own potential: no state can be kept
                     raise
                 n, cause, reason = k, Abort(k, "quadrature", None), f"step {k}: {exc}"
-        V, raw, chords = np.split(kernel, [n, len(kernel) - len(anchors) + 1])
-        work_acc = V.copy()
-        work_acc[0], work_acc[anchors[1:]] = 0.0, chords
-        np.add.accumulate(work_acc, out=work_acc)
+        chords, base, raw = np.split(kernel, [n - 1, n - 1 + len(anchors)])
+        V = np.concatenate([[0.0], chords])
+        work_acc = np.add.accumulate(V)
+        V[anchors] = base
         for a, b in zip(anchors, anchors[1:] + [n]):
             np.add.accumulate(V[a:b], out=V[a:b])
-        row, (qx, qy, px, py) = row[:n], q[:, :n]
+        row, (qx, qy, px, py), (cx, cy) = row[:n], q[:, :n], cfg.field.center
         V = ps.gauge_array[row] - V
         raw, gauge = iter((-raw).tolist()), ps.gauges     # ps.value: gauge + raw
         transitions = [Transition(t, a, b, q_x, (gauge[b] + next(raw)) - (gauge[a] + next(raw))
                                   if both else None) for _, t, a, b, q_x, both in hops]
-        with np.errstate(over="ignore"):    # momenta past 1e154 square to inf
+        with np.errstate(over="ignore", invalid="ignore"):  # momenta past 1e154 square to inf
             Tkin = (px ** 2 + py ** 2) / (2.0 * cfg.m)
+            p_theta = (qx - cx) * py - (qy - cy) * px
         arrays = {
             "t": cfg.h * np.arange(n), "qx": qx, "qy": qy, "px": px, "py": py,
-            "chart": np.array(cfg.atlas.ids)[row], "theta": theta[:n], "V": V, "Tkin": Tkin,
-            "E_local": Tkin + V, "p_theta": p_theta[:n], "work_acc": work_acc,
+            "chart": np.array(ids)[row], "theta": np.add.accumulate(theta[:n]), "V": V,
+            "Tkin": Tkin, "E_local": Tkin + V, "p_theta": p_theta, "work_acc": work_acc,
         }
         return Trajectory(cfg, arrays, transitions, reason, cause)
 

@@ -30,6 +30,7 @@ from locmech.errors import (
     DomainEvalError,
     NonFiniteError,
     NumericError,
+    RefinementLimitError,
     SingularityError,
     ValidationError,
 )
@@ -418,9 +419,11 @@ def test_chunked_bookkeeping_matches_the_per_step_reference(monkeypatch, integra
     assert tr.completed and tr.abort is None and tr.transitions
 
 
-@pytest.mark.parametrize("name", sorted(SEAM_RUNS))
-def test_chunk_seams_match_the_per_step_reference(monkeypatch, name):
-    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+@pytest.mark.parametrize("name, chunk", [(name, 7) for name in sorted(SEAM_RUNS)]
+                         + [("two punctures", dynamics._CHUNK)],
+                         ids=[*sorted(SEAM_RUNS), f"two punctures, {dynamics._CHUNK}-step chunks"])
+def test_chunk_seams_match_the_per_step_reference(monkeypatch, name, chunk):
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
     tr = _assert_matches_reference(SEAM_RUNS[name]())
     assert tr.completed and tr.transitions
 
@@ -489,7 +492,9 @@ def _pole_cfg(fy="0", **kw):
     return SimConfig(**{**base, **kw})
 
 
-def test_a_chord_across_an_undeclared_pole_is_a_quadrature_abort():
+@pytest.mark.parametrize("chunk", [dynamics._CHUNK, 7])
+def test_a_chord_across_an_undeclared_pole_is_a_quadrature_abort(monkeypatch, chunk):
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
     cfg = _pole_cfg()
     tr = _assert_matches_reference(cfg)
     assert (tr.status, tr.abort, tr.n_states) == (
@@ -516,10 +521,9 @@ def test_a_refused_hop_row_ends_the_run_before_the_hop():
 
 
 def test_a_run_whose_first_potential_is_refused_raises():
-    # from (0, 0) the row of state 0, from chart 1's basepoint (1, 1), crosses the pole
-    with pytest.raises(NumericError) as info:
+    # from (0, 0) the potential of state 0, from chart 1's basepoint (1, 1), crosses the pole
+    with pytest.raises(RefinementLimitError) as info:
         simulate(_pole_cfg(q0=(0.0, 0.0), p0=(1.0, 0.0)))
-    assert info.value.row == 0
 
 
 # closed fields (each force component depends on one coordinate, or sums
@@ -688,22 +692,25 @@ def test_v_summed_along_the_chords_is_the_basepoint_potential(cfg):
 def test_v_restarts_from_the_basepoint_at_each_chunk_and_chart_entry(monkeypatch):
     # rounding in the sum along the chords adds up over one chunk at most
     monkeypatch.setattr(dynamics, "_CHUNK", 7)
-    starts, kernel = [], dynamics.segment_integrals
+    rows, kernel = [], dynamics.segment_integrals
     monkeypatch.setattr(dynamics, "segment_integrals",
-                        lambda field, a, b: starts.append(np.array(a)) or kernel(field, a, b))
+                        lambda field, a, b: rows.append((np.array(a), np.array(b)))
+                        or kernel(field, a, b))
     cfg = vortex_cfg(T=4.0)
-    ps = PotentialSet.from_field(cfg.field, cfg.atlas)
-    tr = simulate(cfg, ps)
-    entries = {0, *range(8, tr.n_states, 7), *(np.flatnonzero(np.diff(tr.chart)) + 1).tolist()}
-    want = np.column_stack([np.roll(tr.qx, 1), np.roll(tr.qy, 1)])
-    for k in entries:
-        want[k] = cfg.atlas.charts[int(tr.chart[k])].basepoint
-    # then each hop's two rows start at the new and the old chart's basepoint,
-    # and the chord of each of those states but the first at the state before
-    hops = [cfg.atlas.charts[cid].basepoint for t in tr.transitions if t.delta_e is not None
-            for cid in (t.to_chart, t.from_chart)]
-    chords = np.column_stack([tr.qx, tr.qy])[np.array(sorted(entries - {0})) - 1]
-    assert tr.transitions and np.array_equal(starts[0], np.vstack([want, hops, chords]))
+    tr = simulate(cfg, PotentialSet.from_field(cfg.field, cfg.atlas))
+    q = tr.positions()
+    anchors = sorted({0, *range(8, tr.n_states, 7),
+                      *(np.flatnonzero(np.diff(tr.chart)) + 1).tolist()})
+    # the chord of each step; the potential of each anchor, from its chart's
+    # basepoint; each hop's two rows, from the new and the old chart's
+    # basepoint to its crossing
+    bases = [cfg.atlas.charts[int(tr.chart[k])].basepoint for k in anchors]
+    hops = [(cfg.atlas.charts[cid].basepoint, t.q) for t in tr.transitions
+            if t.delta_e is not None for cid in (t.to_chart, t.from_chart)]
+    assert tr.transitions and len(rows) == 1
+    starts, ends = rows[0]
+    assert np.array_equal(starts, np.vstack([q[:-1], bases, [a for a, _ in hops]]))
+    assert np.array_equal(ends, np.vstack([q[1:], q[anchors], [b for _, b in hops]]))
 
 
 def test_config_validation():
