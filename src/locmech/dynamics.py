@@ -352,7 +352,9 @@ class _Books:
                     raise
                 k = exc.row + 1 if exc.row < n - 1 else later[exc.row - n + 1]
                 if k == 0:      # the first state's own potential: no state can be kept
-                    raise
+                    raise type(exc)(f"the potential of q0 = {tuple(pts[0].tolist())} in chart "
+                                    f"{ids[row[0]]}, from its basepoint "
+                                    f"{tuple(ps.basepoints[row[0]].tolist())}: {exc}") from exc
                 n, cause, reason = k, Abort(k, "quadrature", None), f"step {k}: {exc}"
         chords, base, raw = np.split(kernel, [n - 1, n - 1 + len(anchors)])
         V = np.concatenate([[0.0], chords])

@@ -495,6 +495,19 @@ def test_a_quadrature_abort_exits_2_and_writes_its_states(tmp_path, capsys, monk
     assert sorted(os.listdir(tmp_path)) == ["pole.csv", "pole.transitions.json"]
 
 
+def test_a_refused_potential_of_q0_is_named_and_exits_2(tmp_path, capsys, monkeypatch):
+    # chart 1's basepoint (1, 1) to q0 crosses the pole: no state can be kept
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, "simulate", "--field", "0.001/(x-0.3000001);0",
+                            "--q0", "0,0", "--p0", "1,0", "--h", "1e-3", "--T", "0.6",
+                            "--out", "pole.csv")
+    assert (code, out) == (2, "")
+    assert err == ("numeric failure: the potential of q0 = (0.0, 0.0) in chart 1, from its "
+                   "basepoint (1.0, 1.0): segment quadrature did not converge: the field may "
+                   "vary too fast, or have a singular point that is not declared\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_render_computes_and_run_writes(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["simulate", "--field", "vortex", "--q0", "1,0", "--p0", "0,1", "--T", "0.1",

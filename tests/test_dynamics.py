@@ -524,6 +524,11 @@ def test_a_run_whose_first_potential_is_refused_raises():
     # from (0, 0) the potential of state 0, from chart 1's basepoint (1, 1), crosses the pole
     with pytest.raises(RefinementLimitError) as info:
         simulate(_pole_cfg(q0=(0.0, 0.0), p0=(1.0, 0.0)))
+    assert str(info.value) == (
+        "the potential of q0 = (0.0, 0.0) in chart 1, from its basepoint (1.0, 1.0): segment "
+        "quadrature did not converge: the field may vary too fast, or have a singular point "
+        "that is not declared")
+    assert isinstance(info.value.__cause__, RefinementLimitError)
 
 
 # closed fields (each force component depends on one coordinate, or sums
