@@ -8,9 +8,11 @@ another of them cannot be written.
 
 Reports go to stdout as JSON with sorted keys; trajectory tables go to
 CSV files named by --out, with a transition log written next to them
-and an optional SVG polyline figure via --emit-svg. Scenarios can be
-given as flags, as a JSON config document (--config), or both; flags
-win over config fields, and unknown config keys are rejected outright.
+and an optional SVG polyline figure via --emit-svg. The seven commands
+that read a scenario (check-closed, work, potentials, cocycle, classify,
+bundle, simulate) take it as flags, as a JSON config document (--config),
+or both; flags win over config fields, and unknown config keys are
+rejected outright.
 The flags are read as a document of the config's shape and laid over it
 (_overlay); a sweep entry goes between the two.  A null value is absent.
 
@@ -620,18 +622,18 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON scenario document")
     common.add_argument(
         "--deterministic", action="store_true",
         help="suppress the generated-at metadata line",
     )
 
-    field_args = argparse.ArgumentParser(add_help=False)
-    field_args.add_argument(
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", help="JSON scenario document")
+    scenario.add_argument(
         "--field",
         help="'vortex', 'zero', or component expressions 'fx;fy'",
     )
-    field_args.add_argument(
+    scenario.add_argument(
         "--singular",
         help="singular points 'x,y;x,y' for expression fields",
     )
@@ -650,7 +652,7 @@ def _build_parser():
     p.set_defaults(handler=_cmd_forms_table)
 
     p = sub.add_parser(
-        "check-closed", parents=[common, field_args],
+        "check-closed", parents=[common, scenario],
         help="closedness probe over a rectangle, by exact derivatives",
     )
     p.set_defaults(handler=_cmd_check_closed)
@@ -659,7 +661,7 @@ def _build_parser():
     p.add_argument("--tol", type=float)
 
     p = sub.add_parser(
-        "work", parents=[common, field_args],
+        "work", parents=[common, scenario],
         help="line integral of the field along a path",
     )
     p.set_defaults(handler=_cmd_work)
@@ -674,34 +676,34 @@ def _build_parser():
     p.add_argument("--about", default="0,0")
 
     p = sub.add_parser(
-        "potentials", parents=[common, field_args, atlas_args],
+        "potentials", parents=[common, scenario, atlas_args],
         help="chart-local potentials; evaluate with x,y@chart",
     )
     p.set_defaults(handler=_cmd_potentials)
     p.add_argument("--eval", action="append", metavar="X,Y@CHART")
 
     p = sub.add_parser(
-        "cocycle", parents=[common, field_args, atlas_args],
+        "cocycle", parents=[common, scenario, atlas_args],
         help="overlap constants of the local potentials",
     )
     p.set_defaults(handler=_cmd_cocycle)
     p.add_argument("--samples", type=int, default=DEFAULT_OVERLAP_SAMPLES)
 
     p = sub.add_parser(
-        "classify", parents=[common, field_args, atlas_args],
+        "classify", parents=[common, scenario, atlas_args],
         help="exact / closed-not-exact / not-closed",
     )
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser(
-        "bundle", parents=[common, field_args, atlas_args],
+        "bundle", parents=[common, scenario, atlas_args],
         help="exponentiated transition system and its holonomies",
     )
     p.set_defaults(handler=_cmd_bundle)
     p.add_argument("--cycle", help="chart cycle like 1,2,3,4,1")
 
     p = sub.add_parser(
-        "simulate", parents=[common, field_args, atlas_args],
+        "simulate", parents=[common, scenario, atlas_args],
         help="integrate a trajectory and emit CSV/JSON/SVG artifacts",
     )
     p.set_defaults(handler=_cmd_simulate)
@@ -753,7 +755,8 @@ def render(argv=None):
     if ns.command is None:
         parser.print_usage(sys.stderr)
         return 1, "", {}
-    code, report, files = ns.handler(ns, _overlay(_load_config(ns.config), _flags(ns)))
+    code, report, files = ns.handler(ns, _overlay(_load_config(getattr(ns, "config", None)),
+                                                  _flags(ns)))
     if isinstance(report, str):
         stamp = "" if ns.deterministic else f"# generated_at {_generated_at()}\n"
         return code, stamp + report + "\n", files

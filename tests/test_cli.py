@@ -660,6 +660,37 @@ def test_a_chart_holding_the_vortex_exits_1(tmp_path, capsys, command):
     assert "singular point (0.0, 0.0) lies inside chart 1" in err
 
 
+# the seven commands that read a scenario, and the five that read none,
+# each with the flags it requires
+SCENARIO_COMMANDS = {"check-closed": (), "work": ("--path", "circle:0,0,1"), "potentials": (),
+                     "cocycle": (), "classify": (), "bundle": (),
+                     "simulate": ("--q0", "1,0", "--p0", "0,1")}
+OTHER_COMMANDS = {"forms-table": (), "winding": ("--path", "circle:0,0,1"),
+                  "lift": ("--traj", "t.csv"),
+                  "log-continue": ("--from", "1,0", "--path", "poly:1,0;0,1"),
+                  "verify": ("--only", "1")}
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
+def test_a_scenario_command_reads_its_config(tmp_path, capsys, command):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"field": "bogus"}))
+    code, out, err = invoke(capsys, command, *SCENARIO_COMMANDS[command], "--config", str(cfg_path))
+    assert (code, out) == (1, "")
+    assert err == "invalid input: field must be 'vortex', 'zero', or 'fx;fy' expressions, " \
+                  "got 'bogus'\n"
+
+
+@pytest.mark.parametrize("command", sorted(OTHER_COMMANDS))
+def test_a_command_that_reads_no_scenario_refuses_config(tmp_path, capsys, command):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"field": "vortex"}))
+    code, out, err = invoke(capsys, command, *OTHER_COMMANDS[command], "--config", str(cfg_path))
+    assert (code, out) == (1, "")
+    assert err == f"invalid input: unrecognized arguments: --config {cfg_path}\n"
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 def test_momenta_past_the_double_range_report_a_null_energy(capsys):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
