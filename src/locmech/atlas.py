@@ -124,7 +124,6 @@ class Atlas:
         self._holes = sorted(set().union(*(ch.singular_points for ch in charts)))
         _refuse_inner_punctures(charts, self._holes)
         self.charts = {ch.id: ch for ch in sorted(charts, key=lambda ch: ch.id)}
-        self._overlap_cache = {}
 
     @property
     def ids(self):
@@ -175,10 +174,7 @@ class Atlas:
     def overlap_samples(self, i, j, k=DEFAULT_OVERLAP_SAMPLES):
         """k deterministic points in the overlap of charts i and j, or an
         empty array when the two meet at most in singular points (see _meet)."""
-        key = (i, j, k) if i <= j else (j, i, k)
-        if key not in self._overlap_cache:
-            self._overlap_cache[key] = _meet([self.charts[c] for c in key[:2]], k)
-        return self._overlap_cache[key]
+        return _meet([self.charts[c] for c in sorted((i, j))], k)
 
     def triple_overlap_nonempty(self, i, j, k):
         return len(_meet([self.charts[c] for c in (i, j, k)], 1)) > 0
